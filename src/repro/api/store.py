@@ -162,33 +162,10 @@ class GraphStore:
                 f"invalid graph name {name!r}: names must match "
                 f"{GRAPH_NAME_PATTERN.pattern}"
             )
-        fingerprint = graph.fingerprint()
+        session = self._new_session(graph)
         with self._lock:
-            if name is not None:
-                claimed = self._names.get(name)
-                if claimed is not None and claimed != fingerprint:
-                    raise StoreError(
-                        f"name {name!r} already refers to graph "
-                        f"{claimed[:12]}…; remove it first"
-                    )
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                self._make_room_locked()
-                entry = _Entry(
-                    session=MiningSession(graph, cache=self._cache),
-                    name=None,
-                    pinned=False,
-                )
-                self._entries[fingerprint] = entry
-            self._entries.move_to_end(fingerprint)
-            if name is not None:
-                self._names[name] = fingerprint
-                if entry.name is None:
-                    entry.name = name
-            entry.pinned = entry.pinned or pin
-            if self._default is None:
-                self._default = fingerprint
-            return self._info_locked(fingerprint, entry)
+            entry = self._register_locked(session, name=name, pin=pin)
+            return self._info_locked(session.fingerprint, entry)
 
     def add_dataset(
         self,
@@ -223,15 +200,54 @@ class GraphStore:
         session, and the registration is unpinned/unnamed so the LRU
         budget applies to it.
         """
-        fingerprint = graph.fingerprint()
+        session = self._new_session(graph)
         with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                self.add(graph)
-                entry = self._entries[fingerprint]
-            else:
-                self._entries.move_to_end(fingerprint)
-            return entry.session
+            return self._register_locked(session, name=None, pin=False).session
+
+    def _new_session(self, graph: UncertainGraph) -> MiningSession:
+        """A session on ``graph`` with its fingerprint already computed.
+
+        The session memoises the hash, so registering a graph and then
+        running its first job (the scheduler keys compilations by
+        :attr:`MiningSession.fingerprint`) hashes it exactly once.  The
+        hash is taken before the store lock: it is the costly step.
+        """
+        session = MiningSession(graph, cache=self._cache)
+        session.fingerprint  # hashed and memoised here, outside the lock
+        return session
+
+    def _register_locked(
+        self, session: MiningSession, *, name: str | None, pin: bool
+    ) -> _Entry:
+        """Admit ``session``'s graph, or merge into the resident entry.
+
+        Caller holds the lock.  A graph already resident keeps its own
+        session (its compiled artifacts stay warm) and ``session`` is
+        dropped; a new ``name`` becomes an alias and ``pin`` only ever
+        upgrades.
+        """
+        fingerprint = session.fingerprint
+        if name is not None:
+            claimed = self._names.get(name)
+            if claimed is not None and claimed != fingerprint:
+                raise StoreError(
+                    f"name {name!r} already refers to graph "
+                    f"{claimed[:12]}…; remove it first"
+                )
+        entry = self._entries.get(fingerprint)
+        if entry is None:
+            self._make_room_locked()
+            entry = _Entry(session=session, name=None, pinned=False)
+            self._entries[fingerprint] = entry
+        self._entries.move_to_end(fingerprint)
+        if name is not None:
+            self._names[name] = fingerprint
+            if entry.name is None:
+                entry.name = name
+        entry.pinned = entry.pinned or pin
+        if self._default is None:
+            self._default = fingerprint
+        return entry
 
     # ------------------------------------------------------------------ #
     # Resolution

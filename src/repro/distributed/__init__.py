@@ -6,8 +6,9 @@ into one logical enumerator:
 * :class:`~repro.distributed.pool.WorkerPool` — the fleet registry:
   liveness probes, healthy/suspect/dead states, failure thresholds;
 * :class:`~repro.distributed.coordinator.DistributedSession` — the
-  coordinator: plans root shards locally, ships the graph once per worker,
-  runs one async job per shard over the v2 wire protocol, retries and
+  coordinator: plans root shards locally, serialises the graph once per
+  session and sends it concurrently to the workers that get shards, runs
+  one async job per shard over the v2 wire protocol, retries and
   reassigns shards when workers fail, and merges the outcomes into a
   result bit-identical to serial MULE.
 

@@ -13,8 +13,10 @@ The pipeline per :meth:`DistributedSession.enumerate` call:
    degree-weighted :class:`~repro.parallel.planner.ShardPlanner` — the
    same partition primitive the in-process parallel path uses, so shard
    union = serial output holds by construction;
-2. upload the graph once per worker (``POST /v2/graphs`` is content-keyed
-   and idempotent by fingerprint, so re-runs and shared workers cost one
+2. serialise the graph once per session and send those bytes
+   concurrently to the workers the first round-robin pass gives shards
+   to, and to no idle worker (``POST /v2/graphs`` is content-keyed and
+   idempotent by fingerprint, so re-runs and shared workers cost one
    upload each);
 3. submit every shard as an asynchronous job (``POST /v2/jobs``) whose
    request carries the shard's root vertices in the additive v2
@@ -38,6 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from ..api.outcome import EnumerationOutcome
@@ -50,6 +53,7 @@ from ..errors import DegradedError, ParameterError, ServiceError
 from ..obs import registry as _obs_registry
 from ..parallel.planner import Shard, ShardPlanner
 from ..parallel.runner import _merge_stop_reasons, _strongest
+from ..service import codec
 from ..service.client import (
     DEFAULT_TIMEOUT_SECONDS,
     RemoteJob,
@@ -148,8 +152,9 @@ class DistributedSession:
         self._page_size = page_size
         self._timeout = timeout
         self._local = MiningSession(graph)
-        # Coordinator state shared with cancel() callers; everything below
-        # is written only under the lock.
+        self._body: bytes | None = None
+        # Coordinator state shared with cancel() callers and upload
+        # threads; everything below is written only under the lock.
         self._lock = threading.Lock()
         self._cancelled = False
         self._active: dict[int, RemoteJob] = {}
@@ -276,6 +281,14 @@ class DistributedSession:
         merged: dict[int, EnumerationOutcome] = {}
         rotation = 0
 
+        # The first round-robin pass places shard i on urls[i]: ship the
+        # graph to exactly those workers, all at once, before any submit.
+        first_pass = urls[: len(shards)]
+        failed = self._upload_concurrently(first_pass)
+        for shard, url in zip(shards, first_pass):
+            if url in failed:
+                last_errors[shard.index] = failed[url]
+
         def submit(shard: Shard) -> bool:
             """Place ``shard`` on some usable worker; False once cancelled.
 
@@ -393,16 +406,52 @@ class DistributedSession:
         """Capped exponential backoff before attempt ``attempt + 1``."""
         return min(self._backoff_cap, self._backoff * (2 ** (attempt - 1)))
 
+    def _upload_body(self) -> bytes:
+        """The graph's ``POST /v2/graphs`` body, serialised once per session."""
+        if self._body is None:
+            upload = codec.GraphUpload(graph=self._graph)
+            self._body = codec.encode(codec.upload_to_wire(upload))
+        return self._body
+
     def _ensure_uploaded(self, url: str) -> str:
         """Upload the graph to ``url`` once; returns its fingerprint."""
         with self._lock:
             fingerprint = self._uploaded.get(url)
         if fingerprint is not None:
             return fingerprint
-        info = RemoteStore(url, timeout=self._timeout).add(self._graph)
+        store = RemoteStore(url, timeout=self._timeout)
+        info = store.add_encoded(self._upload_body())
         with self._lock:
             self._uploaded[url] = info.fingerprint
         return info.fingerprint
+
+    def _upload_concurrently(self, urls: list[str]) -> dict[str, ServiceError]:
+        """Upload the graph to every worker in ``urls`` that lacks it, at once.
+
+        Each upload runs on its own thread, all posting the same bytes.  A
+        worker whose upload fails with a :class:`ServiceError` is marked in
+        the pool; its shards take the lazy :meth:`_ensure_uploaded` path,
+        which retries or reassigns them.  Returns those failures by URL.
+        Any other error is raised here, once every upload has finished.
+        """
+        with self._lock:
+            pending = [url for url in urls if url not in self._uploaded]
+        if not pending:
+            return {}
+        self._upload_body()  # serialise before the upload threads read it
+        with ThreadPoolExecutor(
+            max_workers=len(pending), thread_name_prefix="repro-dist-upload"
+        ) as executor:
+            futures = [executor.submit(self._ensure_uploaded, url) for url in pending]
+        failed: dict[str, ServiceError] = {}
+        for url, future in zip(pending, futures):
+            exc = future.exception()
+            if isinstance(exc, ServiceError):
+                self._pool.mark_failure(url, exc)
+                failed[url] = exc
+            elif exc is not None:
+                raise exc
+        return failed
 
     @staticmethod
     def _shard_request(

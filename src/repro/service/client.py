@@ -110,9 +110,14 @@ class _HttpClient:
     def _post(
         self, path: str, envelope: dict, *, timeout: float | None = None
     ) -> dict:
+        return self._post_body(path, codec.encode(envelope), timeout=timeout)
+
+    def _post_body(
+        self, path: str, body: bytes, *, timeout: float | None = None
+    ) -> dict:
         request = urllib.request.Request(
             self._base_url + path,
-            data=codec.encode(envelope),
+            data=body,
             headers={"Content-Type": "application/json"},
             method="POST",
         )
@@ -567,9 +572,16 @@ class RemoteStore(_HttpClient):
     def add(self, graph: UncertainGraph, *, name: str | None = None) -> GraphInfo:
         """Upload a graph (lossless edge-set transfer) and register it."""
         upload = codec.GraphUpload(graph=graph, name=name)
-        return codec.graph_info_from_wire(
-            self._post("/v2/graphs", codec.upload_to_wire(upload))
-        )
+        return self.add_encoded(codec.encode(codec.upload_to_wire(upload)))
+
+    def add_encoded(self, body: bytes) -> GraphInfo:
+        """Register a graph from an already serialised upload body.
+
+        ``body`` is ``codec.encode(codec.upload_to_wire(upload))``.  A
+        caller that ships one graph to several servers serialises it once
+        and posts the same bytes to each.
+        """
+        return codec.graph_info_from_wire(self._post_body("/v2/graphs", body))
 
     def add_dataset(
         self,

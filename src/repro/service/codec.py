@@ -16,10 +16,11 @@ Design rules — these are the compatibility contract the conformance corpus
   type tag :func:`from_wire` dispatches on).  Nested objects are full
   envelopes too, so any payload fragment is self-describing.
 * **Strictness.**  Decoding rejects unknown keys, missing keys, wrong JSON
-  types and unsupported schema versions with
-  :class:`~repro.errors.FormatError`.  Domain validation (α out of range,
-  inconsistent request fields) is delegated to the constructors, so wire
-  decoding raises exactly the exception types local construction raises.
+  types, unsupported schema versions and the non-JSON number tokens
+  ``NaN`` / ``Infinity`` with :class:`~repro.errors.FormatError`.  Domain
+  validation (α out of range, inconsistent request fields) is delegated to
+  the constructors, so wire decoding raises exactly the exception types
+  local construction raises.
 * **Determinism.**  :func:`encode` is canonical — sorted keys, compact
   separators, ASCII, no NaN/Infinity, one trailing newline — so equal
   objects always encode to equal bytes (what makes golden-fixture diffs
@@ -38,9 +39,9 @@ True
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, NoReturn
 
 from ..api.outcome import EnumerationOutcome
 from ..api.request import EnumerationRequest
@@ -158,15 +159,29 @@ def encode(payload: Mapping[str, Any]) -> bytes:
     return text.encode("ascii") + b"\n"
 
 
+def _reject_constant(token: str) -> NoReturn:
+    raise FormatError(f"payload is not valid JSON: {token} is not a JSON number")
+
+
+#: The one JSON parser :func:`decode` uses.  Unlike the ``json.loads``
+#: defaults it refuses the ``NaN`` / ``Infinity`` / ``-Infinity`` tokens,
+#: which :func:`encode` can never produce.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode(data: bytes | str) -> dict[str, Any]:
-    """Parse wire bytes into a payload dict (the inverse of :func:`encode`)."""
+    """Parse wire bytes into a payload dict (the inverse of :func:`encode`).
+
+    Only what :func:`encode` can produce is accepted: a JSON object, with
+    no ``NaN`` or infinities.
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"payload is not valid UTF-8: {exc}") from exc
     try:
-        payload = json.loads(data)
+        payload = _DECODER.decode(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"payload is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -673,16 +688,36 @@ def graph_to_wire(graph: UncertainGraph) -> dict[str, Any]:
     exact bit pattern survives.  Labels must be ``int``/``float``/``str``
     (the same restriction clique records have); isolated vertices are
     preserved by the explicit vertex list.
+
+    The vertices are ranked once; edges are then ordered by their pair of
+    ranks.  Each edge is taken where :meth:`UncertainGraph.edges` takes
+    it, at the endpoint the insertion-order walk visits first, so its far
+    label is the one that endpoint's adjacency stores.  That label can be
+    ``==``-equal to the vertex yet of another type (edge endpoint ``1.0``
+    of vertex ``1``), and it reaches the wire as stored.
     """
-    vertices = sorted((_vertex_to_wire(v) for v in graph.vertices()), key=_vertex_sort_key)
-    edges = []
-    for u, v, p in graph.edges():
-        u, v = sorted((_vertex_to_wire(u), _vertex_to_wire(v)), key=_vertex_sort_key)
-        edges.append([u, v, p])
-    edges.sort(key=lambda e: (_vertex_sort_key(e[0]), _vertex_sort_key(e[1])))
+    labels = [_vertex_to_wire(v) for v in graph.vertices()]
+    vertices = sorted(labels, key=_vertex_sort_key)
+    rank = {vertex: index for index, vertex in enumerate(vertices)}
+    n = len(vertices)
+    keyed: list[tuple[int, int | float | str, int | float | str, float]] = []
+    visited: set[object] = set()
+    for u in labels:
+        ru = rank[u]
+        for v, p in graph.adjacency(u).items():
+            if v in visited:
+                continue  # taken when the walk visited v
+            label = _vertex_to_wire(v)
+            rv = rank[label]
+            if ru < rv:
+                keyed.append((ru * n + rv, u, label, p))
+            else:
+                keyed.append((rv * n + ru, label, u, p))
+        visited.add(u)
+    keyed.sort()
     return _envelope(
         "graph",
-        {"vertices": vertices, "edges": edges},
+        {"vertices": vertices, "edges": [[a, b, p] for _, a, b, p in keyed]},
         version=SCHEMA_VERSION_V2,
     )
 
@@ -694,40 +729,45 @@ def graph_from_wire(payload: object) -> UncertainGraph:
     endpoints missing from the vertex list) raise
     :class:`~repro.errors.FormatError`; domain problems (self-loops,
     probabilities outside ``(0, 1]``) raise exactly what local
-    construction raises.
+    construction raises.  The adjacency is filled directly and handed to
+    :meth:`UncertainGraph.from_adjacency`, with the checks
+    :meth:`UncertainGraph.add_edge` would make done inline.
     """
     payload = _open_envelope(
         payload, "graph", _GRAPH_KEYS, min_version=SCHEMA_VERSION_V2
     )
     raw_vertices = _field(payload, "graph", "vertices", list)
-    graph = UncertainGraph()
-    seen = set()
+    adjacency: dict[Hashable, dict[Hashable, float]] = {}
     for value in raw_vertices:
         vertex = _vertex_from_wire(value, "graph")
-        if vertex in seen:
+        if vertex in adjacency:
             raise FormatError(f"graph: duplicate vertex {vertex!r}")
-        seen.add(vertex)
-        graph.add_vertex(vertex)
+        adjacency[vertex] = {}
     raw_edges = _field(payload, "graph", "edges", list)
-    seen_edges = set()
     for entry in raw_edges:
         if not isinstance(entry, list) or len(entry) != 3:
             raise FormatError(f"graph: edge entry must be [u, v, p], got {entry!r}")
         u = _vertex_from_wire(entry[0], "graph")
         v = _vertex_from_wire(entry[1], "graph")
-        if u not in seen or v not in seen:
+        if u not in adjacency or v not in adjacency:
             raise FormatError(
                 f"graph: edge endpoint missing from the vertex list: {entry!r}"
             )
         p = entry[2]
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise FormatError(f"graph: edge probability must be a number, got {p!r}")
-        pair = frozenset((u, v))
-        if pair in seen_edges:
+        neighbours = adjacency[u]
+        if v in neighbours:
             raise FormatError(f"graph: duplicate edge {sorted(entry[:2], key=str)}")
-        seen_edges.add(pair)
-        graph.add_edge(u, v, float(p))
-    return graph
+        probability = float(p)
+        if u == v or not 0.0 < probability <= 1.0:
+            # A self-loop, or a probability outside (0, 1]: adding the edge
+            # to a scratch graph raises exactly what local construction
+            # raises, checks in the same order.
+            UncertainGraph().add_edge(u, v, probability)
+        neighbours[v] = probability
+        adjacency[v][u] = probability
+    return UncertainGraph.from_adjacency(adjacency)
 
 
 _GRAPH_INFO_KEYS = frozenset(

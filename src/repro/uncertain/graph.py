@@ -109,6 +109,27 @@ class UncertainGraph:
             for u, v, p in edges:
                 self.add_edge(u, v, p)
 
+    @classmethod
+    def from_adjacency(
+        cls, adjacency: dict[Vertex, dict[Vertex, float]]
+    ) -> "UncertainGraph":
+        """Adopt a prepared adjacency mapping as a new graph's storage.
+
+        The bulk-construction path for builders that have already checked
+        what :meth:`add_edge` checks (the wire decoder): every edge is
+        stored in both directions with the same probability, no vertex is
+        its own neighbour, and every probability passed
+        :func:`validate_probability`.  The mapping is taken over, not
+        copied, and not re-validated.
+
+        >>> g = UncertainGraph.from_adjacency({1: {2: 0.5}, 2: {1: 0.5}, 3: {}})
+        >>> g == UncertainGraph(vertices=[3], edges=[(1, 2, 0.5)])
+        True
+        """
+        graph = cls()
+        graph._adj = adjacency
+        return graph
+
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
@@ -353,9 +374,9 @@ class UncertainGraph:
 
     def copy(self) -> "UncertainGraph":
         """Return a deep structural copy."""
-        g = UncertainGraph()
-        g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
-        return g
+        return UncertainGraph.from_adjacency(
+            {v: dict(nbrs) for v, nbrs in self._adj.items()}
+        )
 
     def relabeled(
         self,

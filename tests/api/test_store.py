@@ -78,6 +78,34 @@ class TestRegistration:
         assert info.name == "dblp10"
 
 
+class TestHashing:
+    """Registering a graph hashes it once; its session keeps the hash."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = []
+        original = UncertainGraph.fingerprint
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(UncertainGraph, "fingerprint", counting)
+        return calls
+
+    def test_add_then_enumerate_hashes_once(self, store, hashes):
+        info = store.add(graph_a(), name="a")
+        session = store.session("a")
+        assert session.fingerprint == info.fingerprint
+        session.enumerate(EnumerationRequest(algorithm="mule", alpha=0.4))
+        assert len(hashes) == 1
+
+    def test_ensure_hashes_a_new_graph_once(self, store, hashes):
+        session = store.ensure(graph_a())
+        assert session.fingerprint == store.default_fingerprint
+        assert len(hashes) == 1
+
+
 class TestResolution:
     def test_resolve_by_name_fingerprint_and_prefix(self, store):
         info = store.add(graph_a(), name="a")

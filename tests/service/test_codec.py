@@ -16,6 +16,7 @@ from repro.api import EnumerationOutcome, EnumerationRequest
 from repro.core.engine import RunControls, RunReport
 from repro.core.result import CliqueRecord, SearchStatistics
 from repro.errors import (
+    EdgeError,
     FormatError,
     ParameterError,
     ProbabilityError,
@@ -60,6 +61,18 @@ class TestCanonicalEncoding:
     def test_decode_rejects_non_object_payloads(self):
         with pytest.raises(FormatError):
             codec.decode(b"[1, 2, 3]")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_decode_rejects_what_encode_refuses(self, token):
+        # A payload holding one of these could never be encoded back.
+        data = f'{{"vertices": [1, {token}]}}'.encode("ascii")
+        with pytest.raises(FormatError) as excinfo:
+            codec.decode(data)
+        assert str(excinfo.value) == (
+            f"payload is not valid JSON: {token} is not a JSON number"
+        )
+        with pytest.raises(FormatError):
+            codec.decode(data.decode("ascii"))
 
     def test_floats_roundtrip_exactly(self):
         # repr-based shortest round-trip: losslessness for awkward floats.
@@ -387,6 +400,61 @@ class TestGraphCodec:
         payload["edges"] = [[1, 2, True]]
         with pytest.raises(FormatError, match="must be a number"):
             codec.graph_from_wire(payload)
+
+    @staticmethod
+    def decode_edges(edges):
+        """Decode a graph payload with vertices 1 and 2 and these edges."""
+        payload = codec.graph_to_wire(UncertainGraph(vertices=[1, 2]))
+        payload["edges"] = edges
+        return codec.graph_from_wire(payload)
+
+    def test_self_loop_raises_what_local_construction_raises(self):
+        with pytest.raises(EdgeError) as local:
+            UncertainGraph(vertices=[1, 2]).add_edge(1, 1, 0.5)
+        with pytest.raises(EdgeError) as wire:
+            self.decode_edges([[1, 1, 0.5]])
+        assert str(wire.value) == str(local.value)
+        assert str(wire.value) == (
+            "self-loop on vertex 1 is not allowed in a simple graph"
+        )
+
+    @pytest.mark.parametrize(
+        "probability, message",
+        [
+            (0, "edge probability must lie in (0, 1], got 0.0"),
+            (float("nan"), "edge probability must be finite, got nan"),
+        ],
+    )
+    def test_probability_outside_unit_interval(self, probability, message):
+        with pytest.raises(ProbabilityError) as excinfo:
+            self.decode_edges([[1, 2, probability]])
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "entry", [{"u": 1, "v": 2, "p": 0.5}, "1 2 0.5", [1, 2], [1, 2, 0.5, 0.5]]
+    )
+    def test_malformed_edge_entry(self, entry):
+        with pytest.raises(FormatError) as excinfo:
+            self.decode_edges([entry])
+        assert str(excinfo.value) == (
+            f"graph: edge entry must be [u, v, p], got {entry!r}"
+        )
+
+    def test_boolean_endpoint_is_not_vertex_one(self):
+        # True == 1 in Python, but a JSON true is never a vertex label.
+        with pytest.raises(FormatError) as excinfo:
+            self.decode_edges([[True, 2, 0.5]])
+        assert str(excinfo.value) == (
+            "graph: vertex label True must be int, float or str"
+        )
+
+    def test_edge_checks_run_in_order(self):
+        # The duplicate check comes before the self-loop and probability
+        # checks, and the first bad entry decides the error.
+        with pytest.raises(FormatError, match="duplicate edge"):
+            self.decode_edges([[1, 2, 0.5], [2.0, 1, 0.0]])
+        with pytest.raises(EdgeError):
+            self.decode_edges([[1, 1, 0.0], [1, 2, 2.0]])
 
 
 class TestUploadAndRefEnvelopes:

@@ -136,6 +136,21 @@ class TestErrorMapping:
         assert status == 400
         assert payload["type"] == "FormatError"
 
+    def test_upload_with_non_finite_numbers_is_refused(self, server):
+        # The server could never send such a graph's cliques back.
+        resident = len(server.store)
+        body = (
+            b'{"schema":2,"kind":"graph-upload","dataset":null,"scale":null,'
+            b'"seed":null,"name":"bad","graph":{"schema":2,"kind":"graph",'
+            b'"vertices":[NaN,Infinity,1,2],'
+            b'"edges":[[1,NaN,0.5],[2,Infinity,0.5]]}}'
+        )
+        status, payload = post_raw(server, "/v2/graphs", body)
+        assert status == 400
+        assert payload["type"] == "FormatError"
+        assert "NaN is not a JSON number" in payload["message"]
+        assert len(server.store) == resident
+
     def test_unknown_post_route_is_404(self, server):
         body = codec.encode(
             codec.request_to_wire(EnumerationRequest(algorithm="mule", alpha=0.5))
