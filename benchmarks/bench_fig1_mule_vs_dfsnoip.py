@@ -12,7 +12,7 @@ runtimes, their ratio, and the (deterministic) probability-multiplication
 counts, which show the same effect independent of machine noise.
 
 ``bench_fig1_kernel_backends`` reruns the same grid once more, MULE only,
-timing the python kernel against the vectorised kernel backend
+timing the python kernel against the fused vector kernel
 (:mod:`repro.core.engine.backends`) on identical compiled graphs.  It
 asserts bit-identical outputs per cell and writes a machine-readable
 summary to ``BENCH_kernel.json`` at the repository root: per-cell wall
@@ -35,7 +35,7 @@ import pytest
 
 from repro.core.dfs_noip import dfs_noip
 from repro.core.engine import compile_graph
-from repro.core.engine.backends import kernel_capabilities, run_vector_search
+from repro.core.engine.backends import run_vector_search
 from repro.core.engine.kernel import run_search
 from repro.core.engine.strategies import MuleStrategy
 from repro.core.mule import mule
@@ -197,7 +197,6 @@ def bench_fig1_kernel_backends(
         "seed": bench_seed,
         "reps": reps,
         "host_cores": _host_cores(),
-        "capabilities": [c._asdict() for c in kernel_capabilities()],
         "cells": [
             {**c, "python_seconds": round(c["python_seconds"], 6),
              "vector_seconds": round(c["vector_seconds"], 6),

@@ -4,11 +4,7 @@ There is no ``pyproject.toml``: the target environments are offline
 machines without the ``wheel`` package, where ``pip`` falls back to the
 legacy ``setup.py`` paths, so the metadata lives here directly.
 
-The package has **zero** required dependencies.  The one optional extra,
-``repro[fast]``, installs numpy for the vectorised kernel backend
-(:mod:`repro.core.engine.backends`): word-array construction and popcounts
-vectorise when numpy is importable and fall back to pure ``array('Q')``
-otherwise — the extra changes speed, never results or availability.
+The package has **zero** dependencies.
 """
 
 from setuptools import find_packages, setup
@@ -24,12 +20,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=[],
-    extras_require={
-        # Accelerates CompiledGraph -> VectorForm construction (bulk word
-        # packing and vectorised popcounts).  Purely optional: the vector
-        # kernel runs without it on the array('Q') fallback.
-        "fast": ["numpy"],
-    },
     entry_points={
         "console_scripts": [
             "repro-mule = repro.cli.main:main",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..core.engine import KERNELS
 from ..core.engine.controls import RunControls
 from ..errors import ParameterError
 from ..uncertain.graph import validate_probability
@@ -60,7 +61,6 @@ ALGORITHM_LABELS = {
 
 _EXECUTIONS = ("auto", "serial", "parallel")
 _BACKENDS = ("auto", "process", "inline")
-_KERNELS = ("auto", "python", "vector")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ class EnumerationRequest:
     kernel:
         Engine kernel backend running the enumeration hot path:
         ``"python"`` (the reference strategy-protocol kernel),
-        ``"vector"`` (the fused word-array kernel, MULE family only), or
+        ``"vector"`` (the fused kernel that inlines the MULE-family
+        strategy hooks into one loop; MULE family only), or
         ``"auto"`` (vector where supported, python otherwise — the
         default).  Independent of ``backend``, which picks where parallel
         shards *run*; this picks how each shard's inner loop runs.  Both
@@ -187,9 +188,9 @@ class EnumerationRequest:
             raise ParameterError(
                 f"unknown backend {self.backend!r}; expected one of {_BACKENDS}"
             )
-        if self.kernel not in _KERNELS:
+        if self.kernel not in KERNELS:
             raise ParameterError(
-                f"unknown kernel {self.kernel!r}; expected one of {_KERNELS}"
+                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
             )
         if self.kernel == "vector" and canonical == "noip":
             # DFS-NOIP is the from-scratch baseline; running it on the

@@ -51,7 +51,7 @@ from ..analysis.statistics import clique_statistics
 from ..api import EnumerationRequest, GraphStore, MiningSession
 from ..api.store import GRAPH_NAME_PATTERN
 from ..core.bounds import moon_moser_bound, uncertain_clique_bound
-from ..core.engine import RunControls
+from ..core.engine import KERNELS, RunControls
 from ..datasets.registry import (
     DATASETS,
     available_datasets,
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--kernel",
-        choices=["auto", "python", "vector"],
+        choices=KERNELS,
         default="auto",
         help=(
             "default engine kernel for requests that leave kernel=auto "
@@ -362,10 +362,10 @@ def _add_remote_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
-        choices=["auto", "python", "vector"],
+        choices=KERNELS,
         default="auto",
         help=(
-            "engine kernel backend: vector (fused word-array kernel), "
+            "engine kernel backend: vector (fused MULE-family kernel), "
             "python (reference kernel), or auto (vector where supported; "
             "default).  Results are bit-identical either way."
         ),

@@ -28,7 +28,6 @@ from .bounds import (
     uncertain_clique_bound,
 )
 from .brute_force import brute_force_alpha_maximal_cliques, is_alpha_maximal_clique
-from .candidates import CandidateSet, generate_i, generate_x, initial_candidates
 from .clique_probability import (
     clique_probability,
     extension_factor,
@@ -75,10 +74,6 @@ __all__ = [
     "extension_factor",
     "log_clique_probability",
     "is_alpha_clique",
-    "CandidateSet",
-    "generate_i",
-    "generate_x",
-    "initial_candidates",
     "CompiledGraph",
     "compile_graph",
     "run_search",

@@ -1,21 +1,23 @@
-"""The vector kernel: fused drivers over the word-array representation.
+"""The vector kernel: the MULE family fused into loops over Python-int bitmasks.
 
 :func:`run_vector_search` is a drop-in replacement for
 :func:`repro.core.engine.kernel.run_search` for the MULE strategy family
 (:class:`MuleStrategy`, :class:`TopKStrategy`,
 :class:`LargeCliqueStrategy`).  Instead of dispatching through the
 strategy protocol once per node, each driver fuses the kernel walk and
-the strategy bookkeeping into a single loop over the structures of
-:class:`~repro.core.engine.backends.vector_form.VectorForm`:
+the strategy bookkeeping into a single loop over the compiled graph's
+masks and two lazy caches it keeps for this kernel:
 
-* **root plans** — every depth-1 frame (candidate lists, factors, masks,
-  exclusion survivors) is precompiled per (graph, α) pair, so root
-  descents charge their counters and jump straight into the subtree;
+* **root plans** (:meth:`CompiledGraph.root_plan`) — every depth-1 frame
+  (candidate lists, factors, masks, exclusion survivors) is precompiled
+  per (graph, α) pair, so root descents charge their counters and jump
+  straight into the subtree;
 * **side-choosing candidate scans** — per node the driver picks the
   cheapest of three ``GenerateI`` realisations: a scan of the (sorted)
-  higher-neighbor list, a scan of the remaining candidate tail, or
-  extraction from the word-array bitmask intersection, switching on
-  which side is smaller (``_SCAN_CUTOFF``);
+  higher-neighbor list (:meth:`CompiledGraph.higher_neighbors`), a scan
+  of the remaining candidate tail, or extraction from the intersection of
+  the Python-int candidate and adjacency masks, switching on which side
+  is smaller (``_SCAN_CUTOFF``);
 * **lazy exclusion sets** — ``GenerateX`` materialises the exclusion
   dictionary only for nodes that are descended into; childless nodes run
   an existence-only survivor probe (the O(1) maximality test needs just
@@ -56,7 +58,6 @@ from ..strategies import (
     MuleStrategy,
     TopKStrategy,
 )
-from .vector_form import vector_form
 
 __all__ = ["run_vector_search"]
 
@@ -133,15 +134,14 @@ def _drive_mule(
     if n == 0:
         return
 
-    form = vector_form(compiled)
-    plan = form.root_plan(alpha)
+    plan = compiled.root_plan(alpha)
     plan_cand = plan.cand
     plan_factors = plan.factors
     plan_cand_dict = plan.cand_dict
     plan_cand_mask = plan.cand_mask
     plan_x_factor = plan.x_factor
     plan_x_mask = plan.x_mask
-    adj_hi = form.items_higher
+    adj_hi = compiled.higher_neighbors()
 
     adj_prob = compiled.adjacency_probability
     adj_mask = compiled.adjacency_mask
@@ -454,15 +454,14 @@ def _drive_large(
     if n == 0:
         return
 
-    form = vector_form(compiled)
-    plan = form.root_plan(alpha)
+    plan = compiled.root_plan(alpha)
     plan_cand = plan.cand
     plan_factors = plan.factors
     plan_cand_dict = plan.cand_dict
     plan_cand_mask = plan.cand_mask
     plan_x_factor = plan.x_factor
     plan_x_mask = plan.x_mask
-    adj_hi = form.items_higher
+    adj_hi = compiled.higher_neighbors()
 
     adj_prob = compiled.adjacency_probability
     adj_mask = compiled.adjacency_mask

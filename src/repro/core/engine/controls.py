@@ -109,7 +109,8 @@ class RunControls:
             raise ParameterError(
                 f"max_cliques must be positive, got {self.max_cliques}"
             )
-        if self.time_budget_seconds is not None and self.time_budget_seconds < 0:
+        # ``not >= 0`` also rejects NaN, whose deadline would never expire.
+        if self.time_budget_seconds is not None and not (self.time_budget_seconds >= 0):
             raise ParameterError(
                 f"time_budget_seconds must be non-negative, got {self.time_budget_seconds}"
             )

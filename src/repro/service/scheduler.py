@@ -48,6 +48,7 @@ from ..api.outcome import EnumerationOutcome
 from ..api.request import EnumerationRequest
 from ..api.session import MiningSession, plan_base_compile
 from ..api.store import GraphStore
+from ..core.engine import KERNELS
 from ..core.result import CliqueRecord
 from ..errors import JobError, ParameterError, ServiceError
 from ..obs import registry as _obs_registry
@@ -135,10 +136,10 @@ class EnumerationScheduler:
             max_workers = DEFAULT_MAX_WORKERS
         if max_workers < 1:
             raise ParameterError(f"max_workers must be positive, got {max_workers}")
-        if default_kernel not in ("auto", "python", "vector"):
+        if default_kernel not in KERNELS:
             raise ParameterError(
                 f"unknown default_kernel {default_kernel!r}; "
-                f"expected one of ('auto', 'python', 'vector')"
+                f"expected one of {KERNELS}"
             )
         self._max_workers = max_workers
         self._default_kernel = default_kernel

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.api import EnumerationRequest
@@ -112,6 +114,11 @@ class TestValidation:
 
     def test_unknown_kernel(self):
         with pytest.raises(ParameterError):
+            EnumerationRequest(algorithm="mule", alpha=0.5, kernel="simd")
+
+    def test_unknown_kernel_error_lists_the_kernels(self):
+        expected = re.escape("expected one of ('auto', 'python', 'vector')")
+        with pytest.raises(ParameterError, match=expected):
             EnumerationRequest(algorithm="mule", alpha=0.5, kernel="simd")
 
     def test_kernel_accepted_for_mule_family(self):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.core.engine import KERNELS
 from repro.uncertain.graph import UncertainGraph
 from repro.uncertain.io import write_edge_list
 
@@ -35,6 +37,22 @@ class TestParser:
             build_parser().parse_args(
                 ["stats", "--input", str(graph_file), "--dataset", "ppi"]
             )
+
+    def test_every_kernel_flag_offers_the_engine_kernels(self):
+        parser = build_parser()
+        (subcommands,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            name: action.choices
+            for name, subparser in subcommands.choices.items()
+            for action in subparser._actions
+            if "--kernel" in action.option_strings
+        }
+        assert {"enumerate", "serve"} <= set(flags)
+        assert all(tuple(choices) == KERNELS for choices in flags.values())
 
 
 class TestEnumerateCommand:
@@ -169,6 +187,22 @@ class TestEnumerateCommand:
         out = capsys.readouterr().out
         assert "2 alpha-maximal cliques" in out
         assert "truncated" not in out
+
+    @pytest.mark.parametrize("budget", ["-1", "nan"])
+    def test_invalid_time_budget_rejected(self, graph_file, capsys, budget):
+        exit_code = main(
+            [
+                "enumerate",
+                "--input",
+                str(graph_file),
+                "--alpha",
+                "0.5",
+                "--time-budget",
+                budget,
+            ]
+        )
+        assert exit_code == 1
+        assert "time_budget_seconds must be non-negative" in capsys.readouterr().err
 
     def test_stop_reason_in_json_output(self, graph_file, tmp_path):
         output = tmp_path / "truncated.json"

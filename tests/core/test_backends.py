@@ -1,16 +1,18 @@
-"""The kernel backend layer: capabilities, vector form, dispatch, parity.
+"""The kernel backend layer: dispatch, shared kernel caches, parity.
 
 The vector backend's contract is *bit-identical observability*: for every
 algorithm it supports, ``run_vector_search`` must emit the same cliques in
 the same order with the same float probabilities, the same
 :class:`SearchStatistics` counters and the same :class:`RunReport` as the
 reference python kernel.  These tests pin that on fixed graphs (the
-property suite covers random ones), plus the plumbing around it: the
-capability probe, kernel resolution, the numpy-free fallback and the
-shard inheritance of the compiled word arrays.
+property suite covers random ones), plus the plumbing around it: kernel
+resolution and the lazy caches shard views share on the compiled graph.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -23,27 +25,12 @@ from repro.core.engine import (
     RunReport,
     TopKStrategy,
     compile_graph,
-    kernel_capabilities,
     resolve_kernel,
     run_kernel_search,
     run_search,
     run_vector_search,
 )
-import importlib
-
-# ``backends.__init__`` re-exports the ``vector_form`` *function* under the
-# same name as its defining submodule, so plain attribute-style imports
-# resolve to the function; the module itself is fetched explicitly.
-vector_form_module = importlib.import_module(
-    "repro.core.engine.backends.vector_form"
-)
-
-from repro.core.engine.backends import vector_form
-from repro.core.engine.backends.vector_form import (
-    VectorForm,
-    numpy_or_none,
-    reset_numpy_probe,
-)
+from repro.core.engine.strategies import bit_list
 from repro.core.result import SearchStatistics
 from repro.errors import ParameterError
 from repro.uncertain.graph import UncertainGraph
@@ -51,7 +38,7 @@ from repro.uncertain.graph import UncertainGraph
 
 @pytest.fixture
 def medium_graph() -> UncertainGraph:
-    """A 70-vertex pseudo-random graph (spans multiple uint64 words)."""
+    """A 70-vertex pseudo-random graph (bitmasks wider than 64 bits)."""
     import random
 
     rng = random.Random(20150413)
@@ -90,32 +77,6 @@ def _assert_bit_identical(compiled, alpha, strategy_factory, controls=None):
     assert vec[2].cliques_emitted == py[2].cliques_emitted
     assert vec[2].frames_expanded == py[2].frames_expanded
     return py
-
-
-class TestCapabilities:
-    def test_probe_lists_both_kernels(self):
-        caps = {c.name: c for c in kernel_capabilities()}
-        assert set(caps) == {"python", "vector"}
-        assert all(c.available for c in caps.values())
-        assert caps["python"].accelerated is False
-
-    def test_vector_acceleration_tracks_numpy(self):
-        vector = next(c for c in kernel_capabilities() if c.name == "vector")
-        assert vector.accelerated == (numpy_or_none() is not None)
-
-    def test_numpy_masked_probe(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        reset_numpy_probe()
-        try:
-            assert numpy_or_none() is None
-            vector = next(
-                c for c in kernel_capabilities() if c.name == "vector"
-            )
-            assert vector.available
-            assert not vector.accelerated
-        finally:
-            monkeypatch.delenv("REPRO_DISABLE_NUMPY")
-            reset_numpy_probe()
 
 
 class TestResolution:
@@ -158,44 +119,98 @@ class TestResolution:
             list(run_vector_search(compiled, 0.5, NoIncrementalStrategy()))
 
 
-class TestVectorForm:
-    def test_words_roundtrip_adjacency(self, medium_graph):
-        compiled = compile_graph(medium_graph, alpha=0.1)
-        form = vector_form(compiled)
-        assert form.word_count == 2  # 70 vertices -> two uint64 words
-        for u in range(compiled.n):
-            assert form.mask_of(u) == compiled.adjacency_mask[u]
-            assert form.degrees[u] == compiled.adjacency_mask[u].bit_count()
-
-    def test_form_is_cached_on_compiled(self, triangle):
+class TestKernelCaches:
+    def test_caches_live_on_compiled(self, triangle):
         compiled = compile_graph(triangle, alpha=0.5)
-        assert vector_form(compiled) is vector_form(compiled)
-        assert compiled.vector_form is vector_form(compiled)
+        assert compiled.higher_neighbors() is compiled.higher_neighbors()
+        assert compiled.root_plan(0.5) is compiled.root_plan(0.5)
 
-    def test_shards_inherit_form(self, medium_graph):
+    def test_scan_lists_roundtrip_adjacency(self, medium_graph):
         compiled = compile_graph(medium_graph, alpha=0.1)
-        form = vector_form(compiled)
+        for u, higher in enumerate(compiled.higher_neighbors()):
+            mask = 0
+            for w, p in higher:
+                mask |= 1 << w
+                assert p == compiled.adjacency_probability[u][w]
+            assert [w for w, _ in higher] == bit_list(mask)
+            assert mask == compiled.adjacency_mask[u] & compiled.higher_masks[u]
+
+    def test_shards_inherit_caches(self, medium_graph):
+        compiled = compile_graph(medium_graph, alpha=0.1)
+        plan = compiled.root_plan(0.1)
         shard = compiled.restrict_roots(0b1111)
-        assert shard.vector_form is form
+        assert shard.root_plan(0.1) is plan
+
+    def test_shard_views_made_before_a_run_share_caches(self, medium_graph):
+        # A fleet worker cuts one view of its cached base artifact per shard
+        # job, and the base itself never runs the kernel.  The first shard's
+        # run must build the scan lists and the plan for every view.
+        compiled = compile_graph(medium_graph, alpha=0.1)
+        first = compiled.restrict_roots(compiled.all_mask & 0x3FF)
+        second = compiled.restrict_roots(compiled.all_mask & ~0x3FF)
+        list(run_vector_search(first, 0.1, MuleStrategy()))
+        caches = compiled._kernel_caches
+        plan = caches.root_plans[0.1]
+        scan_lists = caches.higher_neighbors
+        assert second.root_plan(0.1) is plan
+        list(run_vector_search(second, 0.1, MuleStrategy()))
+        assert second.higher_neighbors() is scan_lists
+        assert caches.root_plans == {0.1: plan}
+
+    def test_restricted_probability_starts_with_empty_caches(self, medium_graph):
+        compiled = compile_graph(medium_graph, alpha=0.1)
+        list(run_vector_search(compiled, 0.1, MuleStrategy()))
+        caches = compiled.restrict_probability(0.5)._kernel_caches
+        assert caches is not compiled._kernel_caches
+        assert caches.higher_neighbors is None
+        assert caches.root_plans == {}
+
+    def test_restricted_probability_builds_from_its_own_edges(self, medium_graph):
+        compiled = compile_graph(medium_graph, alpha=0.1)
+        list(run_vector_search(compiled, 0.1, MuleStrategy()))
+        derived = compiled.restrict_probability(0.5)
+        assert all(
+            p >= 0.5 for higher in derived.higher_neighbors() for _, p in higher
+        )
+        _assert_bit_identical(derived, 0.5, MuleStrategy)
+
+    def test_concurrent_first_runs_share_caches_safely(self, medium_graph):
+        # Shard jobs of one graph may start on several scheduler threads at
+        # once.  The caches take no lock, so each thread may build them; every
+        # run must still match the python kernel on its shard.
+        masks = [((1 << 12) - 1) << (12 * k) for k in range(6)]
+        reference = compile_graph(medium_graph, alpha=0.1)
+        expected = [
+            list(run_search(reference.restrict_roots(m), 0.1, MuleStrategy()))
+            for m in masks
+        ]
+        compiled = compile_graph(medium_graph, alpha=0.1)
+        views = [compiled.restrict_roots(m) for m in masks]
+        results: list = [None] * len(views)
+        barrier = threading.Barrier(len(views))
+
+        def run(k):
+            barrier.wait(timeout=10)
+            results[k] = list(run_vector_search(views[k], 0.1, MuleStrategy()))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(views))]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
 
     def test_root_plan_cache_is_bounded(self, triangle):
         compiled = compile_graph(triangle, alpha=0.01)
-        form = vector_form(compiled)
         for k in range(1, 20):
-            form.root_plan(k / 40.0)
-        assert len(form._root_plans) <= 8
-
-    def test_pure_fallback_matches_numpy_form(self, medium_graph, monkeypatch):
-        compiled = compile_graph(medium_graph, alpha=0.1)
-        accelerated = VectorForm(compiled)
-        monkeypatch.setattr(vector_form_module, "_numpy_module", None)
-        pure = VectorForm(compiled)
-        assert not pure.uses_numpy
-        assert pure.degrees == accelerated.degrees
-        for u in range(compiled.n):
-            assert pure.mask_of(u) == accelerated.mask_of(u)
-        assert pure.items == accelerated.items
-        assert pure.items_higher == accelerated.items_higher
+            compiled.root_plan(k / 40.0)
+        assert len(compiled._kernel_caches.root_plans) <= 8
 
 
 class TestParity:
@@ -263,12 +278,6 @@ class TestParity:
         assert sorted(
             (tuple(sorted(c, key=repr)), p) for c, p in merged
         ) == sorted((tuple(sorted(c, key=repr)), p) for c, p in reference)
-
-    def test_parity_on_pure_fallback(self, medium_graph, monkeypatch):
-        monkeypatch.setattr(vector_form_module, "_numpy_module", None)
-        compiled = compile_graph(medium_graph, alpha=0.1)
-        assert not vector_form(compiled).uses_numpy
-        _assert_bit_identical(compiled, 0.1, MuleStrategy)
 
     def test_empty_graph(self):
         compiled = compile_graph(UncertainGraph(), alpha=0.5)

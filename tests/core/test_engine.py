@@ -94,9 +94,12 @@ class TestRunControls:
         with pytest.raises(ParameterError):
             RunControls(max_cliques=0)
 
-    def test_rejects_negative_time_budget(self):
-        with pytest.raises(ParameterError):
-            RunControls(time_budget_seconds=-1.0)
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_rejects_negative_time_budget(self, budget):
+        # NaN compares false against everything, so ``budget < 0`` alone
+        # does not catch it; its deadline would never expire.
+        with pytest.raises(ParameterError, match="must be non-negative"):
+            RunControls(time_budget_seconds=budget)
 
     def test_rejects_non_positive_check_interval(self):
         with pytest.raises(ParameterError):

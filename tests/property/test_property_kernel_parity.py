@@ -4,9 +4,8 @@ The vector backend must be observationally indistinguishable from the
 python kernel: same emission stream (order included), bit-identical
 probabilities, equal :class:`SearchStatistics` and equal
 :class:`RunReport` — for every supported algorithm, under run controls,
-under sharding, and on the numpy-free fallback.  The fixed-graph versions
-of these checks live in ``tests/core/test_backends.py``; here hypothesis
-supplies the graphs.
+and under sharding.  The fixed-graph versions of these checks live in
+``tests/core/test_backends.py``; here hypothesis supplies the graphs.
 
 All five algorithms are covered: MULE, FAST-MULE and top-k drive the
 vector kernel directly (``fast`` shares ``MuleStrategy``), LARGE-MULE
@@ -153,23 +152,6 @@ class TestKernelParity:
         mask = mask_seed & compiled.all_mask
         shard = compiled.restrict_roots(mask)
         _assert_identical(shard, alpha, MuleStrategy)
-
-    @RELAXED
-    @given(graph=uncertain_graphs(), alpha=alphas)
-    def test_numpy_free_fallback(self, graph, alpha):
-        import importlib
-
-        module = importlib.import_module(
-            "repro.core.engine.backends.vector_form"
-        )
-        saved = module._numpy_module
-        module._numpy_module = None
-        try:
-            _assert_identical(
-                compile_graph(graph, alpha=alpha), alpha, MuleStrategy
-            )
-        finally:
-            module._numpy_module = saved
 
 
 class TestSessionParity:

@@ -14,6 +14,7 @@ The concurrency guarantees pinned here:
 from __future__ import annotations
 
 import random
+import re
 import threading
 import time
 
@@ -277,6 +278,11 @@ class TestDefaultKernel:
 
     def test_invalid_default_rejected(self, graph):
         with pytest.raises(ParameterError):
+            EnumerationScheduler(graph, default_kernel="simd")
+
+    def test_invalid_default_error_lists_the_kernels(self, graph):
+        expected = re.escape("expected one of ('auto', 'python', 'vector')")
+        with pytest.raises(ParameterError, match=expected):
             EnumerationScheduler(graph, default_kernel="simd")
 
     @pytest.mark.parametrize("default", ["python", "vector"])
