@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 from ..uncertain.graph import UncertainGraph
 
@@ -29,20 +30,77 @@ Vertex = Hashable
 Clique = frozenset
 
 
-@dataclass(frozen=True, order=True)
+class _SortKey:
+    """The lazily computed ``CliqueRecord.sort_key``.
+
+    A non-data descriptor: the first read stores the key in the record's
+    ``__dict__`` under the same name, which then shadows the descriptor, so
+    every later read is a plain attribute read.  Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock; two
+    threads racing on a first read compute equal keys.
+    """
+
+    def __get__(self, record: "CliqueRecord | None", owner: type) -> Any:
+        if record is None:
+            return self
+        members = tuple(sorted(record.vertices, key=repr))
+        key = record.__dict__["sort_key"] = (len(members), members)
+        return key
+
+
+@dataclass(frozen=True, eq=False)
 class CliqueRecord:
     """One emitted α-maximal clique with its exact clique probability.
 
-    Ordering is by (size, sorted members) so result listings are stable.
+    Ordering is by (size, members sorted by ``repr``) so result listings
+    are stable; equality and hashing use the same key, so they ignore the
+    probability.  The key is computed on first comparison, not when the
+    record is built.
+
+    >>> records = [CliqueRecord(frozenset({9, 30}), 0.5),
+    ...            CliqueRecord(frozenset({10, 20}), 0.5),
+    ...            CliqueRecord(frozenset({7}), 1.0)]
+    >>> [record.sort_key for record in sorted(records)]
+    [(1, (7,)), (2, (10, 20)), (2, (30, 9))]
+    >>> CliqueRecord(frozenset({7}), 1.0) == CliqueRecord(frozenset({7}), 0.25)
+    True
     """
 
-    sort_key: tuple = field(init=False, repr=False, compare=True)
-    vertices: Clique = field(compare=False)
-    probability: float = field(compare=False)
+    vertices: Clique
+    probability: float
 
-    def __post_init__(self) -> None:
-        members = tuple(sorted(self.vertices, key=repr))
-        object.__setattr__(self, "sort_key", (len(members), members))
+    sort_key = _SortKey()
+
+    # The comparisons accept only this exact class, as the methods
+    # ``dataclass(order=True)`` generates do; anything else gets
+    # ``NotImplemented``.
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return self.sort_key == other.sort_key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sort_key,))
+
+    def __lt__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return self.sort_key < other.sort_key
+        return NotImplemented
+
+    def __le__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return self.sort_key <= other.sort_key
+        return NotImplemented
+
+    def __gt__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return self.sort_key > other.sort_key
+        return NotImplemented
+
+    def __ge__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return self.sort_key >= other.sort_key
+        return NotImplemented
 
     @property
     def size(self) -> int:

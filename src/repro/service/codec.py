@@ -211,14 +211,20 @@ def _open_envelope(
 
     ``min_version`` is the version the kind was introduced in: a v2-only
     kind arriving stamped ``schema: 1`` is a lie about its provenance and
-    is rejected, while v1 kinds decode under any supported version.
+    is rejected, while v1 kinds decode under any supported version.  The
+    version must be a JSON integer: ``true`` and ``1.0`` compare equal to
+    ``1`` in Python but are not version numbers.
     """
     if not isinstance(payload, dict):
         raise FormatError(
             f"{kind} payload must be a JSON object, got {type(payload).__name__}"
         )
     version = payload.get("schema")
-    if version not in SUPPORTED_SCHEMA_VERSIONS or version < min_version:
+    if (
+        type(version) is not int
+        or version not in SUPPORTED_SCHEMA_VERSIONS
+        or version < min_version
+    ):
         supported = [v for v in SUPPORTED_SCHEMA_VERSIONS if v >= min_version]
         raise FormatError(
             f"unsupported schema version {version!r} for kind {kind!r} "
@@ -300,14 +306,22 @@ def _vertex_from_wire(value: object, kind: str) -> int | float | str:
 _RECORD_KEYS = frozenset({"vertices", "probability"})
 
 
+#: The wire's label types, matched exactly: ``bool`` is its own type.
+_LABEL_TYPES = frozenset({int, float, str})
+
+
 def record_to_wire(record: CliqueRecord) -> dict[str, Any]:
     """Encode one clique record (vertices in canonical sorted order)."""
+    labels = record.as_tuple()
+    # One C-level pass over the label types; an odd label (a subclass,
+    # say) takes the per-label check for its exact error.
+    if _LABEL_TYPES.issuperset(map(type, labels)):
+        vertices: list[int | float | str] = list(labels)
+    else:
+        vertices = [_vertex_to_wire(v) for v in labels]
     return _envelope(
         "clique-record",
-        {
-            "vertices": [_vertex_to_wire(v) for v in record.as_tuple()],
-            "probability": record.probability,
-        },
+        {"vertices": vertices, "probability": record.probability},
     )
 
 
@@ -319,6 +333,42 @@ def record_from_wire(payload: object) -> CliqueRecord:
         raise FormatError("clique-record: duplicate vertices")
     probability = _number(payload, "clique-record", "probability")
     return CliqueRecord(vertices=vertices, probability=probability)
+
+
+# Record lists are the bulk of every outcome and result chunk, so the
+# envelopes that carry them check their records in one pass.
+# ``record_from_wire`` stays the one definition of a valid record: every
+# record the list decoder does not take inline goes through it.
+
+_RECORD_ENVELOPE_KEYS = _RECORD_KEYS | {"schema", "kind"}
+
+
+def _records_from_wire(raw: list[Any]) -> list[CliqueRecord]:
+    """``[record_from_wire(item) for item in raw]``, checking in bulk.
+
+    A record is built directly when it passes one test, and the test
+    accepts only records :func:`record_from_wire` accepts as they are.
+    Any other record goes through :func:`record_from_wire`, which decodes
+    it (an ``int`` probability, say) or raises its usual error; every
+    record before it has passed, so the first error is the per-record one.
+    """
+    records: list[CliqueRecord] = []
+    for item in raw:
+        if (
+            type(item) is dict
+            and item.keys() == _RECORD_ENVELOPE_KEYS
+            and item["kind"] == "clique-record"
+            and type(item["schema"]) is int
+            and item["schema"] in SUPPORTED_SCHEMA_VERSIONS
+            and type(labels := item["vertices"]) is list
+            and type(probability := item["probability"]) is float
+            and _LABEL_TYPES.issuperset(map(type, labels))
+            and len(vertices := frozenset(labels)) == len(labels)
+        ):
+            records.append(CliqueRecord(vertices, probability))
+        else:
+            records.append(record_from_wire(item))
+    return records
 
 
 _RECORDS_KEYS = frozenset({"records"})
@@ -334,7 +384,7 @@ def records_to_wire(records: Iterable[CliqueRecord]) -> dict[str, Any]:
 def records_from_wire(payload: object) -> list[CliqueRecord]:
     payload = _open_envelope(payload, "clique-records", _RECORDS_KEYS)
     raw = _field(payload, "clique-records", "records", list)
-    return [record_from_wire(item) for item in raw]
+    return _records_from_wire(raw)
 
 
 # ---------------------------------------------------------------------- #
@@ -581,7 +631,7 @@ def outcome_from_wire(payload: object) -> EnumerationOutcome:
     return EnumerationOutcome(
         algorithm=_field(payload, kind, "algorithm", str),
         alpha=_number(payload, kind, "alpha", optional=True),
-        records=[record_from_wire(item) for item in raw_records],
+        records=_records_from_wire(raw_records),
         statistics=statistics_from_wire(payload["statistics"]),
         report=report_from_wire(payload["report"]),
         elapsed_seconds=elapsed,
@@ -1198,7 +1248,7 @@ def job_chunk_from_wire(payload: object) -> JobChunk:
     return JobChunk(
         job=_field(payload, kind, "job", str),
         seq=seq,
-        records=tuple(record_from_wire(item) for item in raw_records),
+        records=tuple(_records_from_wire(raw_records)),
         final=final,
         summary=None if raw_summary is None else job_summary_from_wire(raw_summary),
         error=None if raw_error is None else error_from_wire(raw_error),

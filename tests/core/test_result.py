@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.result import CliqueRecord, EnumerationResult, SearchStatistics, Stopwatch
@@ -35,6 +38,76 @@ class TestCliqueRecord:
         a = CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)
         b = CliqueRecord(vertices=frozenset({2, 1}), probability=0.5)
         assert a == b
+
+    def test_equality_and_hash_ignore_probability(self):
+        a = CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)
+        b = CliqueRecord(vertices=frozenset({1, 2}), probability=0.25)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != CliqueRecord(vertices=frozenset({1, 3}), probability=0.5)
+
+    def test_members_order_by_repr(self):
+        # The key lists members sorted by repr ('30' < '9'), then compares
+        # those tuples element by element: (10, 20) < (30, 9).
+        assert CliqueRecord(frozenset({10, 20}), 0.5) < CliqueRecord(frozenset({9, 30}), 0.5)
+        assert CliqueRecord(frozenset({9, 30}), 0.5).sort_key == (2, (30, 9))
+        assert CliqueRecord(frozenset({9}), 0.5) < CliqueRecord(frozenset({10}), 0.5)
+
+    def test_all_orderings_follow_the_key(self):
+        small = CliqueRecord(vertices=frozenset({9}), probability=1.0)
+        large = CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)
+        assert small < large and small <= large and small <= small
+        assert large > small and large >= small and large >= large
+        assert not (large < small) and not (small > large)
+
+    def test_comparison_with_other_types(self):
+        record = CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)
+        assert record != (1, 2)
+        assert not (record == (2, (1, 2)))
+        with pytest.raises(TypeError):
+            record < (1, 2)
+        with pytest.raises(TypeError):
+            record >= (1, 2)
+
+    def test_repr_unchanged(self):
+        record = CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)
+        assert repr(record) == "CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)"
+        record.sort_key  # a computed key stays out of the repr
+        assert repr(record) == "CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)"
+
+    def test_replace_and_pickle(self):
+        record = CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)
+        replaced = dataclasses.replace(record, probability=0.25)
+        assert (replaced.vertices, replaced.probability) == (frozenset({1, 2}), 0.25)
+        assert replaced == record
+        record.sort_key
+        back = pickle.loads(pickle.dumps(record))
+        assert (back.vertices, back.probability) == (record.vertices, 0.5)
+        assert back == record and hash(back) == hash(record)
+
+    def test_records_are_frozen(self):
+        record = CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.probability = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.sort_key = (0, ())
+
+    def test_building_a_record_calls_no_label_repr(self):
+        calls = []
+
+        class Label(int):
+            def __repr__(self):
+                calls.append(int(self))
+                return int.__repr__(self)
+
+        records = [
+            CliqueRecord(vertices=frozenset({Label(3), Label(1)}), probability=0.5),
+            CliqueRecord(vertices=frozenset({Label(2)}), probability=0.5),
+        ]
+        assert calls == []
+        assert [r.size for r in sorted(records)] == [1, 2]
+        assert sorted(calls) == [1, 2, 3]
 
 
 class TestSearchStatistics:

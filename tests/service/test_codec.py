@@ -126,6 +126,36 @@ class TestEnvelopeStrictness:
         with pytest.raises(FormatError, match="unsupported schema version"):
             codec.from_wire(payload)
 
+    # ``true`` and ``1.0`` compare equal to 1 in Python, but the schema
+    # version is a JSON integer.
+    @pytest.mark.parametrize("stamp", ["true", "1.0"])
+    def test_non_integer_schema_version_rejected(self, stamp):
+        data = (
+            '{"schema":%s,"kind":"run-report","stop_reason":"completed",'
+            '"cliques_emitted":0,"frames_expanded":0}' % stamp
+        )
+        payload = codec.decode(data)
+        with pytest.raises(
+            FormatError,
+            match=rf"unsupported schema version {payload['schema']!r} for kind 'run-report'",
+        ):
+            codec.from_wire(payload)
+
+    @pytest.mark.parametrize("stamp", [True, 1.0])
+    def test_non_integer_schema_version_rejected_in_nested_record(self, stamp):
+        outcome = EnumerationOutcome(
+            algorithm="mule",
+            alpha=0.5,
+            records=[CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)],
+        )
+        payload = codec.decode(codec.encode(codec.outcome_to_wire(outcome)))
+        payload["records"][0]["schema"] = stamp
+        with pytest.raises(
+            FormatError,
+            match=rf"unsupported schema version {stamp!r} for kind 'clique-record'",
+        ):
+            codec.outcome_from_wire(payload)
+
     def test_missing_schema_version_rejected(self):
         payload = envelope_of(EnumerationRequest(algorithm="mule", alpha=0.5))
         del payload["schema"]
@@ -319,7 +349,11 @@ class TestGenericDispatch:
 
     def test_record_list_dispatch(self):
         records = [CliqueRecord(vertices=frozenset({1, 2}), probability=0.25)]
-        assert codec.from_wire(codec.to_wire(records)) == records
+        decoded = codec.from_wire(codec.to_wire(records))
+        # Record equality ignores the probability, so compare the pairs.
+        assert [(r.vertices, r.probability) for r in decoded] == [
+            (frozenset({1, 2}), 0.25)
+        ]
 
     def test_every_wire_type_dispatches_back(self):
         objects = [
