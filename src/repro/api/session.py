@@ -89,7 +89,7 @@ def _observe_engine_run(
 
     Serial runs report frames via :class:`RunReport`; merged parallel runs
     leave ``frames_expanded`` at zero, so the recursive-call count (the
-    same quantity, summed across shards) stands in.  Emissions are only
+    same quantity, merged to serial's) stands in.  Emissions are only
     known when a report was attached — bare ``stream()`` callers without
     one contribute frames and prunes but no emission count.
     """

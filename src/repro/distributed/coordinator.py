@@ -4,8 +4,9 @@
 ``repro-mule serve`` workers and merges the shard outcomes back into a
 single :class:`~repro.api.outcome.EnumerationOutcome` that is
 **bit-identical to serial MULE** on the same graph: same clique set with
-the same probabilities, search counters summed across shards, stop-reason
-provenance merged under the precedence of :mod:`repro.parallel.runner`.
+the same probabilities, the same search counters and stop-reason
+provenance, by the one shard merge
+(:func:`repro.parallel.runner.merge_shard_outcomes`) the process pool uses.
 
 The pipeline per :meth:`DistributedSession.enumerate` call:
 
@@ -52,7 +53,7 @@ from ..core.result import CliqueRecord, SearchStatistics, Stopwatch
 from ..errors import DegradedError, ParameterError, ServiceError
 from ..obs import registry as _obs_registry
 from ..parallel.planner import Shard, ShardPlanner
-from ..parallel.runner import _merge_stop_reasons, _strongest
+from ..parallel.runner import merge_shard_outcomes
 from ..service import codec
 from ..service.client import (
     DEFAULT_TIMEOUT_SECONDS,
@@ -187,39 +188,16 @@ class DistributedSession:
         with Stopwatch() as timer:
             if self._graph.num_vertices > 0:
                 outcomes = self._run(request)
-                for index in sorted(outcomes):
-                    shard_outcome = outcomes[index]
-                    statistics = statistics.merge(shard_outcome.statistics)
-                    records.extend(shard_outcome.records)
-                # Every shard kernel that ran counted its own root frame,
-                # where one serial run counts exactly one; deduplicate the
-                # extras so the summed counters are bit-identical to serial
-                # MULE (a kernel that ran always has >= 1 recursive call —
-                # shards cancelled before starting contribute zeros and no
-                # root frame).
-                started = sum(
-                    1
-                    for outcome in outcomes.values()
-                    if outcome.statistics.recursive_calls > 0
-                )
-                if started > 1:
-                    statistics.recursive_calls -= started - 1
-                stop = _merge_stop_reasons(
-                    outcomes[index].stop_reason for index in sorted(outcomes)
-                )
                 with self._lock:
-                    if self._cancelled:
-                        stop = _strongest(stop, StopReason.CANCELLED)
-                max_cliques = (
-                    request.controls.max_cliques if request.controls else None
+                    cancelled = self._cancelled
+                records, statistics, report.stop_reason = merge_shard_outcomes(
+                    [
+                        (outcome.records, outcome.statistics, outcome.stop_reason)
+                        for _, outcome in sorted(outcomes.items())
+                    ],
+                    max_cliques=request.controls.max_cliques if request.controls else None,
+                    cancelled=cancelled,
                 )
-                if max_cliques is not None and len(records) > max_cliques:
-                    # Mirror the in-process parallel merge: the cap binds on
-                    # the merged, sorted records; truncation anywhere still
-                    # outranks it under the merge precedence.
-                    records = sorted(records)[:max_cliques]
-                    stop = _strongest(stop, StopReason.MAX_CLIQUES)
-                report.stop_reason = stop
                 report.cliques_emitted = len(records)
         return EnumerationOutcome(
             algorithm="distributed-mule",

@@ -36,7 +36,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_all_start_methods, get_context
 from time import monotonic
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from ..core.engine.backends import run_kernel_search
 from ..core.engine.compiled import CompiledGraph
@@ -50,6 +50,7 @@ from .planner import Shard, ShardPlanner
 
 __all__ = [
     "ShardOutcome",
+    "merge_shard_outcomes",
     "parallel_enumerate",
     "parallel_mule",
     "run_shards",
@@ -253,13 +254,10 @@ def parallel_enumerate(
 
     This is the compile-free core of :func:`parallel_mule`, used by the
     session API (:class:`repro.api.MiningSession`) so the sharded path runs
-    over the session's cached artifact.  Returns the merged records,
-    component-wise-summed statistics and the merged stop reason; the merge
-    semantics (global deadline, sorted ``max_cliques`` trim, truncation
-    precedence) are documented on the module.
+    over the session's cached artifact.  Returns the records, statistics
+    and stop reason :func:`merge_shard_outcomes` makes of the shards; the
+    global deadline is documented on the module.
     """
-    statistics = SearchStatistics()
-    records: list[CliqueRecord] = []
     if num_shards is None:
         num_shards = workers * _SHARDS_PER_WORKER if workers > 1 else 1
     shards = ShardPlanner(num_shards).plan(compiled)
@@ -272,20 +270,41 @@ def parallel_enumerate(
         backend=backend,
         kernel=kernel,
     )
-    for outcome in outcomes:
-        statistics = statistics.merge(outcome.statistics)
-        records.extend(
-            CliqueRecord(vertices=members, probability=probability)
-            for members, probability in outcome.pairs
-        )
-    stop_reason = _merge_stop_reasons(
-        outcome.report.stop_reason for outcome in outcomes
-    )
+    results = [
+        ([CliqueRecord(v, p) for v, p in o.pairs], o.statistics, o.report.stop_reason)
+        for o in outcomes
+    ]
     max_cliques = controls.max_cliques if controls is not None else None
+    return merge_shard_outcomes(results, max_cliques=max_cliques)
+
+
+def merge_shard_outcomes(
+    shards: Sequence[tuple[list[CliqueRecord], SearchStatistics, str]],
+    *,
+    max_cliques: int | None = None,
+    cancelled: bool = False,
+) -> tuple[list[CliqueRecord], SearchStatistics, str]:
+    """Merge ``(records, statistics, stop_reason)`` per shard, in shard order.
+
+    The one merge of the process pool and the worker fleet.  Counters are
+    summed less the root frame each shard kernel after the first counts
+    again (a kernel that ran made at least one recursive call; a shard
+    cancelled before it started adds zeros), so they equal serial MULE's.
+    Stop reasons merge by precedence, ``cancelled`` included when the
+    caller cancelled; a cap trim makes ``max-cliques`` binding, but
+    cancellation or a blown deadline anywhere still outranks it.
+    """
+    records = [record for shard, _, _ in shards for record in shard]
+    statistics = SearchStatistics()
+    for _, counters, _ in shards:
+        statistics = statistics.merge(counters)
+    started = sum(1 for _, counters, _ in shards if counters.recursive_calls > 0)
+    statistics.recursive_calls -= max(0, started - 1)
+    stop_reason = _merge_stop_reasons([reason for _, _, reason in shards])
+    if cancelled:
+        stop_reason = _strongest(stop_reason, StopReason.CANCELLED)
     if max_cliques is not None and len(records) > max_cliques:
         records = sorted(records)[:max_cliques]
-        # The trim makes the cap binding, but cancellation or a blown
-        # deadline anywhere still outranks it under the merge precedence.
         stop_reason = _strongest(stop_reason, StopReason.MAX_CLIQUES)
     return records, statistics, stop_reason
 

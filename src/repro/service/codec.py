@@ -8,6 +8,13 @@ here: :class:`~repro.api.request.EnumerationRequest`,
 :class:`~repro.core.result.CliqueRecord` lists, and the service-only
 envelopes (sweep requests, outcome lists, errors).
 
+Each wire kind is described once, as a table of fields (:class:`_Kind`);
+one generic encoder and one generic decoder walk that table, so the two
+directions agree by construction.  The kinds whose per-record, per-edge
+and per-histogram work is hot or irregular (``clique-record``, ``graph``,
+``metrics``) keep hand-written bodies and take their key sets from the
+table.
+
 Design rules — these are the compatibility contract the conformance corpus
 (``tests/service/fixtures``) pins down:
 
@@ -39,9 +46,9 @@ True
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 
-from typing import Any, NamedTuple, NoReturn
+from typing import Any, Generic, NamedTuple, NoReturn, TypeVar
 
 from ..api.outcome import EnumerationOutcome
 from ..api.request import EnumerationRequest
@@ -134,6 +141,8 @@ _STOP_REASONS = (
 #: vocabulary changes — ``tests/service/test_jobs.py`` asserts it matches
 #: :class:`repro.service.jobs.JobState` exactly.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------- #
@@ -274,9 +283,9 @@ def _field(
 
 
 def _number(
-    payload: dict[str, Any], kind: str, key: str, *, optional: bool = False
+    payload: dict[str, Any], kind: str, key: str, nullable: bool = False
 ) -> float | None:
-    value = _field(payload, kind, key, (int, float), optional=optional)
+    value = _field(payload, kind, key, (int, float), optional=nullable)
     return None if value is None else float(value)
 
 
@@ -301,11 +310,238 @@ def _vertex_from_wire(value: object, kind: str) -> int | float | str:
 
 
 # ---------------------------------------------------------------------- #
-# CliqueRecord
+# The kind table: field types, fields, kinds
 # ---------------------------------------------------------------------- #
-_RECORD_KEYS = frozenset({"vertices", "probability"})
+#: Checks one field of an opened envelope and returns its decoded value:
+#: ``check(payload, kind, key, nullable)``.
+_Check = Callable[[dict[str, Any], str, str, bool], Any]
 
 
+class _Type(NamedTuple):
+    """How one field's value crosses the wire.
+
+    ``check`` validates the field in an opened envelope and returns its
+    decoded value.  A type that carries envelopes sets ``nested``: its
+    ``check`` looks only at the outer shape, and ``nested`` decodes the
+    envelopes once the rest of the kind has passed.  ``encode`` gives a
+    value's wire form; ``None`` means the value is its own.
+    """
+
+    check: _Check
+    encode: Callable[[Any], Any] | None = None
+    nested: Callable[[Any], Any] | None = None
+
+
+class _Field(NamedTuple):
+    """One field of a kind, in wire order.
+
+    An additive key — one added to a kind after the kind's own version —
+    gives the version that added it (``since``) and the ``default`` that
+    keeps it off the wire, so values at the default still encode to the
+    older bytes.
+    """
+
+    name: str
+    type: _Type
+    nullable: bool = False
+    since: int | None = None
+    default: Any = None
+
+
+class _Kind(Generic[T]):
+    """One wire kind: its name, the version that introduced it, its fields.
+
+    :meth:`encode` and :meth:`decode` walk the fields, so the two
+    directions agree by construction.  Decoding checks, in order:
+
+    1. additive keys against a ``schema: 1`` stamp, before the envelope
+       is opened (a v1 speaker cannot have produced them);
+    2. the envelope: version, kind and exact key set;
+    3. each field, in table order; a field that carries envelopes has
+       only its outer shape checked here;
+    4. the cross-field ``check``, which also runs before encoding, with
+       the same messages;
+    5. the envelopes inside the fields.
+
+    ``build`` makes the decoded value from the fields, by name; ``parts``
+    takes a value apart into its fields, in table order (default: the
+    value's attributes of the same names).  ``source`` is the type
+    :func:`to_wire` encodes as this kind, or for a list kind the type of
+    its items.  A kind with a hand-written body passes it as ``encoder``
+    and ``decoder``, and takes its key set from here; its ``build``
+    then only says what decoding makes.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        since: int,
+        *fields: _Field,
+        build: Callable[..., T],
+        parts: Callable[[Any], Sequence[Any]] | None = None,
+        check: Callable[[dict[str, Any]], None] | None = None,
+        source: type[Any] | None = None,
+        encoder: Callable[[Any], dict[str, Any]] | None = None,
+        decoder: Callable[[object], T] | None = None,
+    ) -> None:
+        self.name = name
+        self.since = since
+        self.fields = fields
+        self.source = source
+        #: The keys every envelope of this kind carries.
+        self.keys = frozenset(f.name for f in fields if f.since is None)
+        self.additive = tuple(f for f in fields if f.since is not None)
+        self.build = build
+        self.parts = parts
+        self._names = tuple(f.name for f in fields)
+        self._check = check
+        self._nested: list[tuple[str, bool, Callable[[Any], Any]]] = []
+        for field in fields:
+            if field.type.nested is not None:
+                self._nested.append((field.name, field.nullable, field.type.nested))
+        self.encode: Callable[[Any], dict[str, Any]] = encoder or self._encode
+        self.decode: Callable[[object], T] = decoder or self._decode
+
+    def _encode(self, value: Any) -> dict[str, Any]:
+        if self.parts is None:
+            values: Sequence[Any] = [getattr(value, name) for name in self._names]
+        else:
+            values = self.parts(value)
+        if self._check is not None:
+            self._check(dict(zip(self._names, values)))
+        payload: dict[str, Any] = {"schema": self.since, "kind": self.name}
+        for field, item in zip(self.fields, values):
+            if field.since is not None:
+                if item == field.default:
+                    continue
+                payload["schema"] = max(payload["schema"], field.since)
+            encoder = field.type.encode
+            payload[field.name] = item if item is None or encoder is None else encoder(item)
+        return payload
+
+    def _decode(self, payload: object) -> T:
+        name = self.name
+        keys = self.keys
+        if self.additive and isinstance(payload, dict):
+            present = [f for f in self.additive if f.name in payload]
+            if present and payload.get("schema") == SCHEMA_VERSION:
+                first = present[0]
+                raise FormatError(f"{name}.{first.name} requires schema >= {first.since}")
+            keys = keys | {f.name for f in present}
+        opened = _open_envelope(payload, name, keys, min_version=self.since)
+        values = {f.name: f.default for f in self.fields}  # table order
+        for f in self.fields:
+            if f.name in opened:
+                values[f.name] = f.type.check(opened, name, f.name, f.nullable)
+        if self._check is not None:
+            self._check(values)
+        for key, nullable, nested in self._nested:
+            raw = values[key]
+            if raw is not None or not nullable:
+                values[key] = nested(raw)
+        return self.build(**values)
+
+
+def _typed(types: type[Any]) -> _Check:
+    def check(payload: dict[str, Any], kind: str, key: str, nullable: bool) -> Any:
+        return _field(payload, kind, key, types, optional=nullable)
+
+    return check
+
+
+def _at_least(minimum: int, read: _Check) -> _Check:
+    def check(payload: dict[str, Any], kind: str, key: str, nullable: bool) -> Any:
+        value = read(payload, kind, key, nullable)
+        if value is not None and value < minimum:
+            raise FormatError(f"{kind}.{key} must be >= {minimum}, got {value}")
+        return value
+
+    return check
+
+
+def _labels(payload: dict[str, Any], kind: str, key: str, nullable: bool) -> Any:
+    raw = _field(payload, kind, key, list, optional=nullable)
+    return tuple(_vertex_from_wire(v, kind) for v in raw)
+
+
+def _alphas(payload: dict[str, Any], kind: str, key: str, nullable: bool) -> Any:
+    raw = _field(payload, kind, key, list, optional=nullable)
+    if not raw:
+        raise FormatError(f"{kind}.{key} must not be empty")
+    alphas = []
+    for value in raw:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"{kind}.{key} entries must be numbers, got {value!r}")
+        alphas.append(float(value))
+    return alphas
+
+
+def _stop_reason(payload: dict[str, Any], kind: str, key: str, nullable: bool) -> Any:
+    value = _field(payload, kind, key, str, optional=nullable)
+    if value not in _STOP_REASONS:
+        raise FormatError(f"{kind}.{key} must be one of {_STOP_REASONS}, got {value!r}")
+    return value
+
+
+def _raw(payload: dict[str, Any], kind: str, key: str, nullable: bool) -> Any:
+    return payload[key]
+
+
+_STR = _Type(_typed(str))
+_BOOL = _Type(_typed(bool))
+_INT = _Type(_typed(int))
+_COUNT = _Type(_at_least(0, _typed(int)))
+_PAGE_SIZE = _Type(_at_least(1, _typed(int)))
+_NUMBER = _Type(_number)
+_SECONDS = _Type(_at_least(0, _number))
+_LABELS = _Type(_labels, lambda labels: [_vertex_to_wire(v) for v in labels])
+_ALPHAS = _Type(_alphas, list)
+_STOP_REASON = _Type(_stop_reason)
+_list_field = _typed(list)
+#: A field of a kind with a hand-written body, which checks it.
+_HAND = _Type(_raw)
+
+
+def _nested(kind: _Kind[Any], *, before_check: bool = False) -> _Type:
+    """A field holding one envelope of ``kind``.
+
+    It decodes after its kind's cross-field check, unless ``before_check``
+    is set: ``graph-upload`` decodes its graph first, as it always has,
+    so a malformed graph is reported before the source rule.
+    """
+    if not before_check:
+        return _Type(_raw, kind.encode, kind.decode)
+
+    def check(payload: dict[str, Any], envelope: str, key: str, nullable: bool) -> Any:
+        raw = payload[key]
+        return None if raw is None and nullable else kind.decode(raw)
+
+    return _Type(check, kind.encode)
+
+
+def _list_of(kind: _Kind[Any]) -> _Type:
+    """A field holding a list of envelopes of ``kind``."""
+    encode, decode = kind.encode, kind.decode
+    return _Type(
+        _list_field,
+        lambda items: list(map(encode, items)),
+        lambda raw: list(map(decode, raw)),
+    )
+
+
+def _whole(value: Any) -> tuple[Any]:
+    """``parts`` of a list kind: the list is its one field."""
+    return (value,)
+
+
+def _as_tuple(**values: Any) -> tuple[Any, ...]:
+    """``build`` of a request kind that decodes to its fields, in order."""
+    return tuple(values.values())
+
+
+# ---------------------------------------------------------------------- #
+# CliqueRecord (hand-written: one call per record)
+# ---------------------------------------------------------------------- #
 #: The wire's label types, matched exactly: ``bool`` is its own type.
 _LABEL_TYPES = frozenset({int, float, str})
 
@@ -326,7 +562,7 @@ def record_to_wire(record: CliqueRecord) -> dict[str, Any]:
 
 
 def record_from_wire(payload: object) -> CliqueRecord:
-    payload = _open_envelope(payload, "clique-record", _RECORD_KEYS)
+    payload = _open_envelope(payload, "clique-record", _RECORD.keys)
     raw = _field(payload, "clique-record", "vertices", list)
     vertices = frozenset(_vertex_from_wire(v, "clique-record") for v in raw)
     if len(vertices) != len(raw):
@@ -335,12 +571,21 @@ def record_from_wire(payload: object) -> CliqueRecord:
     return CliqueRecord(vertices=vertices, probability=probability)
 
 
+_RECORD: _Kind[CliqueRecord] = _Kind(
+    "clique-record", SCHEMA_VERSION,
+    _Field("vertices", _HAND),
+    _Field("probability", _HAND),
+    build=CliqueRecord, source=CliqueRecord,
+    encoder=record_to_wire, decoder=record_from_wire,
+)
+
+
 # Record lists are the bulk of every outcome and result chunk, so the
 # envelopes that carry them check their records in one pass.
 # ``record_from_wire`` stays the one definition of a valid record: every
 # record the list decoder does not take inline goes through it.
 
-_RECORD_ENVELOPE_KEYS = _RECORD_KEYS | {"schema", "kind"}
+_RECORD_ENVELOPE_KEYS = _RECORD.keys | {"schema", "kind"}
 
 
 def _records_from_wire(raw: list[Any]) -> list[CliqueRecord]:
@@ -371,347 +616,15 @@ def _records_from_wire(raw: list[Any]) -> list[CliqueRecord]:
     return records
 
 
-_RECORDS_KEYS = frozenset({"records"})
-
-
-def records_to_wire(records: Iterable[CliqueRecord]) -> dict[str, Any]:
-    """Encode a standalone list of clique records."""
-    return _envelope(
-        "clique-records", {"records": [record_to_wire(r) for r in records]}
-    )
-
-
-def records_from_wire(payload: object) -> list[CliqueRecord]:
-    payload = _open_envelope(payload, "clique-records", _RECORDS_KEYS)
-    raw = _field(payload, "clique-records", "records", list)
-    return _records_from_wire(raw)
-
-
-# ---------------------------------------------------------------------- #
-# SearchStatistics / RunReport / RunControls
-# ---------------------------------------------------------------------- #
-_STATISTICS_KEYS = frozenset(
-    {
-        "recursive_calls",
-        "candidates_examined",
-        "probability_multiplications",
-        "maximality_checks",
-        "pruned_branches",
-    }
+#: A list of clique records: ``record_to_wire`` per record out, one bulk
+#: pass in.
+_RECORDS = _Type(
+    _list_field, lambda records: [record_to_wire(r) for r in records], _records_from_wire
 )
 
 
-def statistics_to_wire(statistics: SearchStatistics) -> dict[str, Any]:
-    return _envelope(
-        "search-statistics",
-        {key: getattr(statistics, key) for key in _STATISTICS_KEYS},
-    )
-
-
-def statistics_from_wire(payload: object) -> SearchStatistics:
-    payload = _open_envelope(payload, "search-statistics", _STATISTICS_KEYS)
-    counters = {}
-    for key in _STATISTICS_KEYS:
-        value = _field(payload, "search-statistics", key, int)
-        if value < 0:
-            raise FormatError(f"search-statistics.{key} must be >= 0, got {value}")
-        counters[key] = value
-    return SearchStatistics(**counters)
-
-
-_REPORT_KEYS = frozenset({"stop_reason", "cliques_emitted", "frames_expanded"})
-
-
-def report_to_wire(report: RunReport) -> dict[str, Any]:
-    return _envelope(
-        "run-report",
-        {
-            "stop_reason": report.stop_reason,
-            "cliques_emitted": report.cliques_emitted,
-            "frames_expanded": report.frames_expanded,
-        },
-    )
-
-
-def report_from_wire(payload: object) -> RunReport:
-    payload = _open_envelope(payload, "run-report", _REPORT_KEYS)
-    stop_reason = _field(payload, "run-report", "stop_reason", str)
-    if stop_reason not in _STOP_REASONS:
-        raise FormatError(
-            f"run-report.stop_reason must be one of {_STOP_REASONS}, "
-            f"got {stop_reason!r}"
-        )
-    counters = {}
-    for key in ("cliques_emitted", "frames_expanded"):
-        value = _field(payload, "run-report", key, int)
-        if value < 0:
-            raise FormatError(f"run-report.{key} must be >= 0, got {value}")
-        counters[key] = value
-    return RunReport(stop_reason=stop_reason, **counters)
-
-
-_CONTROLS_KEYS = frozenset(
-    {"max_cliques", "time_budget_seconds", "check_every_frames"}
-)
-
-
-def controls_to_wire(controls: RunControls) -> dict[str, Any]:
-    return _envelope(
-        "run-controls",
-        {
-            "max_cliques": controls.max_cliques,
-            "time_budget_seconds": controls.time_budget_seconds,
-            "check_every_frames": controls.check_every_frames,
-        },
-    )
-
-
-def controls_from_wire(payload: object) -> RunControls:
-    payload = _open_envelope(payload, "run-controls", _CONTROLS_KEYS)
-    return RunControls(
-        max_cliques=_field(payload, "run-controls", "max_cliques", int, optional=True),
-        time_budget_seconds=_number(
-            payload, "run-controls", "time_budget_seconds", optional=True
-        ),
-        check_every_frames=_field(
-            payload, "run-controls", "check_every_frames", int
-        ),
-    )
-
-
 # ---------------------------------------------------------------------- #
-# EnumerationRequest
-# ---------------------------------------------------------------------- #
-_REQUEST_KEYS = frozenset(
-    {
-        "algorithm",
-        "alpha",
-        "k",
-        "size_threshold",
-        "min_size",
-        "prune_edges",
-        "shared_neighborhood_filtering",
-        "controls",
-        "workers",
-        "num_shards",
-        "backend",
-        "execution",
-    }
-)
-
-
-def request_to_wire(request: EnumerationRequest) -> dict[str, Any]:
-    """Encode a request.  Every field is explicit (nullable ones as null).
-
-    The ``kernel`` and ``root_shard`` fields are the exceptions: they were
-    added after the v1 envelope shape was frozen, so each rides as an
-    *additive* v2 key — emitted only when it deviates from its default
-    (``"auto"`` / ``None``), and its presence promotes the envelope to
-    ``schema: 2``.  A request that touches neither therefore still encodes
-    to the exact v1 bytes the conformance corpus pins.
-    """
-    fields = {
-        "algorithm": request.algorithm,
-        "alpha": request.alpha,
-        "k": request.k,
-        "size_threshold": request.size_threshold,
-        "min_size": request.min_size,
-        "prune_edges": request.prune_edges,
-        "shared_neighborhood_filtering": request.shared_neighborhood_filtering,
-        "controls": (
-            None if request.controls is None else controls_to_wire(request.controls)
-        ),
-        "workers": request.workers,
-        "num_shards": request.num_shards,
-        "backend": request.backend,
-        "execution": request.execution,
-    }
-    version = SCHEMA_VERSION
-    if request.kernel != "auto":
-        fields["kernel"] = request.kernel
-        version = SCHEMA_VERSION_V2
-    if request.root_shard is not None:
-        fields["root_shard"] = [_vertex_to_wire(v) for v in request.root_shard]
-        version = SCHEMA_VERSION_V2
-    return _envelope("enumeration-request", fields, version=version)
-
-
-def request_from_wire(payload: object) -> EnumerationRequest:
-    kind = "enumeration-request"
-    keys = _REQUEST_KEYS
-    kernel = "auto"
-    if isinstance(payload, dict):
-        # Additive v2 keys: a v1 speaker cannot have produced them, so an
-        # envelope carrying one while claiming schema 1 is rejected.  Each
-        # key widens the expected set independently (the branches spell the
-        # sets out literally so the wire-freeze rule can read them).
-        has_kernel = "kernel" in payload
-        has_root_shard = "root_shard" in payload
-        if has_kernel or has_root_shard:
-            if payload.get("schema") == SCHEMA_VERSION:
-                present = "kernel" if has_kernel else "root_shard"
-                raise FormatError(
-                    f"{kind}.{present} requires schema >= {SCHEMA_VERSION_V2}"
-                )
-            if has_kernel and has_root_shard:
-                keys = _REQUEST_KEYS | {"kernel", "root_shard"}
-            elif has_kernel:
-                keys = _REQUEST_KEYS | {"kernel"}
-            else:
-                keys = _REQUEST_KEYS | {"root_shard"}
-    payload = _open_envelope(payload, kind, keys)
-    if "kernel" in payload:
-        kernel = _field(payload, kind, "kernel", str)
-    root_shard: tuple[int | float | str, ...] | None = None
-    if "root_shard" in payload:
-        raw = _field(payload, kind, "root_shard", list)
-        root_shard = tuple(_vertex_from_wire(v, kind) for v in raw)
-    controls = payload["controls"]
-    return EnumerationRequest(
-        algorithm=_field(payload, kind, "algorithm", str),
-        alpha=_number(payload, kind, "alpha", optional=True),
-        k=_field(payload, kind, "k", int, optional=True),
-        size_threshold=_field(payload, kind, "size_threshold", int, optional=True),
-        min_size=_field(payload, kind, "min_size", int),
-        prune_edges=_field(payload, kind, "prune_edges", bool),
-        shared_neighborhood_filtering=_field(
-            payload, kind, "shared_neighborhood_filtering", bool
-        ),
-        controls=None if controls is None else controls_from_wire(controls),
-        workers=_field(payload, kind, "workers", int, optional=True),
-        num_shards=_field(payload, kind, "num_shards", int, optional=True),
-        backend=_field(payload, kind, "backend", str),
-        execution=_field(payload, kind, "execution", str),
-        kernel=kernel,
-        root_shard=root_shard,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# EnumerationOutcome
-# ---------------------------------------------------------------------- #
-_OUTCOME_KEYS = frozenset(
-    {
-        "algorithm",
-        "alpha",
-        "records",
-        "statistics",
-        "report",
-        "elapsed_seconds",
-        "request",
-    }
-)
-
-
-def outcome_to_wire(outcome: EnumerationOutcome) -> dict[str, Any]:
-    return _envelope(
-        "enumeration-outcome",
-        {
-            "algorithm": outcome.algorithm,
-            "alpha": outcome.alpha,
-            "records": [record_to_wire(r) for r in outcome.records],
-            "statistics": statistics_to_wire(outcome.statistics),
-            "report": report_to_wire(outcome.report),
-            "elapsed_seconds": outcome.elapsed_seconds,
-            "request": (
-                None if outcome.request is None else request_to_wire(outcome.request)
-            ),
-        },
-    )
-
-
-def outcome_from_wire(payload: object) -> EnumerationOutcome:
-    payload = _open_envelope(payload, "enumeration-outcome", _OUTCOME_KEYS)
-    kind = "enumeration-outcome"
-    elapsed = _number(payload, kind, "elapsed_seconds")
-    if elapsed < 0:
-        raise FormatError(f"{kind}.elapsed_seconds must be >= 0, got {elapsed}")
-    raw_records = _field(payload, kind, "records", list)
-    request = payload["request"]
-    return EnumerationOutcome(
-        algorithm=_field(payload, kind, "algorithm", str),
-        alpha=_number(payload, kind, "alpha", optional=True),
-        records=_records_from_wire(raw_records),
-        statistics=statistics_from_wire(payload["statistics"]),
-        report=report_from_wire(payload["report"]),
-        elapsed_seconds=elapsed,
-        request=None if request is None else request_from_wire(request),
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Service envelopes: sweeps, outcome lists, errors
-# ---------------------------------------------------------------------- #
-_SWEEP_KEYS = frozenset({"request", "alphas"})
-
-
-def sweep_to_wire(request: EnumerationRequest, alphas: Sequence[float]) -> dict[str, Any]:
-    """Encode a sweep: one base request re-run at each of ``alphas``."""
-    return _envelope(
-        "sweep-request",
-        {"request": request_to_wire(request), "alphas": list(alphas)},
-    )
-
-
-def sweep_from_wire(payload: object) -> tuple[EnumerationRequest, list[float]]:
-    payload = _open_envelope(payload, "sweep-request", _SWEEP_KEYS)
-    raw = _field(payload, "sweep-request", "alphas", list)
-    if not raw:
-        raise FormatError("sweep-request.alphas must not be empty")
-    alphas = []
-    for value in raw:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError(
-                f"sweep-request.alphas entries must be numbers, got {value!r}"
-            )
-        alphas.append(float(value))
-    return request_from_wire(payload["request"]), alphas
-
-
-_OUTCOME_LIST_KEYS = frozenset({"outcomes"})
-
-
-def outcomes_to_wire(outcomes: Iterable[EnumerationOutcome]) -> dict[str, Any]:
-    return _envelope(
-        "outcome-list", {"outcomes": [outcome_to_wire(o) for o in outcomes]}
-    )
-
-
-def outcomes_from_wire(payload: object) -> list[EnumerationOutcome]:
-    payload = _open_envelope(payload, "outcome-list", _OUTCOME_LIST_KEYS)
-    raw = _field(payload, "outcome-list", "outcomes", list)
-    return [outcome_from_wire(item) for item in raw]
-
-
-_ERROR_KEYS = frozenset({"type", "message"})
-
-
-def error_to_wire(exc: BaseException) -> dict[str, Any]:
-    """Encode an exception (non-library types degrade to their class name)."""
-    return _envelope(
-        "error", {"type": type(exc).__name__, "message": str(exc)}
-    )
-
-
-def error_from_wire(payload: object) -> ReproError:
-    """Rebuild the library exception an error envelope describes.
-
-    Known :mod:`repro.errors` types are reconstructed so remote callers can
-    ``except ParameterError`` exactly as local ones do; anything else
-    (including server-side internal errors) degrades to a plain
-    :class:`ReproError` that names the original type.
-    """
-    payload = _open_envelope(payload, "error", _ERROR_KEYS)
-    type_name = _field(payload, "error", "type", str)
-    message = _field(payload, "error", "message", str)
-    cls = getattr(_errors, type_name, None)
-    if isinstance(cls, type) and issubclass(cls, ReproError):
-        return cls(message)
-    return ReproError(f"{type_name}: {message}")
-
-
-# ---------------------------------------------------------------------- #
-# Schema v2: graphs as wire values and as references
+# UncertainGraph (hand-written: one pass over the edges)
 # ---------------------------------------------------------------------- #
 def _vertex_sort_key(vertex: Any) -> tuple[int, Any]:
     """Canonical vertex order: numbers (by exact value) before strings.
@@ -723,9 +636,6 @@ def _vertex_sort_key(vertex: Any) -> tuple[int, Any]:
     if isinstance(vertex, (int, float)):
         return (0, vertex)
     return (1, vertex)
-
-
-_GRAPH_KEYS = frozenset({"vertices", "edges"})
 
 
 def graph_to_wire(graph: UncertainGraph) -> dict[str, Any]:
@@ -784,7 +694,7 @@ def graph_from_wire(payload: object) -> UncertainGraph:
     :meth:`UncertainGraph.add_edge` would make done inline.
     """
     payload = _open_envelope(
-        payload, "graph", _GRAPH_KEYS, min_version=SCHEMA_VERSION_V2
+        payload, "graph", _GRAPH.keys, min_version=SCHEMA_VERSION_V2
     )
     raw_vertices = _field(payload, "graph", "vertices", list)
     adjacency: dict[Hashable, dict[Hashable, float]] = {}
@@ -820,466 +730,21 @@ def graph_from_wire(payload: object) -> UncertainGraph:
     return UncertainGraph.from_adjacency(adjacency)
 
 
-_GRAPH_INFO_KEYS = frozenset(
-    {"fingerprint", "name", "num_vertices", "num_edges", "pinned", "default"}
+# The graph inside an upload goes through the module functions, looked up
+# per call, so a wrapper installed on them (a counter, a span) sees it.
+_GRAPH: _Kind[UncertainGraph] = _Kind(
+    "graph", SCHEMA_VERSION_V2,
+    _Field("vertices", _HAND),
+    _Field("edges", _HAND),
+    build=UncertainGraph, source=UncertainGraph,
+    encoder=lambda graph: graph_to_wire(graph),
+    decoder=lambda payload: graph_from_wire(payload),
 )
 
 
-def graph_info_to_wire(info: GraphInfo) -> dict[str, Any]:
-    """Encode one stored graph's resource description."""
-    return _envelope(
-        "graph-info",
-        {
-            "fingerprint": info.fingerprint,
-            "name": info.name,
-            "num_vertices": info.num_vertices,
-            "num_edges": info.num_edges,
-            "pinned": info.pinned,
-            "default": info.default,
-        },
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def graph_info_from_wire(payload: object) -> GraphInfo:
-    payload = _open_envelope(
-        payload, "graph-info", _GRAPH_INFO_KEYS, min_version=SCHEMA_VERSION_V2
-    )
-    kind = "graph-info"
-    counts = {}
-    for key in ("num_vertices", "num_edges"):
-        value = _field(payload, kind, key, int)
-        if value < 0:
-            raise FormatError(f"{kind}.{key} must be >= 0, got {value}")
-        counts[key] = value
-    return GraphInfo(
-        fingerprint=_field(payload, kind, "fingerprint", str),
-        name=_field(payload, kind, "name", str, optional=True),
-        pinned=_field(payload, kind, "pinned", bool),
-        default=_field(payload, kind, "default", bool),
-        **counts,
-    )
-
-
-_GRAPH_LIST_KEYS = frozenset({"graphs"})
-
-
-def graph_list_to_wire(infos: Iterable[GraphInfo]) -> dict[str, Any]:
-    """Encode the store listing (``GET /v2/graphs``)."""
-    return _envelope(
-        "graph-list",
-        {"graphs": [graph_info_to_wire(info) for info in infos]},
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def graph_list_from_wire(payload: object) -> list[GraphInfo]:
-    payload = _open_envelope(
-        payload, "graph-list", _GRAPH_LIST_KEYS, min_version=SCHEMA_VERSION_V2
-    )
-    raw = _field(payload, "graph-list", "graphs", list)
-    return [graph_info_from_wire(item) for item in raw]
-
-
-class GraphUpload(NamedTuple):
-    """A decoded ``graph-upload`` request: one of two graph sources.
-
-    Either ``graph`` (a literal uploaded graph) or ``dataset`` (a named
-    Table 1 analog built server-side at ``scale``/``seed``) is set, never
-    both.  ``name`` optionally registers the graph under a store name.
-    """
-
-    graph: "UncertainGraph | None" = None
-    dataset: "str | None" = None
-    scale: "float | None" = None
-    seed: "int | None" = None
-    name: "str | None" = None
-
-
-_UPLOAD_KEYS = frozenset({"graph", "dataset", "scale", "seed", "name"})
-
-
-def upload_to_wire(upload: GraphUpload) -> dict[str, Any]:
-    """Encode a graph-creation request (``POST /v2/graphs``)."""
-    if (upload.graph is None) == (upload.dataset is None):
-        raise FormatError(
-            "graph-upload must carry exactly one of graph / dataset"
-        )
-    if upload.dataset is None and (upload.scale is not None or upload.seed is not None):
-        raise FormatError("graph-upload: scale/seed are only valid with dataset")
-    return _envelope(
-        "graph-upload",
-        {
-            "graph": None if upload.graph is None else graph_to_wire(upload.graph),
-            "dataset": upload.dataset,
-            "scale": upload.scale,
-            "seed": upload.seed,
-            "name": upload.name,
-        },
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def upload_from_wire(payload: object) -> GraphUpload:
-    payload = _open_envelope(
-        payload, "graph-upload", _UPLOAD_KEYS, min_version=SCHEMA_VERSION_V2
-    )
-    kind = "graph-upload"
-    raw_graph = payload["graph"]
-    upload = GraphUpload(
-        graph=None if raw_graph is None else graph_from_wire(raw_graph),
-        dataset=_field(payload, kind, "dataset", str, optional=True),
-        scale=_number(payload, kind, "scale", optional=True),
-        seed=_field(payload, kind, "seed", int, optional=True),
-        name=_field(payload, kind, "name", str, optional=True),
-    )
-    if (upload.graph is None) == (upload.dataset is None):
-        raise FormatError(f"{kind} must carry exactly one of graph / dataset")
-    if upload.dataset is None and (upload.scale is not None or upload.seed is not None):
-        raise FormatError(f"{kind}: scale/seed are only valid with dataset")
-    return upload
-
-
-_REF_REQUEST_KEYS = frozenset({"graph", "request"})
-
-
-def ref_request_to_wire(request: EnumerationRequest, *, graph: str | None) -> dict[str, Any]:
-    """Encode a v2 enumeration: the request plus the graph it targets.
-
-    ``graph`` is a store reference (registered name or fingerprint);
-    ``None`` targets the server's default graph — the v2 spelling of what
-    ``/v1/enumerate`` does implicitly.
-    """
-    return _envelope(
-        "graph-ref-request",
-        {"graph": graph, "request": request_to_wire(request)},
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def ref_request_from_wire(payload: object) -> "tuple[str | None, EnumerationRequest]":
-    payload = _open_envelope(
-        payload, "graph-ref-request", _REF_REQUEST_KEYS,
-        min_version=SCHEMA_VERSION_V2,
-    )
-    ref = _field(payload, "graph-ref-request", "graph", str, optional=True)
-    return ref, request_from_wire(payload["request"])
-
-
-_REF_SWEEP_KEYS = frozenset({"graph", "request", "alphas"})
-
-
-def ref_sweep_to_wire(
-    request: EnumerationRequest, alphas: Sequence[float], *, graph: str | None
-) -> dict[str, Any]:
-    """Encode a v2 sweep: one base request, many α, one named graph."""
-    return _envelope(
-        "graph-ref-sweep",
-        {
-            "graph": graph,
-            "request": request_to_wire(request),
-            "alphas": list(alphas),
-        },
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def ref_sweep_from_wire(
-    payload: object,
-) -> "tuple[str | None, EnumerationRequest, list[float]]":
-    payload = _open_envelope(
-        payload, "graph-ref-sweep", _REF_SWEEP_KEYS, min_version=SCHEMA_VERSION_V2
-    )
-    ref = _field(payload, "graph-ref-sweep", "graph", str, optional=True)
-    raw = _field(payload, "graph-ref-sweep", "alphas", list)
-    if not raw:
-        raise FormatError("graph-ref-sweep.alphas must not be empty")
-    alphas = []
-    for value in raw:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError(
-                f"graph-ref-sweep.alphas entries must be numbers, got {value!r}"
-            )
-        alphas.append(float(value))
-    return ref, request_from_wire(payload["request"]), alphas
-
-
 # ---------------------------------------------------------------------- #
-# Schema v2: asynchronous jobs
+# Observability snapshots (hand-written: free-form series names)
 # ---------------------------------------------------------------------- #
-class JobStatus(NamedTuple):
-    """A decoded ``job-status`` envelope: one job's observable state.
-
-    ``records`` is the number of clique records the job has produced so
-    far (monotonically non-decreasing); ``error`` is set exactly when
-    ``state == "failed"``.
-    """
-
-    id: str
-    state: str
-    cliques_emitted: int
-    frames_expanded: int
-    elapsed_seconds: float
-    records: int
-    error: "BaseException | None" = None
-
-
-class JobChunk(NamedTuple):
-    """A decoded ``job-result-chunk`` envelope: one NDJSON stream line.
-
-    Non-final chunks carry only records.  The final chunk carries exactly
-    one of ``summary`` (an :class:`EnumerationOutcome` without records —
-    the job reached ``done`` or ``cancelled``) or ``error`` (the job
-    failed).  ``seq`` is the chunk's cursor position: re-requesting the
-    stream with ``cursor=seq`` re-reads from this chunk.
-    """
-
-    job: str
-    seq: int
-    records: "tuple[CliqueRecord, ...]"
-    final: bool
-    summary: "EnumerationOutcome | None" = None
-    error: "BaseException | None" = None
-
-
-_JOB_REQUEST_KEYS = frozenset({"graph", "request", "page_size"})
-
-
-def job_request_to_wire(
-    request: EnumerationRequest,
-    *,
-    graph: str | None = None,
-    page_size: int | None = None,
-) -> dict[str, Any]:
-    """Encode a job submission (``POST /v2/jobs``).
-
-    ``graph`` is a store reference (name or fingerprint, ``None`` for the
-    server default) and ``page_size`` overrides the server's result-page
-    granularity (``None`` accepts the default).
-    """
-    return _envelope(
-        "job-request",
-        {
-            "graph": graph,
-            "request": request_to_wire(request),
-            "page_size": page_size,
-        },
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def job_request_from_wire(
-    payload: object,
-) -> "tuple[str | None, EnumerationRequest, int | None]":
-    payload = _open_envelope(
-        payload, "job-request", _JOB_REQUEST_KEYS, min_version=SCHEMA_VERSION_V2
-    )
-    kind = "job-request"
-    ref = _field(payload, kind, "graph", str, optional=True)
-    page_size = _field(payload, kind, "page_size", int, optional=True)
-    if page_size is not None and page_size < 1:
-        raise FormatError(f"{kind}.page_size must be >= 1, got {page_size}")
-    return ref, request_from_wire(payload["request"]), page_size
-
-
-_JOB_STATUS_KEYS = frozenset(
-    {"id", "state", "cliques_emitted", "frames_expanded",
-     "elapsed_seconds", "records", "error"}
-)
-
-
-def job_status_to_wire(status: JobStatus) -> dict[str, Any]:
-    """Encode one job's status snapshot (``GET /v2/jobs/{id}``)."""
-    if status.state not in JOB_STATES:
-        raise FormatError(
-            f"job-status.state must be one of {JOB_STATES}, got {status.state!r}"
-        )
-    if (status.error is not None) != (status.state == "failed"):
-        raise FormatError("job-status.error must be set exactly when failed")
-    return _envelope(
-        "job-status",
-        {
-            "id": status.id,
-            "state": status.state,
-            "cliques_emitted": status.cliques_emitted,
-            "frames_expanded": status.frames_expanded,
-            "elapsed_seconds": status.elapsed_seconds,
-            "records": status.records,
-            "error": None if status.error is None else error_to_wire(status.error),
-        },
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def job_status_from_wire(payload: object) -> JobStatus:
-    payload = _open_envelope(
-        payload, "job-status", _JOB_STATUS_KEYS, min_version=SCHEMA_VERSION_V2
-    )
-    kind = "job-status"
-    state = _field(payload, kind, "state", str)
-    if state not in JOB_STATES:
-        raise FormatError(
-            f"{kind}.state must be one of {JOB_STATES}, got {state!r}"
-        )
-    counters = {}
-    for key in ("cliques_emitted", "frames_expanded", "records"):
-        value = _field(payload, kind, key, int)
-        if value < 0:
-            raise FormatError(f"{kind}.{key} must be >= 0, got {value}")
-        counters[key] = value
-    elapsed = _number(payload, kind, "elapsed_seconds")
-    if elapsed < 0:
-        raise FormatError(f"{kind}.elapsed_seconds must be >= 0, got {elapsed}")
-    raw_error = payload["error"]
-    if (raw_error is not None) != (state == "failed"):
-        raise FormatError(f"{kind}.error must be set exactly when failed")
-    return JobStatus(
-        id=_field(payload, kind, "id", str),
-        state=state,
-        elapsed_seconds=elapsed,
-        error=None if raw_error is None else error_from_wire(raw_error),
-        **counters,
-    )
-
-
-_JOB_SUMMARY_KEYS = frozenset(
-    {"algorithm", "alpha", "statistics", "report", "elapsed_seconds", "request"}
-)
-
-
-def job_summary_to_wire(outcome: EnumerationOutcome) -> dict[str, Any]:
-    """Encode a job's terminal summary: an outcome *minus* its records.
-
-    The records already travelled in the stream's earlier chunks; the
-    summary carries everything :meth:`EnumerationOutcome.assert_matches`
-    needs beyond them, so client-side reassembly is bit-exact.
-    """
-    return _envelope(
-        "job-summary",
-        {
-            "algorithm": outcome.algorithm,
-            "alpha": outcome.alpha,
-            "statistics": statistics_to_wire(outcome.statistics),
-            "report": report_to_wire(outcome.report),
-            "elapsed_seconds": outcome.elapsed_seconds,
-            "request": (
-                None if outcome.request is None else request_to_wire(outcome.request)
-            ),
-        },
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def job_summary_from_wire(payload: object) -> EnumerationOutcome:
-    payload = _open_envelope(
-        payload, "job-summary", _JOB_SUMMARY_KEYS, min_version=SCHEMA_VERSION_V2
-    )
-    kind = "job-summary"
-    elapsed = _number(payload, kind, "elapsed_seconds")
-    if elapsed < 0:
-        raise FormatError(f"{kind}.elapsed_seconds must be >= 0, got {elapsed}")
-    request = payload["request"]
-    return EnumerationOutcome(
-        algorithm=_field(payload, kind, "algorithm", str),
-        alpha=_number(payload, kind, "alpha", optional=True),
-        records=[],
-        statistics=statistics_from_wire(payload["statistics"]),
-        report=report_from_wire(payload["report"]),
-        elapsed_seconds=elapsed,
-        request=None if request is None else request_from_wire(request),
-    )
-
-
-_JOB_CHUNK_KEYS = frozenset(
-    {"job", "seq", "records", "final", "summary", "error"}
-)
-
-
-def job_chunk_to_wire(chunk: JobChunk) -> dict[str, Any]:
-    """Encode one result-stream chunk (a line of ``GET .../results``)."""
-    if chunk.final:
-        if (chunk.summary is None) == (chunk.error is None):
-            raise FormatError(
-                "job-result-chunk: a final chunk carries exactly one of "
-                "summary / error"
-            )
-    elif chunk.summary is not None or chunk.error is not None:
-        raise FormatError(
-            "job-result-chunk: summary/error are only valid on the final chunk"
-        )
-    return _envelope(
-        "job-result-chunk",
-        {
-            "job": chunk.job,
-            "seq": chunk.seq,
-            "records": [record_to_wire(r) for r in chunk.records],
-            "final": chunk.final,
-            "summary": (
-                None if chunk.summary is None else job_summary_to_wire(chunk.summary)
-            ),
-            "error": None if chunk.error is None else error_to_wire(chunk.error),
-        },
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def job_chunk_from_wire(payload: object) -> JobChunk:
-    payload = _open_envelope(
-        payload, "job-result-chunk", _JOB_CHUNK_KEYS,
-        min_version=SCHEMA_VERSION_V2,
-    )
-    kind = "job-result-chunk"
-    seq = _field(payload, kind, "seq", int)
-    if seq < 0:
-        raise FormatError(f"{kind}.seq must be >= 0, got {seq}")
-    final = _field(payload, kind, "final", bool)
-    raw_records = _field(payload, kind, "records", list)
-    raw_summary = payload["summary"]
-    raw_error = payload["error"]
-    if final:
-        if (raw_summary is None) == (raw_error is None):
-            raise FormatError(
-                f"{kind}: a final chunk carries exactly one of summary / error"
-            )
-    elif raw_summary is not None or raw_error is not None:
-        raise FormatError(
-            f"{kind}: summary/error are only valid on the final chunk"
-        )
-    return JobChunk(
-        job=_field(payload, kind, "job", str),
-        seq=seq,
-        records=tuple(_records_from_wire(raw_records)),
-        final=final,
-        summary=None if raw_summary is None else job_summary_from_wire(raw_summary),
-        error=None if raw_error is None else error_from_wire(raw_error),
-    )
-
-
-_JOB_LIST_KEYS = frozenset({"jobs"})
-
-
-def job_list_to_wire(statuses: Iterable[JobStatus]) -> dict[str, Any]:
-    """Encode the registry listing (``GET /v2/jobs``)."""
-    return _envelope(
-        "job-list",
-        {"jobs": [job_status_to_wire(status) for status in statuses]},
-        version=SCHEMA_VERSION_V2,
-    )
-
-
-def job_list_from_wire(payload: object) -> list[JobStatus]:
-    payload = _open_envelope(
-        payload, "job-list", _JOB_LIST_KEYS, min_version=SCHEMA_VERSION_V2
-    )
-    raw = _field(payload, "job-list", "jobs", list)
-    return [job_status_from_wire(item) for item in raw]
-
-
-# ---------------------------------------------------------------------- #
-# Schema v2: observability snapshots
-# ---------------------------------------------------------------------- #
-_METRICS_KEYS = frozenset({"counters", "gauges", "histograms"})
-
 #: The exact per-histogram summary fields a ``metrics`` envelope carries.
 _METRICS_HISTOGRAM_FIELDS = ("bounds", "counts", "sum", "count", "p50", "p99")
 
@@ -1430,7 +895,7 @@ def _metric_histogram_from_wire(name: str, data: object) -> dict[str, Any]:
 def metrics_from_wire(payload: object) -> dict[str, Any]:
     """Decode a ``metrics`` envelope back to the plain snapshot dict."""
     payload = _open_envelope(
-        payload, "metrics", _METRICS_KEYS, min_version=SCHEMA_VERSION_V2
+        payload, "metrics", _METRICS.keys, min_version=SCHEMA_VERSION_V2
     )
     raw_histograms = _field(payload, "metrics", "histograms", dict)
     histograms: dict[str, dict[str, Any]] = {}
@@ -1447,78 +912,473 @@ def metrics_from_wire(payload: object) -> dict[str, Any]:
     }
 
 
+_METRICS: _Kind[dict[str, Any]] = _Kind(
+    "metrics", SCHEMA_VERSION_V2,
+    _Field("counters", _HAND),
+    _Field("gauges", _HAND),
+    _Field("histograms", _HAND),
+    build=dict, encoder=metrics_to_wire, decoder=metrics_from_wire,
+)
+
+
 # ---------------------------------------------------------------------- #
-# Generic dispatch
+# The table: every other kind, its cross-field checks and decoded types
 # ---------------------------------------------------------------------- #
+def _check_upload(upload: dict[str, Any]) -> None:
+    if (upload["graph"] is None) == (upload["dataset"] is None):
+        raise FormatError("graph-upload must carry exactly one of graph / dataset")
+    if upload["dataset"] is None and (
+        upload["scale"] is not None or upload["seed"] is not None
+    ):
+        raise FormatError("graph-upload: scale/seed are only valid with dataset")
+
+
+def _check_job_status(status: dict[str, Any]) -> None:
+    state = status["state"]
+    if state not in JOB_STATES:
+        raise FormatError(f"job-status.state must be one of {JOB_STATES}, got {state!r}")
+    if (status["error"] is not None) != (state == "failed"):
+        raise FormatError("job-status.error must be set exactly when failed")
+
+
+def _check_chunk(chunk: dict[str, Any]) -> None:
+    if chunk["final"]:
+        if (chunk["summary"] is None) == (chunk["error"] is None):
+            raise FormatError(
+                "job-result-chunk: a final chunk carries exactly one of "
+                "summary / error"
+            )
+    elif chunk["summary"] is not None or chunk["error"] is not None:
+        raise FormatError(
+            "job-result-chunk: summary/error are only valid on the final chunk"
+        )
+
+
+def _rebuild_error(**fields: str) -> ReproError:
+    """Rebuild the library exception an error envelope describes.
+
+    Known :mod:`repro.errors` types are reconstructed so remote callers can
+    ``except ParameterError`` exactly as local ones do; anything else
+    (including server-side internal errors) degrades to a plain
+    :class:`ReproError` that names the original type.
+    """
+    type_name, message = fields["type"], fields["message"]
+    cls = getattr(_errors, type_name, None)
+    if isinstance(cls, type) and issubclass(cls, ReproError):
+        return cls(message)
+    return ReproError(f"{type_name}: {message}")
+
+
+class GraphUpload(NamedTuple):
+    """A decoded ``graph-upload`` request: one of two graph sources.
+
+    Either ``graph`` (a literal uploaded graph) or ``dataset`` (a named
+    Table 1 analog built server-side at ``scale``/``seed``) is set, never
+    both.  ``name`` optionally registers the graph under a store name.
+    """
+
+    graph: "UncertainGraph | None" = None
+    dataset: "str | None" = None
+    scale: "float | None" = None
+    seed: "int | None" = None
+    name: "str | None" = None
+
+
+class JobStatus(NamedTuple):
+    """A decoded ``job-status`` envelope: one job's observable state.
+
+    ``records`` is the number of clique records the job has produced so
+    far (monotonically non-decreasing); ``error`` is set exactly when
+    ``state == "failed"``.
+    """
+
+    id: str
+    state: str
+    cliques_emitted: int
+    frames_expanded: int
+    elapsed_seconds: float
+    records: int
+    error: "BaseException | None" = None
+
+
+class JobChunk(NamedTuple):
+    """A decoded ``job-result-chunk`` envelope: one NDJSON stream line.
+
+    Non-final chunks carry only records.  The final chunk carries exactly
+    one of ``summary`` (an :class:`EnumerationOutcome` without records —
+    the job reached ``done`` or ``cancelled``) or ``error`` (the job
+    failed).  ``seq`` is the chunk's cursor position: re-requesting the
+    stream with ``cursor=seq`` re-reads from this chunk.
+    """
+
+    job: str
+    seq: int
+    records: "tuple[CliqueRecord, ...]"
+    final: bool
+    summary: "EnumerationOutcome | None" = None
+    error: "BaseException | None" = None
+
+
+_RECORD_LIST: _Kind[list[CliqueRecord]] = _Kind(
+    "clique-records", SCHEMA_VERSION,
+    _Field("records", _RECORDS),
+    build=lambda records: records, parts=_whole, source=CliqueRecord,
+)
+
+_STATISTICS: _Kind[SearchStatistics] = _Kind(
+    "search-statistics", SCHEMA_VERSION,
+    _Field("recursive_calls", _COUNT),
+    _Field("candidates_examined", _COUNT),
+    _Field("probability_multiplications", _COUNT),
+    _Field("maximality_checks", _COUNT),
+    _Field("pruned_branches", _COUNT),
+    build=SearchStatistics, source=SearchStatistics,
+)
+
+_REPORT: _Kind[RunReport] = _Kind(
+    "run-report", SCHEMA_VERSION,
+    _Field("stop_reason", _STOP_REASON),
+    _Field("cliques_emitted", _COUNT),
+    _Field("frames_expanded", _COUNT),
+    build=RunReport, source=RunReport,
+)
+
+_CONTROLS: _Kind[RunControls] = _Kind(
+    "run-controls", SCHEMA_VERSION,
+    _Field("max_cliques", _INT, nullable=True),
+    _Field("time_budget_seconds", _NUMBER, nullable=True),
+    _Field("check_every_frames", _INT),
+    build=RunControls, source=RunControls,
+)
+
+# ``kernel`` and ``root_shard`` were added after the v1 shape was frozen:
+# each rides as an additive v2 key, emitted only when it leaves its
+# default, so a request that touches neither encodes to the v1 bytes.
+_REQUEST: _Kind[EnumerationRequest] = _Kind(
+    "enumeration-request", SCHEMA_VERSION,
+    _Field("algorithm", _STR),
+    _Field("alpha", _NUMBER, nullable=True),
+    _Field("k", _INT, nullable=True),
+    _Field("size_threshold", _INT, nullable=True),
+    _Field("min_size", _INT),
+    _Field("prune_edges", _BOOL),
+    _Field("shared_neighborhood_filtering", _BOOL),
+    _Field("controls", _nested(_CONTROLS), nullable=True),
+    _Field("workers", _INT, nullable=True),
+    _Field("num_shards", _INT, nullable=True),
+    _Field("backend", _STR),
+    _Field("execution", _STR),
+    _Field("kernel", _STR, since=SCHEMA_VERSION_V2, default="auto"),
+    _Field("root_shard", _LABELS, since=SCHEMA_VERSION_V2, default=None),
+    build=EnumerationRequest, source=EnumerationRequest,
+)
+
+_OUTCOME: _Kind[EnumerationOutcome] = _Kind(
+    "enumeration-outcome", SCHEMA_VERSION,
+    _Field("algorithm", _STR),
+    _Field("alpha", _NUMBER, nullable=True),
+    _Field("records", _RECORDS),
+    _Field("statistics", _nested(_STATISTICS)),
+    _Field("report", _nested(_REPORT)),
+    _Field("elapsed_seconds", _SECONDS),
+    _Field("request", _nested(_REQUEST), nullable=True),
+    build=EnumerationOutcome, source=EnumerationOutcome,
+)
+
+_SWEEP: _Kind[tuple[EnumerationRequest, list[float]]] = _Kind(
+    "sweep-request", SCHEMA_VERSION,
+    _Field("request", _nested(_REQUEST)),
+    _Field("alphas", _ALPHAS),
+    build=_as_tuple, parts=tuple,
+)
+
+_OUTCOME_LIST: _Kind[list[EnumerationOutcome]] = _Kind(
+    "outcome-list", SCHEMA_VERSION,
+    _Field("outcomes", _list_of(_OUTCOME)),
+    build=lambda outcomes: outcomes, parts=_whole, source=EnumerationOutcome,
+)
+
+_ERROR: _Kind[ReproError] = _Kind(
+    "error", SCHEMA_VERSION,
+    _Field("type", _STR),
+    _Field("message", _STR),
+    build=_rebuild_error,
+    parts=lambda exc: (type(exc).__name__, str(exc)),
+    source=BaseException,
+)
+
+_GRAPH_INFO: _Kind[GraphInfo] = _Kind(
+    "graph-info", SCHEMA_VERSION_V2,
+    _Field("fingerprint", _STR),
+    _Field("name", _STR, nullable=True),
+    _Field("num_vertices", _COUNT),
+    _Field("num_edges", _COUNT),
+    _Field("pinned", _BOOL),
+    _Field("default", _BOOL),
+    build=GraphInfo, source=GraphInfo,
+)
+
+_GRAPH_LIST: _Kind[list[GraphInfo]] = _Kind(
+    "graph-list", SCHEMA_VERSION_V2,
+    _Field("graphs", _list_of(_GRAPH_INFO)),
+    build=lambda graphs: graphs, parts=_whole, source=GraphInfo,
+)
+
+_UPLOAD: _Kind[GraphUpload] = _Kind(
+    "graph-upload", SCHEMA_VERSION_V2,
+    _Field("graph", _nested(_GRAPH, before_check=True), nullable=True),
+    _Field("dataset", _STR, nullable=True),
+    _Field("scale", _NUMBER, nullable=True),
+    _Field("seed", _INT, nullable=True),
+    _Field("name", _STR, nullable=True),
+    build=GraphUpload, check=_check_upload, source=GraphUpload,
+)
+
+_REF_REQUEST: _Kind[tuple[str | None, EnumerationRequest]] = _Kind(
+    "graph-ref-request", SCHEMA_VERSION_V2,
+    _Field("graph", _STR, nullable=True),
+    _Field("request", _nested(_REQUEST)),
+    build=_as_tuple, parts=tuple,
+)
+
+_REF_SWEEP: _Kind[tuple[str | None, EnumerationRequest, list[float]]] = _Kind(
+    "graph-ref-sweep", SCHEMA_VERSION_V2,
+    _Field("graph", _STR, nullable=True),
+    _Field("request", _nested(_REQUEST)),
+    _Field("alphas", _ALPHAS),
+    build=_as_tuple, parts=tuple,
+)
+
+_JOB_REQUEST: _Kind[tuple[str | None, EnumerationRequest, int | None]] = _Kind(
+    "job-request", SCHEMA_VERSION_V2,
+    _Field("graph", _STR, nullable=True),
+    _Field("request", _nested(_REQUEST)),
+    _Field("page_size", _PAGE_SIZE, nullable=True),
+    build=_as_tuple, parts=tuple,
+)
+
+_JOB_STATUS: _Kind[JobStatus] = _Kind(
+    "job-status", SCHEMA_VERSION_V2,
+    _Field("id", _STR),
+    _Field("state", _STR),
+    _Field("cliques_emitted", _COUNT),
+    _Field("frames_expanded", _COUNT),
+    _Field("elapsed_seconds", _SECONDS),
+    _Field("records", _COUNT),
+    _Field("error", _nested(_ERROR), nullable=True),
+    build=JobStatus, check=_check_job_status, source=JobStatus,
+)
+
+# An outcome minus its records, which travelled in the earlier chunks.
+_JOB_SUMMARY: _Kind[EnumerationOutcome] = _Kind(
+    "job-summary", SCHEMA_VERSION_V2,
+    _Field("algorithm", _STR),
+    _Field("alpha", _NUMBER, nullable=True),
+    _Field("statistics", _nested(_STATISTICS)),
+    _Field("report", _nested(_REPORT)),
+    _Field("elapsed_seconds", _SECONDS),
+    _Field("request", _nested(_REQUEST), nullable=True),
+    build=lambda **fields: EnumerationOutcome(records=[], **fields),
+)
+
+_JOB_CHUNK: _Kind[JobChunk] = _Kind(
+    "job-result-chunk", SCHEMA_VERSION_V2,
+    _Field("job", _STR),
+    _Field("seq", _COUNT),
+    _Field("records", _RECORDS),
+    _Field("final", _BOOL),
+    _Field("summary", _nested(_JOB_SUMMARY), nullable=True),
+    _Field("error", _nested(_ERROR), nullable=True),
+    build=lambda records, **fields: JobChunk(records=tuple(records), **fields),
+    check=_check_chunk,
+    source=JobChunk,
+)
+
+_JOB_LIST: _Kind[list[JobStatus]] = _Kind(
+    "job-list", SCHEMA_VERSION_V2,
+    _Field("jobs", _list_of(_JOB_STATUS)),
+    build=lambda jobs: jobs, parts=_whole, source=JobStatus,
+)
+
+#: Every wire kind.  :func:`to_wire` tries them in this order, so
+#: ``clique-records`` precedes the other list kinds: an empty list encodes
+#: as an empty record list.
+_KINDS: tuple[_Kind[Any], ...] = (
+    _RECORD, _RECORD_LIST, _STATISTICS, _REPORT, _CONTROLS, _REQUEST,
+    _OUTCOME, _SWEEP, _OUTCOME_LIST, _ERROR, _GRAPH, _GRAPH_INFO,
+    _GRAPH_LIST, _UPLOAD, _REF_REQUEST, _REF_SWEEP, _JOB_REQUEST,
+    _JOB_STATUS, _JOB_SUMMARY, _JOB_CHUNK, _JOB_LIST, _METRICS,
+)
+
+
+# ---------------------------------------------------------------------- #
+# Public encoders and decoders, and the generic dispatch
+# ---------------------------------------------------------------------- #
+# Each decoder is its kind's, taking the one argument ``payload``.
+records_from_wire = _RECORD_LIST.decode
+statistics_from_wire = _STATISTICS.decode
+report_from_wire = _REPORT.decode
+controls_from_wire = _CONTROLS.decode
+request_from_wire = _REQUEST.decode
+outcome_from_wire = _OUTCOME.decode
+outcomes_from_wire = _OUTCOME_LIST.decode
+sweep_from_wire = _SWEEP.decode
+error_from_wire = _ERROR.decode
+graph_info_from_wire = _GRAPH_INFO.decode
+graph_list_from_wire = _GRAPH_LIST.decode
+upload_from_wire = _UPLOAD.decode
+ref_request_from_wire = _REF_REQUEST.decode
+ref_sweep_from_wire = _REF_SWEEP.decode
+job_request_from_wire = _JOB_REQUEST.decode
+job_status_from_wire = _JOB_STATUS.decode
+job_summary_from_wire = _JOB_SUMMARY.decode
+job_chunk_from_wire = _JOB_CHUNK.decode
+job_list_from_wire = _JOB_LIST.decode
+
+
+def records_to_wire(records: Iterable[CliqueRecord]) -> dict[str, Any]:
+    """Encode a standalone list of clique records."""
+    return _RECORD_LIST.encode(records)
+
+
+def statistics_to_wire(statistics: SearchStatistics) -> dict[str, Any]:
+    return _STATISTICS.encode(statistics)
+
+
+def report_to_wire(report: RunReport) -> dict[str, Any]:
+    return _REPORT.encode(report)
+
+
+def controls_to_wire(controls: RunControls) -> dict[str, Any]:
+    return _CONTROLS.encode(controls)
+
+
+def request_to_wire(request: EnumerationRequest) -> dict[str, Any]:
+    """Encode a request.  Every field is explicit (nullable ones as null).
+
+    The ``kernel`` and ``root_shard`` fields are the exceptions: they were
+    added after the v1 envelope shape was frozen, so each rides as an
+    *additive* v2 key — emitted only when it deviates from its default
+    (``"auto"`` / ``None``), and its presence promotes the envelope to
+    ``schema: 2``.  A request that touches neither therefore still encodes
+    to the exact v1 bytes the conformance corpus pins.
+    """
+    return _REQUEST.encode(request)
+
+
+def outcome_to_wire(outcome: EnumerationOutcome) -> dict[str, Any]:
+    return _OUTCOME.encode(outcome)
+
+
+def sweep_to_wire(request: EnumerationRequest, alphas: Sequence[float]) -> dict[str, Any]:
+    """Encode a sweep: one base request re-run at each of ``alphas``."""
+    return _SWEEP.encode((request, alphas))
+
+
+def outcomes_to_wire(outcomes: Iterable[EnumerationOutcome]) -> dict[str, Any]:
+    return _OUTCOME_LIST.encode(outcomes)
+
+
+def error_to_wire(exc: BaseException) -> dict[str, Any]:
+    """Encode an exception (non-library types degrade to their class name)."""
+    return _ERROR.encode(exc)
+
+
+def graph_info_to_wire(info: GraphInfo) -> dict[str, Any]:
+    """Encode one stored graph's resource description."""
+    return _GRAPH_INFO.encode(info)
+
+
+def graph_list_to_wire(infos: Iterable[GraphInfo]) -> dict[str, Any]:
+    """Encode the store listing (``GET /v2/graphs``)."""
+    return _GRAPH_LIST.encode(infos)
+
+
+def upload_to_wire(upload: GraphUpload) -> dict[str, Any]:
+    """Encode a graph-creation request (``POST /v2/graphs``)."""
+    return _UPLOAD.encode(upload)
+
+
+def ref_request_to_wire(request: EnumerationRequest, *, graph: str | None) -> dict[str, Any]:
+    """Encode a v2 enumeration: the request plus the graph it targets.
+
+    ``graph`` is a store reference (registered name or fingerprint);
+    ``None`` targets the server's default graph — the v2 spelling of what
+    ``/v1/enumerate`` does implicitly.
+    """
+    return _REF_REQUEST.encode((graph, request))
+
+
+def ref_sweep_to_wire(
+    request: EnumerationRequest, alphas: Sequence[float], *, graph: str | None
+) -> dict[str, Any]:
+    """Encode a v2 sweep: one base request, many α, one named graph."""
+    return _REF_SWEEP.encode((graph, request, alphas))
+
+
+def job_request_to_wire(
+    request: EnumerationRequest,
+    *,
+    graph: str | None = None,
+    page_size: int | None = None,
+) -> dict[str, Any]:
+    """Encode a job submission (``POST /v2/jobs``).
+
+    ``graph`` is a store reference (name or fingerprint, ``None`` for the
+    server default) and ``page_size`` overrides the server's result-page
+    granularity (``None`` accepts the default).
+    """
+    return _JOB_REQUEST.encode((graph, request, page_size))
+
+
+def job_status_to_wire(status: JobStatus) -> dict[str, Any]:
+    """Encode one job's status snapshot (``GET /v2/jobs/{id}``)."""
+    return _JOB_STATUS.encode(status)
+
+
+def job_summary_to_wire(outcome: EnumerationOutcome) -> dict[str, Any]:
+    """Encode a job's terminal summary: an outcome *minus* its records.
+
+    The records already travelled in the stream's earlier chunks; the
+    summary carries everything :meth:`EnumerationOutcome.assert_matches`
+    needs beyond them, so client-side reassembly is bit-exact.
+    """
+    return _JOB_SUMMARY.encode(outcome)
+
+
+def job_chunk_to_wire(chunk: JobChunk) -> dict[str, Any]:
+    """Encode one result-stream chunk (a line of ``GET .../results``)."""
+    return _JOB_CHUNK.encode(chunk)
+
+
+def job_list_to_wire(statuses: Iterable[JobStatus]) -> dict[str, Any]:
+    """Encode the registry listing (``GET /v2/jobs``)."""
+    return _JOB_LIST.encode(statuses)
+
+
 def to_wire(obj: object) -> dict[str, Any]:
     """Encode any wire-codable object into its envelope.
 
     Lists/tuples of :class:`CliqueRecord` become a ``clique-records``
     envelope; everything else dispatches on its type.
     """
-    if isinstance(obj, EnumerationRequest):
-        return request_to_wire(obj)
-    if isinstance(obj, EnumerationOutcome):
-        return outcome_to_wire(obj)
-    if isinstance(obj, RunControls):
-        return controls_to_wire(obj)
-    if isinstance(obj, RunReport):
-        return report_to_wire(obj)
-    if isinstance(obj, SearchStatistics):
-        return statistics_to_wire(obj)
-    if isinstance(obj, CliqueRecord):
-        return record_to_wire(obj)
-    if isinstance(obj, UncertainGraph):
-        return graph_to_wire(obj)
-    if isinstance(obj, GraphInfo):
-        return graph_info_to_wire(obj)
-    if isinstance(obj, GraphUpload):
-        return upload_to_wire(obj)
-    if isinstance(obj, JobStatus):
-        return job_status_to_wire(obj)
-    if isinstance(obj, JobChunk):
-        return job_chunk_to_wire(obj)
-    if isinstance(obj, (list, tuple)) and obj and all(
-        isinstance(item, EnumerationOutcome) for item in obj
-    ):
-        return outcomes_to_wire(obj)
-    if isinstance(obj, (list, tuple)) and obj and all(
-        isinstance(item, JobStatus) for item in obj
-    ):
-        return job_list_to_wire(obj)
-    if isinstance(obj, (list, tuple)) and obj and all(
-        isinstance(item, GraphInfo) for item in obj
-    ):
-        return graph_list_to_wire(obj)
-    if isinstance(obj, (list, tuple)) and all(
-        isinstance(item, CliqueRecord) for item in obj
-    ):
-        return records_to_wire(obj)
-    if isinstance(obj, BaseException):
-        return error_to_wire(obj)
+    for kind in _KINDS:
+        source = kind.source
+        if source is None:
+            continue
+        if kind.parts is _whole:
+            if isinstance(obj, (list, tuple)) and all(
+                isinstance(item, source) for item in obj
+            ):
+                return kind.encode(obj)
+        elif isinstance(obj, source):
+            return kind.encode(obj)
     raise FormatError(f"object of type {type(obj).__name__} is not wire-codable")
 
 
-_DECODERS = {
-    "enumeration-request": request_from_wire,
-    "enumeration-outcome": outcome_from_wire,
-    "run-controls": controls_from_wire,
-    "run-report": report_from_wire,
-    "search-statistics": statistics_from_wire,
-    "clique-record": record_from_wire,
-    "clique-records": records_from_wire,
-    "outcome-list": outcomes_from_wire,
-    "error": error_from_wire,
-    "graph": graph_from_wire,
-    "graph-info": graph_info_from_wire,
-    "graph-list": graph_list_from_wire,
-    "graph-upload": upload_from_wire,
-    "job-status": job_status_from_wire,
-    "job-summary": job_summary_from_wire,
-    "job-result-chunk": job_chunk_from_wire,
-    "job-list": job_list_from_wire,
-    "metrics": metrics_from_wire,
-}
+#: :func:`from_wire` decoders by kind: every kind but the request kinds
+#: that decode to a tuple of their fields.
+_DECODERS = {kind.name: kind.decode for kind in _KINDS if kind.build is not _as_tuple}
 
 
 def from_wire(payload: object) -> Any:
@@ -1534,7 +1394,7 @@ def from_wire(payload: object) -> Any:
             f"wire payload must be a JSON object, got {type(payload).__name__}"
         )
     kind = payload.get("kind")
-    decoder = _DECODERS.get(kind)
+    decoder = _DECODERS.get(kind) if isinstance(kind, str) else None
     if decoder is None:
         raise FormatError(f"unknown wire kind {kind!r}")
     return decoder(payload)

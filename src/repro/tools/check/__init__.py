@@ -1,10 +1,12 @@
 """``repro-mule check`` — AST static analysis for repo invariants.
 
-The codebase guarantees three load-bearing invariants by convention:
-manual lock discipline in the service/api layers, bit-identical
-deterministic kernels in ``core/engine/``, and a frozen v1 wire schema.
-This package machine-checks them (plus the error taxonomy and exhaustive
-state dispatch) so reviewers do not have to.
+The codebase guarantees two load-bearing invariants by convention:
+manual lock discipline in the service/api layers and bit-identical
+deterministic kernels in ``core/engine/``.  This package machine-checks
+them (plus the error taxonomy, exhaustive state dispatch and metrics
+discipline) so nobody has to check them by hand.  The frozen v1 wire
+schema is pinned by the codec's kind table and the golden-fixture tests
+instead.
 
 Public surface:
 
@@ -18,13 +20,12 @@ Public surface:
 from __future__ import annotations
 
 from .findings import Finding
-from .registry import ModuleUnit, Project, Rule, all_rules, register
+from .registry import ModuleUnit, Rule, all_rules, register
 from .runner import scan
 
 __all__ = [
     "Finding",
     "ModuleUnit",
-    "Project",
     "Rule",
     "all_rules",
     "register",

@@ -33,8 +33,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         type=Path,
         default=None,
         help=(
-            "project root for cross-file rules (default: nearest ancestor "
-            "with setup.py/.git)"
+            "project root that finding paths (and path-scoped rules) are "
+            "relative to (default: nearest ancestor with setup.py/.git)"
         ),
     )
     parser.add_argument(

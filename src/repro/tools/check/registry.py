@@ -1,14 +1,8 @@
 """Rule registry and the unit-of-analysis model.
 
-Two granularities of rule exist:
-
-* **module rules** implement ``check_module(unit)`` and see one parsed
-  file at a time (lock discipline, determinism, taxonomy, exhaustive
-  dispatch);
-* **project rules** implement ``check_project(project)`` and see every
-  scanned file plus the project root (wire-freeze needs the codec, the
-  scheduler vocabulary, the golden fixture corpus and the regeneration
-  script all at once).
+Every rule implements ``check_module(unit)`` and sees one parsed file at
+a time (lock discipline, determinism, taxonomy, exhaustive dispatch,
+metrics discipline).
 
 Rules self-register at import time via :func:`register`; the CLI and the
 tests both discover them through :func:`all_rules`.
@@ -17,7 +11,7 @@ tests both discover them through :func:`all_rules`.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -37,37 +31,17 @@ class ModuleUnit:
         return self.source.splitlines()
 
 
-@dataclass
-class Project:
-    """Everything the runner scanned, for project-level rules."""
-
-    root: Path
-    units: list[ModuleUnit] = field(default_factory=list)
-
-    def find_unit(self, suffix: str) -> ModuleUnit | None:
-        """Return the unit whose relpath ends with ``suffix``, if scanned."""
-        for unit in self.units:
-            if unit.relpath.endswith(suffix):
-                return unit
-        return None
-
-
 class Rule:
     """Base class for every checker rule.
 
     Subclasses set ``rule_id`` (the suppression token) and ``description``
-    and override one of :meth:`check_module` / :meth:`check_project`.
-    The default implementations yield nothing, so a rule only pays for
-    the granularity it uses.
+    and override :meth:`check_module`.
     """
 
     rule_id: str = ""
     description: str = ""
 
     def check_module(self, unit: ModuleUnit) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
         return iter(())
 
 

@@ -8,5 +8,4 @@ from . import (  # noqa: F401
     lock_discipline,
     metrics_discipline,
     stopreason,
-    wire_freeze,
 )

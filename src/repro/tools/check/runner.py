@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .findings import Finding
-from .registry import ModuleUnit, Project, Rule, select_rules
+from .registry import ModuleUnit, select_rules
 from . import suppress
 
 #: Directory names never descended into.
@@ -26,9 +26,9 @@ def find_project_root(start: Path) -> Path:
     """Walk upward from ``start`` to the checkout root.
 
     The root is the first ancestor carrying a ``setup.py``,
-    ``setup.cfg`` or ``.git``; project-level rules resolve the fixture
-    corpus and regeneration script relative to it.  Falls back to
-    ``start`` itself so the checker still works on a loose directory.
+    ``setup.cfg`` or ``.git``; findings name files relative to it.  Falls
+    back to ``start`` itself so the checker still works on a loose
+    directory.
     """
     start = start if start.is_dir() else start.parent
     for candidate in (start, *start.parents):
@@ -96,20 +96,19 @@ def scan(
     rules = select_rules(rule_ids)
 
     findings: list[Finding] = []
-    project = Project(root=root)
+    units: list[ModuleUnit] = []
     tables: dict[str, suppress.Suppressions] = {}
     for path in files:
         loaded = load_unit(path, root)
         if isinstance(loaded, Finding):
             findings.append(loaded)
             continue
-        project.units.append(loaded)
+        units.append(loaded)
         tables[loaded.relpath] = suppress.collect(loaded.source)
 
     for rule in rules:
-        for unit in project.units:
+        for unit in units:
             findings.extend(rule.check_module(unit))
-        findings.extend(rule.check_project(project))
 
     if honor_suppressions:
         findings = [

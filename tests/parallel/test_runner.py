@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import EnumerationRequest, MiningSession
 from repro.core.engine import RunControls, StopReason, compile_graph
 from repro.core.mule import mule
 from repro.errors import ParameterError
+from repro.generators import erdos_renyi_uncertain
 from repro.parallel import ShardPlanner, parallel_mule, run_shards
 from repro.parallel.runner import _merge_stop_reasons, _process_backend_available
 from repro.uncertain.graph import UncertainGraph
@@ -34,12 +36,12 @@ class TestParallelMuleInline:
         parallel = parallel_mule(graph, 0.2, workers=4, backend="inline")
         # Root candidates are partitioned across shards, so the merged
         # candidate count matches serial exactly; each shard expands the
-        # root frame once, so recursive_calls grows by (shards - 1).
+        # root frame once, and the merge counts it once.
         assert (
             parallel.statistics.candidates_examined
             == serial.statistics.candidates_examined
         )
-        assert parallel.statistics.recursive_calls >= serial.statistics.recursive_calls
+        assert parallel.statistics.recursive_calls == serial.statistics.recursive_calls
 
     def test_empty_graph(self):
         result = parallel_mule(UncertainGraph(), 0.5, workers=4)
@@ -137,6 +139,29 @@ class TestParallelMuleProcesses:
         serial = mule(graph, 0.5)
         parallel = parallel_mule(graph, 0.5, workers=2, backend="process")
         assert records_by_vertices(parallel) == records_by_vertices(serial)
+
+
+class TestShardedRunsMatchSerial:
+    """Outcome parity, counters included, however the roots are split."""
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
+    def test_counters_equal_serial(self, backend, num_shards):
+        if backend == "process" and not _process_backend_available():
+            pytest.skip("fork start method unavailable")
+        session = MiningSession(erdos_renyi_uncertain(40, 0.3, rng=7))
+        serial = session.enumerate(EnumerationRequest(algorithm="mule", alpha=0.01))
+        sharded = session.enumerate(
+            EnumerationRequest(
+                algorithm="mule",
+                alpha=0.01,
+                workers=2,
+                num_shards=num_shards,
+                backend=backend,
+                execution="parallel",
+            )
+        )
+        sharded.assert_matches(serial)
 
 
 class TestRunShards:

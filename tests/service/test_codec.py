@@ -166,6 +166,14 @@ class TestEnvelopeStrictness:
         with pytest.raises(FormatError, match="unknown wire kind"):
             codec.from_wire({"schema": codec.SCHEMA_VERSION, "kind": "mystery"})
 
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}], ids=["array", "object"])
+    def test_unhashable_kind_rejected(self, kind):
+        # A JSON array or object is not a kind name; the dispatch must not
+        # try to look it up.
+        with pytest.raises(FormatError) as raised:
+            codec.from_wire({"schema": codec.SCHEMA_VERSION, "kind": kind})
+        assert str(raised.value) == f"unknown wire kind {kind!r}"
+
     def test_kind_mismatch_rejected(self):
         payload = envelope_of(EnumerationRequest(algorithm="mule", alpha=0.5))
         with pytest.raises(FormatError, match="expected a 'run-report'"):

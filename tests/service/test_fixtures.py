@@ -14,13 +14,15 @@ Every ``fixtures/*.json`` file is a canonically-encoded payload produced by
 
 from __future__ import annotations
 
+import copy
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.api import EnumerationRequest
 from repro.core.engine import RunControls, StopReason
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ReproError
 from repro.service import codec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -305,3 +307,136 @@ class TestDecodeEquality:
         # and 1/2 into buckets (1/16, 1/4, 1).
         assert series["counts"] == [1, 1, 1, 0]
         assert series["sum"] == 0.65625
+
+
+# --------------------------------------------------------------------- #
+# The wire freeze: fixtures, the regeneration script and the docs against
+# the codec's kind table
+# --------------------------------------------------------------------- #
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "service.md"
+
+
+def kinds():
+    """The codec's kind table, by name."""
+    return {kind.name: kind for kind in codec._KINDS}
+
+
+def envelopes(value, path=()):
+    """Every envelope inside ``value`` (itself included), with its path."""
+    if isinstance(value, dict):
+        if "schema" in value and "kind" in value:
+            yield path, value
+        for key, item in value.items():
+            yield from envelopes(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from envelopes(item, path + (index,))
+
+
+def corpus():
+    return {path.stem: codec.decode(path.read_bytes()) for path in FIXTURE_PATHS}
+
+
+def test_the_table_describes_every_kind_once():
+    assert len(codec._KINDS) == len(kinds()) == 22
+    assert set(codec._DECODERS) == set(kinds()) - {
+        "sweep-request", "graph-ref-request", "graph-ref-sweep", "job-request"
+    }
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_fixture_envelopes_carry_their_table_fields(path):
+    """A v1 stamp carries exactly the frozen v1 fields; any other stamp
+    may add only the kind's declared additive keys."""
+    table = kinds()
+    found = list(envelopes(codec.decode(path.read_bytes())))
+    assert found
+    for where, envelope in found:
+        kind = table.get(envelope["kind"])
+        assert kind is not None, f"{where}: unknown kind {envelope['kind']!r}"
+        keys = set(envelope) - {"schema", "kind"}
+        if envelope["schema"] == codec.SCHEMA_VERSION:
+            assert keys == kind.keys, where
+        else:
+            assert kind.keys <= keys <= kind.keys | {f.name for f in kind.additive}, where
+
+
+def test_every_kind_has_a_golden_fixture():
+    seen = {
+        envelope["kind"]
+        for payload in corpus().values()
+        for _, envelope in envelopes(payload)
+    }
+    assert seen == set(kinds())
+
+
+def test_every_fixture_is_regenerated_by_make_fixtures():
+    from tests.service.make_fixtures import build_payloads
+
+    assert set(build_payloads()) == {path.stem for path in FIXTURE_PATHS}
+
+
+def test_stop_reason_vocabulary_is_complete():
+    members = {
+        value for name, value in vars(StopReason).items() if name.isupper()
+    }
+    assert set(codec._STOP_REASONS) == members
+    assert len(codec._STOP_REASONS) == len(members)
+
+
+def test_docs_kinds_table_matches_the_codec_table():
+    rows = re.findall(r"^\| `([a-z-]+)` \| (\d) \|", DOCS.read_text(), re.M)
+    assert rows
+    assert {kind: int(since) for kind, since in rows} == {
+        kind.name: kind.since for kind in codec._KINDS
+    }
+    assert len(rows) == len(codec._KINDS)
+
+
+# --------------------------------------------------------------------- #
+# Malformed input raises only library errors
+# --------------------------------------------------------------------- #
+JSON_VALUES = [None, True, -1, 1.5, "x", [], {}]
+NON_OBJECTS = [None, [], "x", 3]
+
+
+def replace(payload, path, new):
+    if not path:
+        return new
+    payload = copy.deepcopy(payload)
+    target = payload
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = new
+    return payload
+
+
+def mutations(payload):
+    """One-fault variants of every envelope in ``payload``."""
+    for path, envelope in envelopes(payload):
+        for key in envelope:
+            dropped = dict(envelope)
+            del dropped[key]
+            yield replace(payload, path, dropped)
+            for value in JSON_VALUES:
+                yield replace(payload, path, {**envelope, key: copy.deepcopy(value)})
+        yield replace(payload, path, {**envelope, "surprise": 1})
+        for value in NON_OBJECTS:
+            yield replace(payload, path, value)
+
+
+def test_malformed_input_raises_only_library_errors():
+    """Decoding a damaged fixture through its kind's decoder (``from_wire``
+    where it dispatches the kind) either yields a value that re-encodes to
+    stable bytes or raises a :class:`ReproError`, never a ``TypeError``,
+    ``KeyError`` or ``AttributeError``."""
+    cases = 0
+    for name, payload in corpus().items():
+        for mutated in mutations(payload):
+            cases += 1
+            try:
+                first = roundtrip(codec.encode(mutated))
+            except ReproError:
+                continue
+            assert roundtrip(first) == first, name
+    assert cases > 4000

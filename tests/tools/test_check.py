@@ -7,9 +7,7 @@ findings even with suppressions disabled.
 
 Fixture modules are materialised into ``tmp_path`` mini-trees because
 several rules are scoped by path shape (``service/``/``api/`` for the
-concurrency and taxonomy rules, ``core/engine/`` for determinism) and
-the wire-freeze rule reads a fixture corpus relative to the project
-root.
+concurrency and taxonomy rules, ``core/engine/`` for determinism).
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ RULE_IDS = (
     "lock-discipline",
     "metrics-discipline",
     "stopreason-exhaustive",
-    "wire-freeze",
 )
 
 
@@ -60,7 +57,7 @@ def scan_one(
 # Framework: registry, findings, root discovery
 # --------------------------------------------------------------------- #
 class TestFramework:
-    def test_all_six_rules_register(self):
+    def test_all_rules_register(self):
         assert tuple(rule.rule_id for rule in all_rules()) == RULE_IDS
 
     def test_unknown_rule_selection_raises(self):
@@ -436,132 +433,6 @@ class TestMetricsDiscipline:
 
 
 # --------------------------------------------------------------------- #
-# wire-freeze (project rule: codec + fixtures + make_fixtures)
-# --------------------------------------------------------------------- #
-MINI_CODEC = """
-    PING_KEYS = frozenset({"value"})
-
-
-    def ping_to_wire(value):
-        return _envelope("ping", {"value": value})
-
-
-    def ping_from_wire(payload):
-        payload = _open_envelope(payload, "ping", PING_KEYS)
-        return payload["value"]
-"""
-
-MINI_MAKE_FIXTURES = """
-    def build_payloads():
-        return {"ping": {"schema": 1, "kind": "ping", "value": 3}}
-"""
-
-
-def wire_project(
-    tmp_path: Path,
-    *,
-    codec: str = MINI_CODEC,
-    make_fixtures: str = MINI_MAKE_FIXTURES,
-    fixtures: dict[str, dict] | None = None,
-) -> Path:
-    write(tmp_path, "service/codec.py", codec)
-    write(tmp_path, "tests/service/make_fixtures.py", make_fixtures)
-    payloads = (
-        fixtures
-        if fixtures is not None
-        else {"ping": {"schema": 1, "kind": "ping", "value": 3}}
-    )
-    for name, payload in payloads.items():
-        path = tmp_path / "tests" / "service" / "fixtures" / f"{name}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload), encoding="utf-8")
-    return tmp_path
-
-
-def wire_findings(tmp_path: Path) -> list[Finding]:
-    return scan(
-        [tmp_path / "service"], root=tmp_path, rule_ids=["wire-freeze"]
-    )
-
-
-class TestWireFreeze:
-    def test_consistent_mini_project_is_clean(self, tmp_path):
-        wire_project(tmp_path)
-        assert not wire_findings(tmp_path)
-
-    def test_encoder_decoder_key_drift(self, tmp_path):
-        codec = MINI_CODEC.replace(
-            'frozenset({"value"})', 'frozenset({"value", "extra"})'
-        )
-        wire_project(tmp_path, codec=codec)
-        findings = wire_findings(tmp_path)
-        assert any(
-            "encoder and decoder disagree" in finding.message
-            and "'extra'" in finding.message
-            for finding in findings
-        )
-
-    def test_kind_without_golden_fixture(self, tmp_path):
-        codec = textwrap.dedent(MINI_CODEC) + textwrap.dedent(
-            """
-            def pong_to_wire():
-                return _envelope("pong", {"echo": 1})
-
-
-            def pong_from_wire(payload):
-                payload = _open_envelope(payload, "pong", frozenset({"echo"}))
-                return payload["echo"]
-            """
-        )
-        wire_project(tmp_path, codec=codec)
-        findings = wire_findings(tmp_path)
-        assert any(
-            "'pong' has no golden fixture" in finding.message
-            for finding in findings
-        )
-
-    def test_v1_fixture_bytes_are_frozen(self, tmp_path):
-        wire_project(
-            tmp_path,
-            fixtures={
-                "ping": {"schema": 1, "kind": "ping", "value": 3, "sneaky": 0}
-            },
-        )
-        findings = wire_findings(tmp_path)
-        assert any(
-            "v1 'ping' envelope carries keys" in finding.message
-            for finding in findings
-        )
-
-    def test_fixture_without_regeneration_entry(self, tmp_path):
-        # The drift guard: a fixture file build_payloads() cannot
-        # regenerate means the corpus rots on the next schema bump.
-        wire_project(
-            tmp_path,
-            fixtures={
-                "ping": {"schema": 1, "kind": "ping", "value": 3},
-                "orphan": {"schema": 1, "kind": "ping", "value": 4},
-            },
-        )
-        findings = wire_findings(tmp_path)
-        assert any(
-            "orphan.json has no build_payloads() entry" in finding.message
-            for finding in findings
-        )
-
-    def test_regeneration_entry_without_fixture_file(self, tmp_path):
-        make = MINI_MAKE_FIXTURES.replace(
-            '"value": 3}}', '"value": 3}, "ghost": {}}'
-        )
-        wire_project(tmp_path, make_fixtures=make)
-        findings = wire_findings(tmp_path)
-        assert any(
-            "'ghost' has no fixture file" in finding.message
-            for finding in findings
-        )
-
-
-# --------------------------------------------------------------------- #
 # Suppressions
 # --------------------------------------------------------------------- #
 class TestSuppressions:
@@ -577,7 +448,7 @@ class TestSuppressions:
     def test_suppression_for_another_rule_does_not_apply(self, tmp_path):
         source = BAD_LOCK.replace(
             "return len(self._items)",
-            "return len(self._items)  # repro: ignore[wire-freeze]",
+            "return len(self._items)  # repro: ignore[kernel-determinism]",
         )
         findings = scan_one(
             tmp_path, "service/box.py", source, "lock-discipline"
