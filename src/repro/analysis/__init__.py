@@ -1,4 +1,4 @@
-"""Verification, statistics and measurement harness."""
+"""Clique statistics, the measurement harness and text plots."""
 
 from .comparison import (
     MeasurementRow,
@@ -10,18 +10,8 @@ from .comparison import (
 )
 from .statistics import CliqueStatistics, clique_statistics, vertex_participation
 from .text_plots import ascii_bar_chart, ascii_line_chart
-from .verification import (
-    check_output_bound,
-    matches_deterministic_cliques,
-    results_agree,
-    verify_result,
-)
 
 __all__ = [
-    "verify_result",
-    "results_agree",
-    "matches_deterministic_cliques",
-    "check_output_bound",
     "CliqueStatistics",
     "clique_statistics",
     "vertex_participation",

@@ -28,12 +28,6 @@ from .bounds import (
     uncertain_clique_bound,
 )
 from .brute_force import brute_force_alpha_maximal_cliques, is_alpha_maximal_clique
-from .clique_probability import (
-    clique_probability,
-    extension_factor,
-    is_alpha_clique,
-    log_clique_probability,
-)
 from .dfs_noip import dfs_noip, iter_alpha_maximal_cliques_noip
 from .engine import (
     CompiledGraph,
@@ -70,10 +64,6 @@ __all__ = [
     "is_alpha_maximal_clique",
     "top_k_maximal_cliques",
     "top_k_by_threshold_search",
-    "clique_probability",
-    "extension_factor",
-    "log_clique_probability",
-    "is_alpha_clique",
     "CompiledGraph",
     "compile_graph",
     "run_search",

@@ -184,7 +184,7 @@ def moon_moser_graph(n: int) -> UncertainGraph:
 
     >>> g = moon_moser_graph(6)
     >>> g.num_vertices, g.num_edges
-    (6, 12)
+    (6, 9)
     """
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")

@@ -266,26 +266,31 @@ class EnumerationResult:
 
         The check recomputes every clique probability from scratch and tests
         extension by all outside vertices; it is O(output · n · |C|) and is
-        intended for tests and sanity checks, not production use.
+        intended for tests and sanity checks, not production use.  It raises
+        explicitly rather than through ``assert``, so it still checks under
+        ``python -O``.
         """
-        emitted = self.vertex_sets()
-        assert len(emitted) == len(self.cliques), "duplicate cliques in output"
+        if len(self.vertex_sets()) != len(self.cliques):
+            raise AssertionError("duplicate cliques in output")
         for record in self.cliques:
             probability = graph.clique_probability(record.vertices)
-            assert probability >= self.alpha, (
-                f"{set(record.vertices)} has probability {probability} < α={self.alpha}"
-            )
-            assert abs(probability - record.probability) <= 1e-9 * max(1.0, probability), (
-                f"recorded probability {record.probability} differs from exact {probability}"
-            )
+            if probability < self.alpha:
+                raise AssertionError(
+                    f"{set(record.vertices)} has probability {probability} < α={self.alpha}"
+                )
+            if abs(probability - record.probability) > 1e-9 * max(1.0, probability):
+                raise AssertionError(
+                    f"recorded probability {record.probability} differs from exact {probability}"
+                )
             for v in graph.vertices():
                 if v in record.vertices:
                     continue
                 extended = graph.clique_probability(set(record.vertices) | {v})
-                assert extended < self.alpha, (
-                    f"{set(record.vertices)} is not maximal: adding {v!r} keeps "
-                    f"probability {extended} ≥ α={self.alpha}"
-                )
+                if extended >= self.alpha:
+                    raise AssertionError(
+                        f"{set(record.vertices)} is not maximal: adding {v!r} keeps "
+                        f"probability {extended} ≥ α={self.alpha}"
+                    )
 
     def summary(self) -> dict[str, object]:
         """Return a small dict suitable for tabular reporting in the benches."""

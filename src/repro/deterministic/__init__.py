@@ -1,40 +1,10 @@
 """Deterministic graph substrate.
 
-This subpackage hosts the certain (non-probabilistic) graph structure and
-the classical maximal clique machinery (Bron--Kerbosch with pivoting and
-degeneracy ordering) that the uncertain-graph layer builds upon and that the
-test suite uses as an oracle.
+This subpackage hosts the certain (non-probabilistic) graph structure that
+the uncertain-graph layer builds upon: the generators build skeletons as
+:class:`Graph` instances, and :meth:`UncertainGraph.skeleton` returns one.
 """
 
-from .bron_kerbosch import (
-    bron_kerbosch_basic,
-    bron_kerbosch_degeneracy,
-    bron_kerbosch_pivot,
-    enumerate_maximal_cliques,
-)
 from .graph import Graph, normalize_edge
-from .maximal_cliques import (
-    clique_number,
-    clique_size_histogram,
-    count_maximal_cliques,
-    is_maximal_clique,
-    maximum_clique,
-)
-from .ordering import core_numbers, degeneracy, degeneracy_ordering
 
-__all__ = [
-    "Graph",
-    "normalize_edge",
-    "bron_kerbosch_basic",
-    "bron_kerbosch_pivot",
-    "bron_kerbosch_degeneracy",
-    "enumerate_maximal_cliques",
-    "is_maximal_clique",
-    "maximum_clique",
-    "clique_number",
-    "clique_size_histogram",
-    "count_maximal_cliques",
-    "degeneracy_ordering",
-    "core_numbers",
-    "degeneracy",
-]
+__all__ = ["Graph", "normalize_edge"]

@@ -1,8 +1,8 @@
 """Deterministic (certain) undirected simple graph.
 
-This module provides :class:`Graph`, the deterministic substrate used by the
-uncertain-graph layer and by the Bron--Kerbosch style enumerators.  The graph
-is undirected and simple: no self loops, no parallel edges.  Vertices may be
+This module provides :class:`Graph`, the deterministic substrate that the
+uncertain-graph layer uses for skeletons.  The graph is undirected and
+simple: no self loops, no parallel edges.  Vertices may be
 any hashable object, although the enumeration algorithms in
 :mod:`repro.core` relabel vertices to integers internally so that the
 "increasing vertex identifier" order used by the paper's depth-first search

@@ -3,8 +3,8 @@
 Everything needed to build the paper's synthetic inputs (Barabási–Albert),
 semi-synthetic inputs (SNAP-like skeletons with random probabilities) and
 structure-matched analogs of its real uncertain datasets (PPI, DBLP), plus
-test-oriented generators (Erdős–Rényi, planted cliques) and the extremal
-constructions of Section 3 (re-exported from :mod:`repro.core.bounds`).
+Erdős–Rényi generators for tests and the extremal constructions of
+Section 3 (re-exported from :mod:`repro.core.bounds`).
 """
 
 from ..core.bounds import extremal_uncertain_graph, moon_moser_graph
@@ -15,7 +15,6 @@ from .erdos_renyi import (
     random_uncertain_graph,
 )
 from .p2p import p2p_like_graph
-from .planted import planted_clique_graph, planted_partition_graph
 from .ppi import ppi_like_graph
 from .probabilities import (
     beta_probabilities,
@@ -37,8 +36,6 @@ __all__ = [
     "wiki_vote_like_graph",
     "ppi_like_graph",
     "p2p_like_graph",
-    "planted_clique_graph",
-    "planted_partition_graph",
     "extremal_uncertain_graph",
     "moon_moser_graph",
     "constant_probability",

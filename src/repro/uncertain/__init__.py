@@ -1,4 +1,4 @@
-"""Uncertain graph substrate: data structure, construction, sampling, I/O."""
+"""Uncertain graph substrate: data structure, construction, operations, I/O."""
 
 from .builder import UncertainGraphBuilder, from_edge_triples, from_skeleton
 from .graph import UncertainGraph, validate_probability
@@ -19,13 +19,6 @@ from .operations import (
     neighborhood_subgraph,
     prune_edges_below_alpha,
     prune_isolated_vertices,
-)
-from .sampling import (
-    enumerate_possible_worlds,
-    estimate_clique_probability,
-    sample_possible_world,
-    sample_possible_worlds,
-    world_probability,
 )
 from .statistics import (
     GraphSummary,
@@ -48,11 +41,6 @@ __all__ = [
     "neighborhood_subgraph",
     "connected_components",
     "largest_component",
-    "sample_possible_world",
-    "sample_possible_worlds",
-    "enumerate_possible_worlds",
-    "estimate_clique_probability",
-    "world_probability",
     "write_edge_list",
     "read_edge_list",
     "to_json",

@@ -17,8 +17,8 @@ from repro.core.bounds import (
 )
 from repro.core.brute_force import brute_force_alpha_maximal_cliques
 from repro.core.mule import mule
-from repro.deterministic.bron_kerbosch import bron_kerbosch_pivot
 from repro.errors import ParameterError, ProbabilityError
+from tests.oracles.bron_kerbosch import bron_kerbosch_pivot
 
 
 class TestMoonMoserBound:
@@ -39,6 +39,12 @@ class TestMoonMoserBound:
         skeleton = graph.skeleton()
         count = sum(1 for _ in bron_kerbosch_pivot(skeleton))
         assert count == moon_moser_bound(n)
+
+    @pytest.mark.parametrize("n, edges", [(3, 0), (6, 9), (7, 16), (8, 21), (9, 27)])
+    def test_moon_moser_graph_shape(self, n, edges):
+        # Complete multipartite: n² minus the squared part sizes, halved.
+        graph = moon_moser_graph(n)
+        assert (graph.num_vertices, graph.num_edges) == (n, edges)
 
     def test_moon_moser_graph_all_certain(self):
         graph = moon_moser_graph(6)

@@ -31,6 +31,35 @@ class TestIsAlphaMaximalClique:
             is_alpha_maximal_clique(triangle, {1}, 0.0)
 
 
+class TestIsAlphaMaximalCliqueOnCertainGraph:
+    """At α = 1 on a certain graph, Definition 4 is plain maximality."""
+
+    @pytest.fixture
+    def sample(self) -> UncertainGraph:
+        # Two triangles sharing vertex 3 plus a pendant vertex 6.
+        edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5), (5, 6)]
+        return UncertainGraph(edges=[(u, v, 1.0) for u, v in edges])
+
+    def test_true_for_maximal_triangle(self, sample):
+        assert is_alpha_maximal_clique(sample, {1, 2, 3}, 1.0)
+
+    def test_false_for_extendable_edge(self, sample):
+        assert not is_alpha_maximal_clique(sample, {1, 2}, 1.0)
+
+    def test_false_for_non_clique(self, sample):
+        assert not is_alpha_maximal_clique(sample, {1, 4}, 1.0)
+
+    def test_pendant_edge_is_maximal(self, sample):
+        assert is_alpha_maximal_clique(sample, {5, 6}, 1.0)
+
+    def test_empty_set_only_maximal_in_empty_graph(self, sample):
+        assert not is_alpha_maximal_clique(sample, set(), 1.0)
+        assert is_alpha_maximal_clique(UncertainGraph(), set(), 1.0)
+
+    def test_singleton_isolated_vertex(self):
+        assert is_alpha_maximal_clique(UncertainGraph(vertices=[1]), {1}, 1.0)
+
+
 class TestBruteForce:
     def test_triangle_output(self, triangle):
         result = brute_force_alpha_maximal_cliques(triangle, 0.5)

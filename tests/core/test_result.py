@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.core.mule import mule
 from repro.core.result import CliqueRecord, EnumerationResult, SearchStatistics, Stopwatch
 from repro.uncertain.graph import UncertainGraph
 
@@ -211,3 +217,69 @@ class TestVerify:
         )
         with pytest.raises(AssertionError):
             result.verify(g)
+
+    def test_clean_output_has_no_problems(self, two_cliques):
+        mule(two_cliques, 0.5).verify(two_cliques)  # should not raise
+
+    def test_detects_below_threshold_clique(self, two_cliques):
+        bogus = EnumerationResult(
+            "manual",
+            0.99,
+            [CliqueRecord(vertices=frozenset({1, 2, 3}), probability=0.95**3)],
+        )
+        with pytest.raises(AssertionError, match="< α"):
+            bogus.verify(two_cliques)
+
+    def test_detects_non_maximal_clique(self, two_cliques):
+        bogus = EnumerationResult(
+            "manual",
+            0.5,
+            [CliqueRecord(vertices=frozenset({1, 2}), probability=0.95)],
+        )
+        with pytest.raises(AssertionError, match="is not maximal: adding 3"):
+            bogus.verify(two_cliques)
+
+    def test_detects_wrong_probability(self, two_cliques):
+        bogus = EnumerationResult(
+            "manual",
+            0.5,
+            [CliqueRecord(vertices=frozenset({1, 2, 3}), probability=0.5)],
+        )
+        with pytest.raises(AssertionError, match="differs from exact"):
+            bogus.verify(two_cliques)
+
+    def test_detects_redundant_family(self, two_cliques):
+        # A family that is not an antichain always holds a non-maximal member.
+        bogus = EnumerationResult(
+            "manual",
+            0.5,
+            [
+                CliqueRecord(vertices=frozenset({1, 2, 3}), probability=0.95**3),
+                CliqueRecord(vertices=frozenset({1, 2}), probability=0.95),
+            ],
+        )
+        with pytest.raises(AssertionError, match="is not maximal"):
+            bogus.verify(two_cliques)
+
+    def test_detects_duplicate_cliques(self, two_cliques):
+        record = CliqueRecord(vertices=frozenset({1, 2, 3}), probability=0.95**3)
+        bogus = EnumerationResult("manual", 0.5, [record, record])
+        with pytest.raises(AssertionError, match="duplicate cliques"):
+            bogus.verify(two_cliques)
+
+    def test_verify_still_checks_under_python_optimize(self):
+        # ``python -O`` strips assert statements; verify must raise anyway.
+        script = (
+            "from repro.core.result import CliqueRecord, EnumerationResult\n"
+            "from repro.uncertain.graph import UncertainGraph\n"
+            "g = UncertainGraph(edges=[(1, 2, 0.9), (2, 3, 0.9), (1, 3, 0.9)])\n"
+            "record = CliqueRecord(vertices=frozenset({1, 2}), probability=0.9)\n"
+            "EnumerationResult('manual', 0.5, [record]).verify(g)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert completed.returncode == 1
+        assert "AssertionError" in completed.stderr
+        assert "adding 3 keeps probability" in completed.stderr

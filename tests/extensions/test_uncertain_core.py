@@ -16,7 +16,7 @@ from repro.extensions.uncertain_core import (
 )
 from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.uncertain.graph import UncertainGraph
-from repro.uncertain.sampling import sample_possible_world
+from tests.oracles.cores import core_numbers
 
 
 @pytest.fixture
@@ -114,7 +114,6 @@ class TestCoreDecomposition:
         assert all(high[v] <= low[v] for v in g.vertices())
 
     def test_certain_graph_matches_deterministic_cores(self):
-        from repro.deterministic.ordering import core_numbers
         from repro.uncertain.builder import from_skeleton
         from repro.generators.erdos_renyi import erdos_renyi_skeleton
 
@@ -123,6 +122,14 @@ class TestCoreDecomposition:
         uncertain_cores = uncertain_core_decomposition(certain, 1.0)
         deterministic_cores = core_numbers(skeleton)
         assert uncertain_cores == deterministic_cores
+
+    def test_certain_complete_graph(self):
+        g = UncertainGraph(edges=[(u, v, 1.0) for u in range(1, 7) for v in range(u + 1, 7)])
+        assert set(uncertain_core_decomposition(g, 1.0).values()) == {5}
+
+    def test_certain_tree_cores_are_one(self):
+        g = UncertainGraph(edges=[(1, 2, 1.0), (1, 3, 1.0), (3, 4, 1.0), (3, 5, 1.0)])
+        assert set(uncertain_core_decomposition(g, 1.0).values()) == {1}
 
     def test_empty_graph(self):
         assert uncertain_core_decomposition(UncertainGraph(), 0.5) == {}
@@ -146,6 +153,14 @@ class TestKEtaCore:
     def test_k_zero_returns_whole_graph(self, triangle_with_tail):
         core = k_eta_core(triangle_with_tail, 0, 0.5)
         assert set(core.vertices()) == set(triangle_with_tail.vertices())
+
+    def test_pendant_vertex_outside_two_core(self):
+        g = UncertainGraph(edges=[(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0), (3, 4, 1.0)])
+        assert set(k_eta_core(g, 2, 1.0).vertices()) == {1, 2, 3}
+
+    def test_isolated_vertex_outside_one_core(self):
+        g = UncertainGraph(edges=[(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)], vertices=[9])
+        assert set(k_eta_core(g, 1, 1.0).vertices()) == {1, 2, 3}
 
     def test_negative_k_rejected(self, triangle_with_tail):
         with pytest.raises(ParameterError):

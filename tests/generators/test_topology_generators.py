@@ -1,4 +1,4 @@
-"""Unit tests for the graph topology generators (BA, ER, planted)."""
+"""Unit tests for the graph topology generators (BA, ER)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.generators.erdos_renyi import (
     erdos_renyi_uncertain,
     random_uncertain_graph,
 )
-from repro.generators.planted import planted_clique_graph, planted_partition_graph
 
 
 class TestBarabasiAlbert:
@@ -85,67 +84,3 @@ class TestErdosRenyi:
         with pytest.raises(ParameterError):
             erdos_renyi_skeleton(10, 1.5)
 
-
-class TestPlantedCliques:
-    def test_planted_cliques_are_present(self):
-        graph, planted = planted_clique_graph(50, [4, 5], rng=1)
-        assert len(planted) == 2
-        for clique in planted:
-            assert graph.is_clique(clique)
-            assert graph.clique_probability(clique) > 0.5
-
-    def test_planted_cliques_disjoint(self):
-        _, planted = planted_clique_graph(40, [4, 4, 4], rng=2)
-        assert len(planted[0] | planted[1] | planted[2]) == 12
-
-    def test_background_edges_have_low_probability(self):
-        graph, planted = planted_clique_graph(
-            30,
-            [5],
-            clique_probability=0.95,
-            background_density=0.2,
-            background_probability_range=(0.05, 0.3),
-            rng=3,
-        )
-        planted_vertices = planted[0]
-        for u, v, p in graph.edges():
-            if u in planted_vertices and v in planted_vertices:
-                assert p == 0.95
-            else:
-                assert p <= 0.3
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            planted_clique_graph(5, [4, 4])
-        with pytest.raises(ParameterError):
-            planted_clique_graph(10, [1])
-        with pytest.raises(ParameterError):
-            planted_clique_graph(10, [3], clique_probability=0.0)
-        with pytest.raises(ParameterError):
-            planted_clique_graph(0, [])
-
-    def test_reproducibility(self):
-        a, _ = planted_clique_graph(30, [4], rng=11)
-        b, _ = planted_clique_graph(30, [4], rng=11)
-        assert a == b
-
-
-class TestPlantedPartition:
-    def test_vertex_count(self):
-        g = planted_partition_graph(4, 6, rng=1)
-        assert g.num_vertices == 24
-
-    def test_intra_community_denser_than_inter(self):
-        g = planted_partition_graph(3, 8, intra_density=0.9, inter_density=0.05, rng=2)
-        community = lambda v: (v - 1) // 8
-        intra = sum(1 for u, v, _ in g.edges() if community(u) == community(v))
-        inter = g.num_edges - intra
-        assert intra > inter
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            planted_partition_graph(0, 5)
-        with pytest.raises(ParameterError):
-            planted_partition_graph(2, 5, intra_probability=0.0)
-        with pytest.raises(ParameterError):
-            planted_partition_graph(2, 5, inter_density=1.5)

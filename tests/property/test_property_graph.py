@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.clique_probability import extension_factor
 from repro.uncertain.io import from_json, to_json
 from repro.uncertain.operations import prune_edges_below_alpha
 
@@ -68,14 +69,15 @@ class TestCliqueProbabilityProperties:
     @RELAXED
     @given(graph=uncertain_graphs())
     def test_extension_factor_identity(self, graph):
-        """clq(C ∪ {v}) == clq(C) · factor(C, v) for every vertex pair sample."""
+        """clq(C ∪ {v}) == clq(C) · ∏_{u ∈ C} p({u, v}) for every vertex pair sample."""
         vertices = sorted(graph.vertices())
         if len(vertices) < 3:
             return
         base = vertices[:2]
         for v in vertices[2:5]:
+            factor = math.prod(graph.probability_or(u, v) for u in base)
             lhs = graph.clique_probability(base + [v])
-            rhs = graph.clique_probability(base) * extension_factor(graph, base, v)
+            rhs = graph.clique_probability(base) * factor
             assert abs(lhs - rhs) <= 1e-12
 
     @RELAXED

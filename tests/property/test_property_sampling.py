@@ -13,7 +13,7 @@ from repro.core.bounds import (
     uncertain_clique_bound,
 )
 from repro.core.mule import mule
-from repro.uncertain.sampling import enumerate_possible_worlds, sample_possible_world
+from tests.oracles.possible_worlds import enumerate_possible_worlds, sample_possible_world
 
 from .strategies import uncertain_graphs
 

@@ -10,6 +10,11 @@ from repro.errors import EdgeError, ProbabilityError, VertexError
 from repro.uncertain.graph import UncertainGraph, validate_probability
 
 
+@pytest.fixture
+def weighted_triangle() -> UncertainGraph:
+    return UncertainGraph(edges=[(1, 2, 0.5), (1, 3, 0.4), (2, 3, 0.8), (3, 4, 0.9)])
+
+
 class TestValidateProbability:
     @pytest.mark.parametrize("p", [1e-9, 0.25, 0.5, 1.0])
     def test_valid_values_pass_through(self, p):
@@ -164,6 +169,37 @@ class TestCliqueProbability:
         g = UncertainGraph(edges=[(1, 2, 0.5)])
         with pytest.raises(VertexError):
             g.clique_probability([1, 99])
+
+    def test_is_alpha_clique_threshold_inclusive(self, weighted_triangle):
+        p = weighted_triangle.clique_probability([1, 2, 3])
+        assert weighted_triangle.is_alpha_clique([1, 2, 3], p)
+        assert not weighted_triangle.is_alpha_clique([1, 2, 3], p + 1e-9)
+
+    def test_singletons_always_alpha_cliques(self, weighted_triangle):
+        assert weighted_triangle.is_alpha_clique([1], 1.0)
+
+
+class TestCliqueExtension:
+    """clq(C ∪ {v}) = clq(C) · ∏_{u ∈ C} p({u, v}), the invariant MULE maintains."""
+
+    def test_product_of_connecting_edges(self, weighted_triangle):
+        g = weighted_triangle
+        ratio = g.clique_probability([1, 2, 3]) / g.clique_probability([1, 2])
+        assert ratio == pytest.approx(0.4 * 0.8)
+
+    @pytest.mark.parametrize("v", [3, 4])
+    def test_extension_identity(self, weighted_triangle, v):
+        clique = [1, 2]
+        factor = math.prod(weighted_triangle.probability_or(u, v) for u in clique)
+        lhs = weighted_triangle.clique_probability(clique + [v])
+        rhs = weighted_triangle.clique_probability(clique) * factor
+        assert lhs == pytest.approx(rhs)
+
+    def test_missing_edge_gives_zero(self, weighted_triangle):
+        assert weighted_triangle.clique_probability([1, 2, 4]) == 0.0
+
+    def test_extension_of_empty_clique_is_one(self, weighted_triangle):
+        assert weighted_triangle.clique_probability([1]) == weighted_triangle.clique_probability([])
 
 
 class TestDerivedGraphs:
