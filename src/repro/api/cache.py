@@ -37,14 +37,6 @@ from ..uncertain.graph import UncertainGraph
 
 __all__ = ["CacheInfo", "CompiledGraphCache"]
 
-#: Lookup outcomes by graph: hit (exact reuse), derive (α-restriction of a
-#: cached base) or compile (full compile_graph run).
-_CACHE_LOOKUPS = _obs_registry().counter(
-    "cache_lookups_total",
-    "Compiled-graph cache lookups by graph and outcome (hit/derive/compile).",
-    labelnames=("graph", "outcome"),
-)
-
 #: Wall seconds of the full compilations the cache could not avoid.
 _CACHE_COMPILE_SECONDS = _obs_registry().histogram(
     "cache_compile_seconds",
@@ -147,7 +139,6 @@ class CompiledGraphCache:
                     self._hits += 1
                     self._count_locked(fingerprint, 0)
                     self._entries.move_to_end(key)
-                    _CACHE_LOOKUPS.labels(graph=fingerprint, outcome="hit").inc()
                     return entry
                 if size_threshold is None and alpha is not None:
                     base_key = self._best_base_key_locked(fingerprint, alpha)
@@ -168,7 +159,6 @@ class CompiledGraphCache:
                 self._count_locked(fingerprint, 1)
                 self._count_locked(fingerprint, 3)
                 self._store_locked(key, derived)
-            _CACHE_LOOKUPS.labels(graph=fingerprint, outcome="derive").inc()
             return derived
 
         started = perf_counter()
@@ -185,7 +175,6 @@ class CompiledGraphCache:
             self._count_locked(fingerprint, 1)
             self._count_locked(fingerprint, 2)
             self._store_locked(key, compiled)
-        _CACHE_LOOKUPS.labels(graph=fingerprint, outcome="compile").inc()
         return compiled
 
     def adopt(

@@ -7,20 +7,26 @@ fixed-bucket :class:`Histogram` instruments, plus a lightweight
 :func:`trace_span` tracer that builds per-request span trees exportable
 as Chrome ``chrome://tracing`` JSON.
 
-Every layer instruments itself against one process-global seam:
+Metrics live in two kinds of registry:
 
-* :func:`registry` — the shared :class:`MetricsRegistry`.  Modules
-  register their instruments **once at module scope** (the
-  ``metrics-discipline`` check rule enforces the convention) and mutate
-  them on their hot paths; ``GET /v1/metrics`` and
-  ``repro-mule metrics`` read the same registry back out.
-* :func:`tracer` — the shared :class:`Tracer`; ``repro-mule serve
-  --trace-dir`` writes one Chrome trace file per handled request.
+* :func:`registry` — the process-wide :class:`MetricsRegistry`, for what
+  library code records with no server in sight (``engine_*``,
+  ``cache_compile_seconds``, ``dist_*``).  Modules register these **once
+  at module scope** (the ``metrics-discipline`` check rule enforces it).
+* ``EnumerationScheduler.metrics`` — one registry per scheduler (so per
+  server), layered over the process registry.  Its ``sched_*``,
+  ``jobs_*``, ``cache_lookups_total`` and ``http_*`` series read the
+  counts the job registry, cache, scheduler and server keep; a server's
+  ``GET /v1/metrics`` and ``repro-mule metrics`` serve it.
 
-Setting ``REPRO_DISABLE_METRICS=1`` in the environment turns every
+:func:`tracer` is the shared :class:`Tracer`; ``repro-mule serve
+--trace-dir`` writes one Chrome trace file per handled request.
+
+Setting ``REPRO_DISABLE_METRICS=1`` in the environment turns every pushed
 instrument into a cheap no-op branch (``benchmarks/bench_obs_overhead.py``
-pins the enabled/disabled gap); enumeration output is bit-identical
-either way because instruments only *observe* completed work.
+pins the enabled/disabled gap); read-through series keep reporting.
+Enumeration output is bit-identical either way because instruments only
+*observe* completed work.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Thread-safe metric instruments and the process-global registry.
+"""Thread-safe metric instruments and the registries that hold them.
 
 Three instrument kinds, Prometheus-shaped but dependency-free:
 
 * :class:`Counter` — monotonically increasing totals (``_total`` names);
-* :class:`Gauge` — point-in-time levels (queue depth, worker counts);
+* :class:`Gauge` — point-in-time levels, read from the level's owner;
 * :class:`Histogram` — fixed-bucket latency/size distributions.  Bucket
   bounds are **deterministic per instrument** (chosen at registration,
   never adapted to data), so quantile summaries are reproducible: two
@@ -11,16 +11,18 @@ Three instrument kinds, Prometheus-shaped but dependency-free:
   the p50/p99 estimates derived from them are pure functions of those
   counts.
 
-Every instrument supports ``labels(...)`` dimensions (per-graph,
-per-endpoint, per-worker); a labelled child is created lazily on first
-use and shares the parent's registration.  All mutation is guarded by a
-per-instrument lock and degrades to one predicate branch when the
-registry is disabled (``REPRO_DISABLE_METRICS=1``).
+Every instrument supports ``labels(...)`` dimensions.  A counter or gauge
+registered with ``read=`` keeps no values: each collection asks the
+object that owns the count, so no fact is counted twice.  Pushed series
+are guarded by a per-instrument lock and degrade to one predicate branch
+when the registry is disabled (``REPRO_DISABLE_METRICS=1``); read-through
+series report either way.
 
-Metric names follow the repo-wide discipline enforced by the
-``metrics-discipline`` check rule: ``snake_case`` with a layer prefix
-(``engine_``, ``cache_``, ``sched_``, ``jobs_``, ``http_``, ``dist_``),
-registered once at module scope.
+:func:`registry` is the process-wide registry; each
+:class:`~repro.service.scheduler.EnumerationScheduler` layers its own
+over it.  Metric names follow the ``metrics-discipline`` check rule:
+``snake_case`` with a layer prefix (``engine_``, ``cache_``, ``sched_``,
+``jobs_``, ``http_``, ``dist_``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import os
 import re
 import threading
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from ..errors import ParameterError
 
@@ -122,14 +124,51 @@ class _Instrument:
             )
 
 
-class Counter(_Instrument):
+class _Scalar(_Instrument):
+    """One value per label key: the body counters and gauges share.
+
+    With ``read`` the instrument keeps no values: every collection calls
+    ``read()``, which maps label-value tuples (``()`` when unlabelled) to
+    the owner's current values.
+    """
+
+    def __init__(self, registry, name, description, labelnames=(), read=None):
+        super().__init__(registry, name, description, labelnames)
+        self._values: dict[tuple, float] = {}
+        self._read = read
+
+    def value(self, **labelvalues: object) -> float:
+        """Current value of one series (0.0 when it has none)."""
+        key = self._label_key(labelvalues) if labelvalues else ()
+        if not labelvalues:
+            self._check_unlabelled()
+        return self._items().get(key, 0.0)
+
+    def collect(self) -> dict[str, float]:
+        """Snapshot of every series, flattened-name -> value."""
+        return {
+            _flat_name(self.name, self.labelnames, key): value
+            for key, value in sorted(self._items().items())
+        }
+
+    def _items(self) -> dict[tuple, float]:
+        if self._read is not None:
+            return {
+                tuple(str(label) for label in key): float(value)
+                for key, value in self._read().items()
+            }
+        with self._lock:
+            return dict(self._values)
+
+    def _reset(self) -> None:
+        with self._lock:
+            self._values.clear()
+
+
+class Counter(_Scalar):
     """A monotonically increasing total (optionally labelled)."""
 
     kind = "counter"
-
-    def __init__(self, registry, name, description, labelnames=()):
-        super().__init__(registry, name, description, labelnames)
-        self._values: dict[tuple, float] = {}
 
     def labels(self, **labelvalues: object) -> "_BoundCounter":
         """The child series for these label values (created lazily)."""
@@ -147,29 +186,13 @@ class Counter(_Instrument):
             raise ParameterError(
                 f"counter {self.name!r} cannot decrease (inc by {amount})"
             )
+        if self._read is not None:
+            raise ParameterError(
+                f"counter {self.name!r} reads its owner's counts; "
+                f"it cannot be incremented"
+            )
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labelvalues: object) -> float:
-        """Current total of one series (0.0 when never incremented)."""
-        key = self._label_key(labelvalues) if labelvalues else ()
-        if not labelvalues:
-            self._check_unlabelled()
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def collect(self) -> dict[str, float]:
-        """Snapshot of every series, flattened-name -> total."""
-        with self._lock:
-            items = list(self._values.items())
-        return {
-            _flat_name(self.name, self.labelnames, key): value
-            for key, value in sorted(items)
-        }
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._values.clear()
 
 
 class _BoundCounter:
@@ -185,79 +208,10 @@ class _BoundCounter:
         self._parent._inc(self._key, amount)
 
 
-class Gauge(_Instrument):
-    """A point-in-time level that can move in both directions."""
+class Gauge(_Scalar):
+    """A point-in-time level, read from its owner on every collection."""
 
     kind = "gauge"
-
-    def __init__(self, registry, name, description, labelnames=()):
-        super().__init__(registry, name, description, labelnames)
-        self._values: dict[tuple, float] = {}
-
-    def labels(self, **labelvalues: object) -> "_BoundGauge":
-        return _BoundGauge(self, self._label_key(labelvalues))
-
-    def set(self, value: float) -> None:
-        self._check_unlabelled()
-        self._set((), value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._check_unlabelled()
-        self._add((), amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._check_unlabelled()
-        self._add((), -amount)
-
-    def _set(self, key: tuple, value: float) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._values[key] = float(value)
-
-    def _add(self, key: tuple, amount: float) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labelvalues: object) -> float:
-        key = self._label_key(labelvalues) if labelvalues else ()
-        if not labelvalues:
-            self._check_unlabelled()
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def collect(self) -> dict[str, float]:
-        with self._lock:
-            items = list(self._values.items())
-        return {
-            _flat_name(self.name, self.labelnames, key): value
-            for key, value in sorted(items)
-        }
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._values.clear()
-
-
-class _BoundGauge:
-    """One labelled child series of a :class:`Gauge`."""
-
-    __slots__ = ("_parent", "_key")
-
-    def __init__(self, parent: Gauge, key: tuple) -> None:
-        self._parent = parent
-        self._key = key
-
-    def set(self, value: float) -> None:
-        self._parent._set(self._key, value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._parent._add(self._key, amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._parent._add(self._key, -amount)
 
 
 class _Series:
@@ -408,12 +362,18 @@ class MetricsRegistry:
     Registration is idempotent: re-registering the same ``(kind, name,
     labelnames)`` returns the existing instrument (so module reloads and
     shared seams are safe), while a conflicting re-registration raises.
-    ``snapshot()`` / :func:`render_prometheus` read every instrument;
-    ``reset()`` zeroes the series but keeps the registrations, which is
-    what determinism tests and the golden fixture builder rely on.
+    A read-through series has one owner, so registering its name again
+    raises.  ``snapshot()`` / :func:`render_prometheus` read every
+    instrument of this registry and of its ``parent`` (a name registered
+    here shadows the parent's); ``reset()`` zeroes this registry's pushed
+    series but keeps the registrations, which is what determinism tests
+    and the golden fixture builder rely on.
     """
 
-    def __init__(self, *, enabled: bool | None = None) -> None:
+    def __init__(
+        self, *, enabled: bool | None = None, parent: "MetricsRegistry | None" = None
+    ) -> None:
+        self._parent = parent
         self._lock = threading.Lock()
         self._metrics: dict[str, _Instrument] = {}
         self._enabled = (
@@ -430,18 +390,32 @@ class MetricsRegistry:
         self._enabled = bool(flag)
 
     def counter(
-        self, name: str, description: str, labelnames: Iterable[str] = ()
+        self,
+        name: str,
+        description: str,
+        labelnames: Iterable[str] = (),
+        *,
+        read: "Callable[[], Mapping[tuple, float]] | None" = None,
     ) -> Counter:
-        """Register (or fetch) a counter."""
-        instrument = self._register(Counter, name, description, tuple(labelnames))
+        """Register (or fetch) a counter; ``read`` makes it read-through."""
+        instrument = self._register(
+            Counter, name, description, tuple(labelnames), read=read
+        )
         assert isinstance(instrument, Counter)
         return instrument
 
     def gauge(
-        self, name: str, description: str, labelnames: Iterable[str] = ()
+        self,
+        name: str,
+        description: str,
+        labelnames: Iterable[str] = (),
+        *,
+        read: "Callable[[], Mapping[tuple, float]]",
     ) -> Gauge:
-        """Register (or fetch) a gauge."""
-        instrument = self._register(Gauge, name, description, tuple(labelnames))
+        """Register a gauge that reads its owner's levels."""
+        instrument = self._register(
+            Gauge, name, description, tuple(labelnames), read=read
+        )
         assert isinstance(instrument, Gauge)
         return instrument
 
@@ -467,7 +441,11 @@ class MetricsRegistry:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
-                if type(existing) is not cls or existing.labelnames != labelnames:
+                if (
+                    type(existing) is not cls
+                    or existing.labelnames != labelnames
+                    or extra.get("read") is not None
+                ):
                     raise ParameterError(
                         f"metric {name!r} already registered as "
                         f"{existing.kind}{existing.labelnames}"
@@ -478,18 +456,24 @@ class MetricsRegistry:
             return instrument
 
     def get(self, name: str) -> "_Instrument | None":
-        """The registered instrument of this name, or ``None``."""
+        """The instrument registered here under this name, or ``None``."""
         with self._lock:
             return self._metrics.get(name)
 
     def instruments(self) -> list:
-        """Every registered instrument, sorted by name."""
+        """Every instrument of this registry and its parent, sorted by name."""
+        merged = {} if self._parent is None else {
+            instrument.name: instrument for instrument in self._parent.instruments()
+        }
         with self._lock:
-            return [self._metrics[name] for name in sorted(self._metrics)]
+            merged.update(self._metrics)
+        return [merged[name] for name in sorted(merged)]
 
     def reset(self) -> None:
-        """Zero every series; registrations (names, bounds) survive."""
-        for instrument in self.instruments():
+        """Zero this registry's series; registrations (names, bounds) survive."""
+        with self._lock:
+            own = list(self._metrics.values())
+        for instrument in own:
             instrument._reset()
 
     def snapshot(self) -> dict:
@@ -557,7 +541,7 @@ def render_prometheus(source: "MetricsRegistry | None" = None) -> str:
     for instrument in reg.instruments():
         lines.append(f"# HELP {instrument.name} {instrument.description}")
         lines.append(f"# TYPE {instrument.name} {instrument.kind}")
-        if isinstance(instrument, (Counter, Gauge)):
+        if isinstance(instrument, _Scalar):
             for flat, value in instrument.collect().items():
                 lines.append(f"{_prometheus_series(flat)} {_format_value(value)}")
         elif isinstance(instrument, Histogram):
@@ -583,7 +567,7 @@ _GLOBAL: "MetricsRegistry | None" = None
 
 
 def registry() -> MetricsRegistry:
-    """The process-global registry every layer instruments against."""
+    """The process-wide registry; each scheduler's registry is layered over it."""
     global _GLOBAL
     with _GLOBAL_LOCK:
         if _GLOBAL is None:

@@ -25,11 +25,11 @@ runs as a :class:`Job`:
   truncates at a deterministic record count (``acked + max_pending_pages``
   pages, for page_size-1 buffers).
 
-:class:`JobRegistry` owns the id space and the retention policy: terminal
-jobs stay fetchable (status and un-streamed results) until the finished
-backlog exceeds ``max_finished``, then the oldest are evicted — which is
-why an unknown id maps to :class:`~repro.errors.JobNotFoundError` (HTTP
-404), not a protocol error.
+:class:`JobRegistry` owns the id space, the retention policy and every
+job count: terminal jobs stay fetchable (status and un-streamed results)
+until the finished backlog exceeds ``max_finished``, then the oldest are
+evicted — which is why an unknown id maps to
+:class:`~repro.errors.JobNotFoundError` (HTTP 404), not a protocol error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Iterator
 from time import perf_counter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ..api.outcome import EnumerationOutcome
 from ..api.request import EnumerationRequest
@@ -50,7 +50,7 @@ from ..core.engine.controls import (
 )
 from ..core.result import CliqueRecord, SearchStatistics
 from ..errors import JobError, JobNotFoundError, ParameterError, ServiceError
-from ..obs import registry as _obs_registry
+from ..obs import MetricsRegistry
 
 __all__ = [
     "DEFAULT_MAX_PENDING_PAGES",
@@ -70,20 +70,6 @@ DEFAULT_MAX_PENDING_PAGES = 64
 
 #: Terminal jobs retained by a registry before the oldest are evicted.
 DEFAULT_MAX_FINISHED = 256
-
-_JOBS_TRANSITIONS = _obs_registry().counter(
-    "jobs_transitions_total",
-    "Job state-machine transitions by destination state.",
-    labelnames=("state",),
-)
-_JOBS_FIRST_RESULT_SECONDS = _obs_registry().histogram(
-    "jobs_time_to_first_result_seconds",
-    "Wall seconds from job start to its first flushed result page.",
-)
-_JOBS_BACKPRESSURE_SECONDS = _obs_registry().histogram(
-    "jobs_backpressure_park_seconds",
-    "Wall seconds producers spent parked on a full result buffer.",
-)
 
 
 class JobState:
@@ -135,10 +121,10 @@ class Job:
         self,
         job_id: str,
         request: EnumerationRequest,
+        registry: "JobRegistry",
         *,
         page_size: int | None = None,
         max_pending_pages: int | None = None,
-        on_terminal: Callable[[str], None] | None = None,
     ) -> None:
         page_size = DEFAULT_PAGE_SIZE if page_size is None else page_size
         if page_size < 1:
@@ -167,7 +153,7 @@ class Job:
         self._elapsed = 0.0
         self._algorithm = request.label
         self._alpha = request.alpha
-        self._on_terminal = on_terminal
+        self._registry = registry
         #: The executor future driving this job; set by the scheduler at
         #: dispatch (synchronous callers await it for legacy semantics).
         self.future = None
@@ -222,7 +208,6 @@ class Job:
         enumeration finishes its last record while the token propagates.
         ``False`` means a terminal state was already reached and stands.
         """
-        notify = None
         with self._cond:
             if self._state in JobState.TERMINAL:
                 return False
@@ -231,12 +216,8 @@ class Job:
                 # Never ran: settle immediately as an empty cancelled
                 # outcome (the worker observes ``_begin() == False``).
                 self.report.stop_reason = StopReason.CANCELLED
-                self._state = JobState.CANCELLED
-                _JOBS_TRANSITIONS.labels(state=JobState.CANCELLED).inc()
-                notify = self._on_terminal
+                self._enter_locked(JobState.CANCELLED)
             self._cond.notify_all()
-        if notify is not None:
-            notify(JobState.CANCELLED)
         return True
 
     def wait(self, timeout: float | None = None) -> EnumerationOutcome:
@@ -314,10 +295,8 @@ class Job:
         with self._cond:
             if self._state != JobState.QUEUED:
                 return False
-            self._state = JobState.RUNNING
             self._started_at = perf_counter()
-            _JOBS_TRANSITIONS.labels(state=JobState.RUNNING).inc()
-            self._cond.notify_all()
+            self._enter_locked(JobState.RUNNING)
         return True
 
     def _append(self, record: CliqueRecord) -> None:
@@ -350,7 +329,7 @@ class Job:
                         self._cond.wait()
                 finally:
                     if parked_at is not None:
-                        _JOBS_BACKPRESSURE_SECONDS.observe(
+                        self._registry._park_seconds.observe(
                             perf_counter() - parked_at
                         )
 
@@ -366,15 +345,9 @@ class Job:
             self.report.cliques_emitted = self._records_total
             if self._token.cancelled:
                 self.report.stop_reason = StopReason.CANCELLED
-                state = JobState.CANCELLED
+                self._enter_locked(JobState.CANCELLED)
             else:
-                state = JobState.DONE
-            self._state = state
-            _JOBS_TRANSITIONS.labels(state=state).inc()
-            self._cond.notify_all()
-            notify = self._on_terminal
-        if notify is not None:
-            notify(state)
+                self._enter_locked(JobState.DONE)
 
     def _adopt(self, outcome: EnumerationOutcome) -> None:
         """Finish a buffered (non-streamable) run from its whole outcome.
@@ -397,15 +370,9 @@ class Job:
             self._elapsed = outcome.elapsed_seconds
             if self._token.cancelled:
                 self.report.stop_reason = StopReason.CANCELLED
-                state = JobState.CANCELLED
+                self._enter_locked(JobState.CANCELLED)
             else:
-                state = JobState.DONE
-            self._state = state
-            _JOBS_TRANSITIONS.labels(state=state).inc()
-            self._cond.notify_all()
-            notify = self._on_terminal
-        if notify is not None:
-            notify(state)
+                self._enter_locked(JobState.DONE)
 
     def _fail(self, error: BaseException) -> bool:
         """Transition to failed unless already terminal; ``True`` on change."""
@@ -416,12 +383,7 @@ class Job:
             if self._started_at is not None:
                 self._elapsed = perf_counter() - self._started_at
             self._error = error
-            self._state = JobState.FAILED
-            _JOBS_TRANSITIONS.labels(state=JobState.FAILED).inc()
-            self._cond.notify_all()
-            notify = self._on_terminal
-        if notify is not None:
-            notify(JobState.FAILED)
+            self._enter_locked(JobState.FAILED)
         return True
 
     def _shutdown(self) -> None:
@@ -431,13 +393,10 @@ class Job:
         finish; a producer blocked on a full buffer (its consumer is gone)
         wakes up and fails with ``ServiceError("server shutdown")``.
         """
-        notify = None
         with self._cond:
             if self._state == JobState.QUEUED:
                 self._error = ServiceError("server shutdown")
-                self._state = JobState.FAILED
-                _JOBS_TRANSITIONS.labels(state=JobState.FAILED).inc()
-                notify = self._on_terminal
+                self._enter_locked(JobState.FAILED)
             elif self._state == JobState.RUNNING:
                 self._draining = True
             else:
@@ -445,16 +404,20 @@ class Job:
                 # the notify_all below still wakes any parked consumer.
                 pass
             self._cond.notify_all()
-        if notify is not None:
-            notify(JobState.FAILED)
 
     # ------------------------------------------------------------------ #
     # Internals (all called with the condition held)
     # ------------------------------------------------------------------ #
+    def _enter_locked(self, state: str) -> None:
+        """Move to ``state``, counting the transition before waiters wake."""
+        source, self._state = self._state, state
+        self._registry._note(source, state)
+        self._cond.notify_all()
+
     def _flush_locked(self) -> None:
         if self._current:
             if self._next_seq == 0 and self._started_at is not None:
-                _JOBS_FIRST_RESULT_SECONDS.observe(
+                self._registry._first_result_seconds.observe(
                     perf_counter() - self._started_at
                 )
             self._pages[self._next_seq] = self._current
@@ -511,14 +474,19 @@ class Job:
 
 
 class JobRegistry:
-    """Id space, lookup and retention policy for :class:`Job` instances.
+    """Id space, lookup, retention policy and counts of :class:`Job` instances.
 
-    Thread-safe.  Terminal-state counters are cumulative (eviction never
-    decrements them), so ``counts()`` doubles as the completion-mix view
-    ``/v1/stats`` exposes.
+    Thread-safe, and the one owner of every job count: jobs per state
+    (queued and running are live levels; terminal counts are cumulative,
+    so eviction never lowers them) and transitions by destination state.
+    A job records each transition under its own condition, so a caller
+    woken by :meth:`Job.wait` already sees it counted; the only lock
+    order is job → registry.  The ``jobs_*`` series go on ``metrics``.
     """
 
-    def __init__(self, *, max_finished: int = DEFAULT_MAX_FINISHED) -> None:
+    def __init__(
+        self, metrics: MetricsRegistry, *, max_finished: int = DEFAULT_MAX_FINISHED
+    ) -> None:
         if max_finished < 1:
             raise ParameterError(
                 f"max_finished must be positive, got {max_finished}"
@@ -526,12 +494,23 @@ class JobRegistry:
         self._lock = threading.Lock()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._counter = 0
+        self._started = 0
+        self._states = dict.fromkeys(JobState.ALL, 0)
         self._max_finished = max_finished
-        self._terminal = {
-            JobState.DONE: 0,
-            JobState.FAILED: 0,
-            JobState.CANCELLED: 0,
-        }
+        metrics.counter(
+            "jobs_transitions_total",
+            "Job state-machine transitions by destination state.",
+            labelnames=("state",),
+            read=self._transitions,
+        )
+        self._first_result_seconds = metrics.histogram(
+            "jobs_time_to_first_result_seconds",
+            "Wall seconds from job start to its first flushed result page.",
+        )
+        self._park_seconds = metrics.histogram(
+            "jobs_backpressure_park_seconds",
+            "Wall seconds producers spent parked on a full result buffer.",
+        )
 
     def create(
         self,
@@ -546,10 +525,11 @@ class JobRegistry:
             job = Job(
                 job_id,
                 request,
+                self,
                 page_size=page_size,
                 max_pending_pages=max_pending_pages,
-                on_terminal=self._note_terminal,
             )
+            self._states[JobState.QUEUED] += 1
             self._jobs[job_id] = job
         return job
 
@@ -570,20 +550,28 @@ class JobRegistry:
             job._shutdown()
 
     def counts(self) -> dict[str, int]:
-        """Per-state job counts (live states exact, terminal cumulative)."""
-        jobs = self.list()
-        queued = sum(1 for job in jobs if job.state == JobState.QUEUED)
-        running = sum(1 for job in jobs if job.state == JobState.RUNNING)
-        with self._lock:
-            return {
-                JobState.QUEUED: queued,
-                JobState.RUNNING: running,
-                **self._terminal,
-            }
+        """Jobs per state (live states exact, terminal cumulative).
 
-    def _note_terminal(self, state: str) -> None:
+        Every job ever created is in exactly one state, so the values sum
+        to the jobs created.
+        """
         with self._lock:
-            self._terminal[state] += 1
+            return dict(self._states)
+
+    def _transitions(self) -> dict[tuple, int]:
+        with self._lock:
+            entered = {(state,): self._states[state] for state in JobState.TERMINAL}
+            entered[(JobState.RUNNING,)] = self._started
+        return entered
+
+    def _note(self, source: str, state: str) -> None:
+        """Count one job's ``source → state`` transition (job → registry)."""
+        with self._lock:
+            self._states[source] -= 1
+            self._states[state] += 1
+            if state == JobState.RUNNING:
+                self._started += 1
+                return
             finished = [
                 job_id
                 for job_id, job in self._jobs.items()

@@ -51,25 +51,11 @@ from ..api.store import GraphStore
 from ..core.engine import KERNELS
 from ..core.result import CliqueRecord
 from ..errors import JobError, ParameterError, ServiceError
-from ..obs import registry as _obs_registry
+from ..obs import MetricsRegistry, registry as _obs_registry
 from ..uncertain.graph import UncertainGraph
 from .jobs import DEFAULT_MAX_PENDING_PAGES, Job, JobCancelled, JobRegistry, JobState
 
 __all__ = ["EnumerationScheduler", "SchedulerStats"]
-
-_SCHED_SUBMITTED = _obs_registry().counter(
-    "sched_jobs_submitted_total", "Jobs accepted by the scheduler."
-)
-_SCHED_QUEUE_DEPTH = _obs_registry().gauge(
-    "sched_queue_depth", "Submitted jobs no pool worker has picked up yet."
-)
-_SCHED_INFLIGHT = _obs_registry().gauge(
-    "sched_inflight_jobs", "Jobs currently executing on the pool."
-)
-_SCHED_SINGLE_FLIGHT_WAITS = _obs_registry().counter(
-    "sched_single_flight_waits_total",
-    "Jobs that piggybacked on another thread's in-flight compilation.",
-)
 
 #: Default size of the request thread pool.  Enumeration is CPU-bound pure
 #: Python, so the pool exists for scheduling fairness (and for requests
@@ -81,15 +67,15 @@ DEFAULT_MAX_WORKERS = 4
 class SchedulerStats(NamedTuple):
     """A snapshot of scheduler load and effectiveness counters.
 
-    ``queued`` is the queue depth — submitted jobs no worker has picked up
-    yet; ``inflight`` are currently executing; ``completed``/``failed``
-    partition finished runner executions.  ``done``/``cancelled`` are the
-    registry's cumulative terminal *job* counts (with ``failed`` they give
-    the completion mix; ``completed`` counts cancelled jobs too, since
-    their runner finished normally).  ``single_flight_waits`` counts jobs
-    that piggybacked on another thread's in-progress compilation instead
-    of duplicating it.  ``sessions`` is the number of graphs resident in
-    the backing store.
+    Every job count is read from the job registry: ``submitted`` counts
+    jobs created (a submission the executor refused included);
+    ``queued`` and ``inflight`` are the jobs now queued and running; and
+    ``done``, ``failed`` and ``cancelled`` are cumulative terminal counts,
+    with ``completed = done + cancelled``.  A job drained while queued
+    counts as failed.  ``single_flight_waits`` counts jobs that
+    piggybacked on another thread's in-progress compilation instead of
+    duplicating it.  ``sessions`` is the number of graphs resident in the
+    backing store.
     """
 
     submitted: int
@@ -123,6 +109,9 @@ class EnumerationScheduler:
         ``"auto"`` (what ``repro serve --kernel`` sets).  Requests that
         name a kernel explicitly keep it — the deployment default never
         overrides a caller's choice.
+
+    :attr:`metrics` is this scheduler's registry, layered over the process
+    registry; its series read the counts their owners keep.
     """
 
     def __init__(
@@ -158,15 +147,38 @@ class EnumerationScheduler:
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-enumerate"
         )
-        self._registry = JobRegistry()
+        self.metrics = MetricsRegistry(parent=_obs_registry())
+        self._registry = JobRegistry(self.metrics)
         self._lock = threading.Lock()
         self._inflight_compiles: dict[tuple, threading.Event] = {}
-        self._submitted = 0
-        self._started = 0
-        self._completed = 0
-        self._failed = 0
         self._single_flight_waits = 0
         self._closed = False
+        self.metrics.counter(
+            "sched_jobs_submitted_total",
+            "Jobs accepted by the scheduler.",
+            read=lambda: {(): self.stats().submitted},
+        )
+        self.metrics.gauge(
+            "sched_queue_depth",
+            "Submitted jobs no pool worker has picked up yet.",
+            read=lambda: {(): self.stats().queued},
+        )
+        self.metrics.gauge(
+            "sched_inflight_jobs",
+            "Jobs currently executing on the pool.",
+            read=lambda: {(): self.stats().inflight},
+        )
+        self.metrics.counter(
+            "sched_single_flight_waits_total",
+            "Jobs that piggybacked on another thread's in-flight compilation.",
+            read=lambda: {(): self.stats().single_flight_waits},
+        )
+        self.metrics.counter(
+            "cache_lookups_total",
+            "Compiled-graph cache lookups by outcome (hit/derive/compile).",
+            labelnames=("outcome",),
+            read=self._cache_lookups,
+        )
 
     # ------------------------------------------------------------------ #
     # Sessions
@@ -253,9 +265,6 @@ class EnumerationScheduler:
         with self._lock:
             if self._closed:
                 raise ServiceError("server shutdown: not accepting new jobs")
-            self._submitted += 1
-            _SCHED_SUBMITTED.inc()
-            _SCHED_QUEUE_DEPTH.set(self._submitted - self._started)
             job = self._registry.create(
                 request, page_size=page_size, max_pending_pages=max_pending_pages
             )
@@ -267,8 +276,6 @@ class EnumerationScheduler:
                 # it can never sit queued forever, then surface the
                 # refusal in service terms.
                 job._shutdown()
-                self._submitted -= 1
-                _SCHED_QUEUE_DEPTH.set(self._submitted - self._started)
                 raise ServiceError(
                     "server shutdown: not accepting new jobs"
                 ) from exc
@@ -342,10 +349,6 @@ class EnumerationScheduler:
     def _run_job(
         self, session: MiningSession, job: Job
     ) -> "EnumerationOutcome | None":
-        with self._lock:
-            self._started += 1
-            _SCHED_QUEUE_DEPTH.set(self._submitted - self._started)
-            _SCHED_INFLIGHT.set(self._started - self._completed - self._failed)
         try:
             if job._begin():
                 request = job.request
@@ -357,20 +360,11 @@ class EnumerationScheduler:
                 self._execute(session, job)
         except BaseException as exc:
             job._fail(exc)
-            with self._lock:
-                self._failed += 1
-                _SCHED_INFLIGHT.set(self._started - self._completed - self._failed)
             raise
         if job.state == JobState.FAILED:
             # Settled as failed without this runner raising (e.g. drained
             # while queued): surface the stored error on the future too.
-            with self._lock:
-                self._failed += 1
-                _SCHED_INFLIGHT.set(self._started - self._completed - self._failed)
             raise job.error
-        with self._lock:
-            self._completed += 1
-            _SCHED_INFLIGHT.set(self._started - self._completed - self._failed)
         try:
             return job.wait(timeout=0)
         except JobError:
@@ -466,7 +460,6 @@ class EnumerationScheduler:
                 self._inflight_compiles[key] = event
             else:
                 self._single_flight_waits += 1
-                _SCHED_SINGLE_FLIGHT_WAITS.inc()
         if leader:
             try:
                 session.compiled(alpha=alpha, size_threshold=size_threshold)
@@ -487,25 +480,33 @@ class EnumerationScheduler:
 
     def stats(self) -> SchedulerStats:
         """Return the current :class:`SchedulerStats` snapshot."""
-        job_counts = self._registry.counts()
+        counts = self._registry.counts()
         with self._lock:
-            finished = self._completed + self._failed
-            return SchedulerStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                failed=self._failed,
-                done=job_counts[JobState.DONE],
-                cancelled=job_counts[JobState.CANCELLED],
-                inflight=self._started - finished,
-                queued=self._submitted - self._started,
-                single_flight_waits=self._single_flight_waits,
-                max_workers=self._max_workers,
-                sessions=len(self._store),
-            )
+            waits = self._single_flight_waits
+        return SchedulerStats(
+            submitted=sum(counts.values()),
+            completed=counts[JobState.DONE] + counts[JobState.CANCELLED],
+            failed=counts[JobState.FAILED],
+            done=counts[JobState.DONE],
+            cancelled=counts[JobState.CANCELLED],
+            inflight=counts[JobState.RUNNING],
+            queued=counts[JobState.QUEUED],
+            single_flight_waits=waits,
+            max_workers=self._max_workers,
+            sessions=len(self._store),
+        )
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss/compilation/derivation counters of the shared cache."""
         return self._store.cache_info()
+
+    def _cache_lookups(self) -> dict[tuple, int]:
+        info = self._store.cache_info()
+        return {
+            ("hit",): info.hits,
+            ("derive",): info.derivations,
+            ("compile",): info.compilations,
+        }
 
     def shutdown(self, *, wait: bool = True, drain: bool = False) -> None:
         """Stop accepting work and (optionally) wait for running jobs.

@@ -12,7 +12,7 @@ endpoint                            semantics
 ``POST /v1/sweep``                  sweep the default graph; one shared compilation
 ``GET /v1/health``                  liveness + the default graph's shape/fingerprint
 ``GET /v1/stats``                   cache, scheduler, HTTP and per-graph counters
-``GET /v1/metrics``                 the process metrics registry — a ``metrics``
+``GET /v1/metrics``                 this server's metrics registry — a ``metrics``
                                     envelope, or Prometheus text with
                                     ``?format=prometheus``
 ``POST /v2/graphs``                 create a graph: upload an edge set, or build a
@@ -63,7 +63,6 @@ from ..errors import (
     ServiceError,
     StoreError,
 )
-from ..obs import registry as _obs_registry
 from ..obs import render_prometheus, tracer as _obs_tracer, write_chrome_trace
 from ..uncertain.graph import UncertainGraph
 from . import codec
@@ -71,17 +70,6 @@ from .jobs import Job, JobState
 from .scheduler import EnumerationScheduler
 
 __all__ = ["MiningServer", "DEFAULT_PORT"]
-
-_HTTP_REQUESTS = _obs_registry().counter(
-    "http_requests_total",
-    "HTTP requests served, by normalised endpoint, method and status.",
-    labelnames=("endpoint", "method", "status"),
-)
-_HTTP_REQUEST_SECONDS = _obs_registry().histogram(
-    "http_request_seconds",
-    "Wall seconds per HTTP request, by normalised endpoint.",
-    labelnames=("endpoint",),
-)
 
 #: Default TCP port of ``repro-mule serve``.
 DEFAULT_PORT = 8765
@@ -114,20 +102,14 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    def _handle(self, route, *, counted: bool) -> None:
+    def _handle(self, route) -> None:
         """Run one route with the uniform error→status mapping.
 
-        ``counted`` selects whether the request lands in the HTTP
-        received/failed counters — mutating verbs (POST/DELETE) are
-        counted, read-only polls (GET health/stats/listings) are not,
-        matching the original v1 accounting.  Every request additionally
-        lands in the per-endpoint metrics (count, status, latency) and —
-        when the server was given a trace directory — leaves a Chrome
-        trace file behind.
+        Every request is counted once it is answered, by endpoint, method
+        and status, and timed; when the server was given a trace
+        directory it also leaves a Chrome trace file behind.
         """
         service = self.server.service
-        if counted:
-            service._count_request()
         endpoint = _endpoint_label(self.path)
         started = perf_counter()
         self._response_status = 0
@@ -139,8 +121,6 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     route(service)
                 except BaseException as exc:  # noqa: BLE001 — a handler must not die
-                    if counted:
-                        service._count_failure()
                     if isinstance(exc, _RouteError):
                         self._respond_error(404, ReproError(str(exc)))
                     elif isinstance(exc, _ServerDraining):
@@ -170,26 +150,22 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             elapsed = perf_counter() - started
             status = self._response_status or 500
-            _HTTP_REQUESTS.labels(
-                endpoint=endpoint, method=self.command, status=str(status)
-            ).inc()
-            _HTTP_REQUEST_SECONDS.labels(endpoint=endpoint).observe(elapsed)
-            service._observe_request(root)
+            service._observe_request(endpoint, self.command, status, elapsed, root)
             if not service.quiet:
                 # The access line shares its clock with the latency
-                # histogram above: one measurement, two sinks.
+                # histogram: one measurement, two sinks.
                 self.log_message(
                     '"%s" %d %.4fs', self.requestline, status, elapsed
                 )
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_get, counted=False)
+        self._handle(self._route_get)
 
     def do_DELETE(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_delete, counted=True)
+        self._handle(self._route_delete)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_post, counted=True)
+        self._handle(self._route_post)
 
     def _route_get(self, service: "MiningServer") -> None:
         split = urlsplit(self.path)
@@ -200,7 +176,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(200, service.stats_payload())
         elif path == "/v1/metrics":
             if _metrics_format(split.query) == "prometheus":
-                self._respond_text(200, render_prometheus())
+                self._respond_text(200, render_prometheus(service.scheduler.metrics))
             else:
                 self._respond(200, service.metrics_payload())
         elif path == "/v2/graphs":
@@ -625,8 +601,19 @@ class MiningServer:
         self._closed = False
         self._draining = False
         self._http_lock = threading.Lock()
-        self._http_received = 0
-        self._http_failed = 0
+        #: Answered requests by (endpoint, method, status).
+        self._http_requests: dict[tuple[str, str, int], int] = {}
+        self._scheduler.metrics.counter(
+            "http_requests_total",
+            "HTTP requests served, by normalised endpoint, method and status.",
+            labelnames=("endpoint", "method", "status"),
+            read=self._http_counts,
+        )
+        self._request_seconds = self._scheduler.metrics.histogram(
+            "http_request_seconds",
+            "Wall seconds per HTTP request, by normalised endpoint.",
+            labelnames=("endpoint",),
+        )
         self._trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._trace_lock = threading.Lock()
         self._trace_seq = 0
@@ -738,8 +725,13 @@ class MiningServer:
             }
             for info in store.list()
         }
-        with self._http_lock:
-            received, failed = self._http_received, self._http_failed
+        # The v1 accounting: answered POST/DELETE requests, and those of
+        # them answered with a status of 400 or more.
+        received = failed = 0
+        for (_, method, status), count in self._http_counts().items():
+            if method in ("POST", "DELETE"):
+                received += count
+                failed += count if status >= 400 else 0
         return {
             "schema": codec.SCHEMA_VERSION,
             "kind": "service-stats",
@@ -751,19 +743,21 @@ class MiningServer:
         }
 
     def metrics_payload(self) -> dict:
-        """The process metrics registry as a ``metrics`` wire envelope."""
-        return codec.metrics_to_wire(_obs_registry().snapshot())
+        """This server's metrics registry as a ``metrics`` wire envelope."""
+        return codec.metrics_to_wire(self._scheduler.metrics.snapshot())
 
-    def _count_request(self) -> None:
+    def _http_counts(self) -> dict[tuple[str, str, int], int]:
         with self._http_lock:
-            self._http_received += 1
+            return dict(self._http_requests)
 
-    def _count_failure(self) -> None:
+    def _observe_request(
+        self, endpoint: str, method: str, status: int, elapsed: float, span: object
+    ) -> None:
+        """Count and time one answered request; persist its span when tracing."""
+        key = (endpoint, method, status)
         with self._http_lock:
-            self._http_failed += 1
-
-    def _observe_request(self, span: object) -> None:
-        """Persist one finished request span when tracing to a directory."""
+            self._http_requests[key] = self._http_requests.get(key, 0) + 1
+        self._request_seconds.labels(endpoint=endpoint).observe(elapsed)
         if span is None or self._trace_dir is None:
             return
         with self._trace_lock:

@@ -1,8 +1,9 @@
 """metrics-discipline: naming and placement rules for the global registry.
 
-The observability subsystem (:mod:`repro.obs`) hangs every instrument off
-one process-global :func:`~repro.obs.registry` seam.  Two conventions
-keep that registry coherent and cheap:
+The process-wide series of :mod:`repro.obs` (``engine_*``,
+``cache_compile_seconds``, ``dist_*``) hang off the
+:func:`~repro.obs.registry` seam.  Two conventions keep that registry
+coherent and cheap:
 
 * **names** are ``snake_case`` with a layer prefix (``engine_``,
   ``cache_``, ``sched_``, ``jobs_``, ``http_``, ``dist_``) so a metrics
@@ -16,10 +17,13 @@ keep that registry coherent and cheap:
 The rule recognises a registration syntactically: a ``.counter(...)`` /
 ``.gauge(...)`` / ``.histogram(...)`` attribute call whose receiver is
 itself a call to something named like a registry accessor
-(``registry()``, ``_obs_registry()``).  Instruments created on private
-:class:`~repro.obs.MetricsRegistry` *instances* (test fixtures, golden
-corpora) are out of scope on purpose — the conventions protect the
-shared seam, not scratch registries.
+(``registry()``, ``_obs_registry()``).  Instruments created on
+:class:`~repro.obs.MetricsRegistry` *instances* are out of scope: test
+fixtures and golden corpora on purpose, and the per-server series each
+scheduler and server register on their own registry at construction
+because a syntactic rule cannot see them.  Those names are checked at
+run time instead, by a test that drives a live server and checks every
+series name against :data:`_LAYER_PREFIXES`.
 """
 
 from __future__ import annotations

@@ -827,6 +827,22 @@ class TestFleetCommand:
         # The fleet probe itself hits every worker at least once.
         assert "http_requests_total" in out
 
+    def test_fleet_totals_are_per_worker_sums(self, worker_fleet, capsys):
+        from repro.api import EnumerationRequest
+        from repro.uncertain.graph import UncertainGraph
+
+        triangle = UncertainGraph(edges=[(1, 2, 0.9), (2, 3, 0.9), (1, 3, 0.9)])
+        for _ in range(3):
+            worker_fleet[0].scheduler.run(
+                EnumerationRequest(algorithm="mule", alpha=0.5), graph=triangle
+            )
+        args = ["fleet"]
+        for server in worker_fleet:
+            args += ["--workers-url", server.url]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  sched_jobs_submitted_total = 3" in lines
+
 
 class TestMetricsCommand:
     def test_metrics_requires_a_url(self):

@@ -1,4 +1,4 @@
-"""Unit tests for the metric instruments and the registry seam.
+"""Unit tests for the metric instruments, read-through series and registries.
 
 Everything here runs against *private* :class:`MetricsRegistry`
 instances so the process-global seam (which the instrumented modules
@@ -79,22 +79,85 @@ class TestCounter:
         assert c.value() == 8000.0
 
 
+class TestReadThrough:
+    def test_counter_reports_its_owner_on_every_collection(self, reg):
+        owner = {"hit": 2, "compile": 1}
+        c = reg.counter(
+            "cache_lookups_total",
+            "Lookups.",
+            labelnames=("outcome",),
+            read=lambda: {(outcome,): n for outcome, n in owner.items()},
+        )
+        assert c.collect() == {
+            "cache_lookups_total{outcome=compile}": 1.0,
+            "cache_lookups_total{outcome=hit}": 2.0,
+        }
+        owner["hit"] += 3
+        assert c.value(outcome="hit") == 5.0
+        assert c.value(outcome="derive") == 0.0
+
+    def test_label_values_are_stringified(self, reg):
+        c = reg.counter(
+            "http_requests_total",
+            "Requests.",
+            labelnames=("status",),
+            read=lambda: {(404,): 1, (200,): 2},
+        )
+        assert c.collect() == {
+            "http_requests_total{status=200}": 2.0,
+            "http_requests_total{status=404}": 1.0,
+        }
+
+    def test_counter_cannot_be_incremented(self, reg):
+        c = reg.counter("sched_jobs_total", "Jobs.", read=lambda: {(): 1})
+        with pytest.raises(ParameterError, match="reads its owner"):
+            c.inc()
+
+    def test_name_has_one_owner(self, reg):
+        reg.counter("sched_jobs_total", "Jobs.", read=lambda: {(): 1})
+        with pytest.raises(ParameterError, match="already registered"):
+            reg.counter("sched_jobs_total", "Jobs.", read=lambda: {(): 2})
+
+    def test_series_report_when_metrics_are_disabled(self):
+        reg = MetricsRegistry(enabled=False)
+        reg.counter("sched_jobs_total", "Jobs.", read=lambda: {(): 3})
+        reg.gauge("sched_queue_depth", "Depth.", read=lambda: {(): 1})
+        assert reg.snapshot()["counters"] == {"sched_jobs_total": 3.0}
+        assert reg.snapshot()["gauges"] == {"sched_queue_depth": 1.0}
+
+    def test_reset_leaves_the_owner_alone(self, reg):
+        c = reg.counter("sched_jobs_total", "Jobs.", read=lambda: {(): 3})
+        reg.reset()
+        assert c.value() == 3.0
+
+
 class TestGauge:
-    def test_set_inc_dec(self, reg):
-        g = reg.gauge("sched_queue_depth", "Depth.")
-        g.set(5.0)
-        g.inc(2.0)
-        g.dec()
-        assert g.value() == 6.0
+    def test_reads_its_owner_on_every_collection(self, reg):
+        owner = {"depth": 5}
+        g = reg.gauge(
+            "sched_queue_depth", "Depth.", read=lambda: {(): owner["depth"]}
+        )
+        assert g.value() == 5.0
+        owner["depth"] = 2
+        assert g.value() == 2.0
+        assert reg.snapshot()["gauges"] == {"sched_queue_depth": 2.0}
 
     def test_labelled_gauge(self, reg):
-        g = reg.gauge("dist_workers", "Workers.", labelnames=("state",))
-        g.labels(state="healthy").set(3.0)
-        g.labels(state="failed").set(1.0)
+        g = reg.gauge(
+            "dist_workers",
+            "Workers.",
+            labelnames=("state",),
+            read=lambda: {("healthy",): 3, ("failed",): 1},
+        )
         assert g.collect() == {
             "dist_workers{state=failed}": 1.0,
             "dist_workers{state=healthy}": 3.0,
         }
+
+    def test_a_level_cannot_be_pushed(self, reg):
+        g = reg.gauge("sched_queue_depth", "Depth.", read=lambda: {(): 0})
+        for push in ("set", "inc", "dec"):
+            assert not hasattr(g, push)
 
 
 class TestHistogram:
@@ -156,7 +219,7 @@ class TestRegistry:
     def test_conflicting_reregistration_raises(self, reg):
         reg.counter("http_requests_total", "Requests.")
         with pytest.raises(ParameterError, match="already registered"):
-            reg.gauge("http_requests_total", "Requests.")
+            reg.gauge("http_requests_total", "Requests.", read=dict)
         with pytest.raises(ParameterError, match="already registered"):
             reg.counter("http_requests_total", "Requests.", labelnames=("code",))
 
@@ -168,7 +231,7 @@ class TestRegistry:
 
     def test_snapshot_shape(self, reg):
         reg.counter("http_requests_total", "Requests.").inc(2.0)
-        reg.gauge("sched_queue_depth", "Depth.").set(1.0)
+        reg.gauge("sched_queue_depth", "Depth.", read=lambda: {(): 1})
         reg.histogram("http_lap_seconds", "Laps.", buckets=(1.0,)).observe(0.5)
         snap = reg.snapshot()
         assert set(snap) == {"counters", "gauges", "histograms"}
@@ -187,10 +250,8 @@ class TestRegistry:
         reg = MetricsRegistry(enabled=False)
         c = reg.counter("http_requests_total", "Requests.")
         h = reg.histogram("http_lap_seconds", "Laps.")
-        g = reg.gauge("sched_queue_depth", "Depth.")
         c.inc()
         h.observe(0.5)
-        g.set(9.0)
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
         reg.set_enabled(True)
         c.inc()
@@ -201,6 +262,29 @@ class TestRegistry:
         assert MetricsRegistry().enabled is False
         monkeypatch.setenv("REPRO_DISABLE_METRICS", "0")
         assert MetricsRegistry().enabled is True
+
+    def test_child_shows_its_parent_series(self):
+        parent = MetricsRegistry(enabled=True)
+        child = MetricsRegistry(enabled=True, parent=parent)
+        parent.counter("engine_runs_total", "Runs.").inc(2.0)
+        child.counter("http_requests_total", "Requests.").inc()
+        assert child.snapshot()["counters"] == {
+            "engine_runs_total": 2.0,
+            "http_requests_total": 1.0,
+        }
+        assert parent.snapshot()["counters"] == {"engine_runs_total": 2.0}
+        assert child.get("engine_runs_total") is None
+        assert "# TYPE engine_runs_total counter" in render_prometheus(child)
+
+    def test_child_reset_and_names_stay_local(self):
+        parent = MetricsRegistry(enabled=True)
+        child = MetricsRegistry(enabled=True, parent=parent)
+        parent.counter("engine_runs_total", "Runs.").inc(2.0)
+        child.counter("engine_runs_total", "Shadow.").inc(5.0)
+        assert child.snapshot()["counters"] == {"engine_runs_total": 5.0}
+        child.reset()
+        assert child.snapshot()["counters"] == {}
+        assert parent.snapshot()["counters"] == {"engine_runs_total": 2.0}
 
     def test_global_seam_swap(self):
         original = registry()
@@ -217,7 +301,7 @@ class TestPrometheusRendering:
     def test_counter_gauge_and_histogram_lines(self, reg):
         c = reg.counter("http_requests_total", "Requests.", labelnames=("code",))
         c.labels(code=200).inc(3.0)
-        reg.gauge("sched_queue_depth", "Depth.").set(2.0)
+        reg.gauge("sched_queue_depth", "Depth.", read=lambda: {(): 2})
         h = reg.histogram("http_lap_seconds", "Laps.", buckets=(0.25, 0.5))
         h.observe(0.125)
         h.observe(2.0)

@@ -57,7 +57,9 @@ def metrics_snapshot() -> dict:
     )
     requests.labels(endpoint="/v1/stats", status="200").inc(3)
     requests.labels(endpoint="/v2/jobs", status="404").inc()
-    registry.gauge("sched_queue_depth", "Jobs submitted but not started.").set(2)
+    registry.gauge(
+        "sched_queue_depth", "Jobs submitted but not started.", read=lambda: {(): 2}
+    )
     latency = registry.histogram(
         "http_request_seconds",
         "Per-endpoint request latency.",

@@ -305,6 +305,21 @@ class TestRegistryAndStats:
         assert stats.failed == 1
         assert stats.submitted == 3
 
+    def test_a_transition_is_counted_before_waiters_wake(
+        self, scheduler, monkeypatch
+    ):
+        real = JobRegistry._note
+
+        def slowed(self, source, state):
+            time.sleep(0.05)
+            real(self, source, state)
+
+        monkeypatch.setattr(JobRegistry, "_note", slowed)
+        job = scheduler.submit_job(REQUEST, max_pending_pages=None)
+        job.wait(timeout=DEADLINE)
+        assert scheduler.jobs.counts()[JobState.DONE] == 1
+        assert scheduler.stats().completed == 1
+
     def test_registry_evicts_oldest_finished_jobs(self, graph):
         with EnumerationScheduler(graph) as scheduler:
             registry = scheduler.jobs

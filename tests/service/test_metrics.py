@@ -1,9 +1,11 @@
 """Observability integration tests: ``/v1/metrics``, parity, determinism.
 
-The process-global registry accumulates across every test in the
-process, so assertions here are written against *deltas* (snapshot
-before, act, snapshot after) or against structural invariants — never
-against absolute totals.
+Each server publishes its scheduler, job, cache-lookup and HTTP series on
+its own registry, so those are asserted absolutely on a fresh server.
+The process-wide series (``engine_*``, ``cache_compile_seconds``,
+``dist_*``) accumulate across every test in the process, so assertions
+on them are written against *deltas* (snapshot before, act, snapshot
+after) or against structural invariants — never against absolute totals.
 """
 
 from __future__ import annotations
@@ -11,16 +13,20 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.api import EnumerationRequest, MiningSession
+from repro.api import EnumerationRequest, GraphStore, MiningSession
 from repro.errors import FormatError
 from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.obs import registry as obs_registry
-from repro.service import MiningServer, RemoteSession, codec
+from repro.service import MiningServer, RemoteSession, RemoteStore, codec
+from repro.tools.check.rules.metrics_discipline import _LAYER_PREFIXES, _NAME_RE
+
+REQUEST = EnumerationRequest(algorithm="mule", alpha=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +43,18 @@ def server(graph):
 @pytest.fixture()
 def remote(server):
     return RemoteSession(server.url)
+
+
+def settle(server, received: int) -> None:
+    """Wait until ``received`` POST/DELETE requests are counted.
+
+    A request is counted once its response is written, so a client can
+    see the response a moment before the server counts it.
+    """
+    deadline = time.monotonic() + 10.0
+    while server.stats_payload()["http"]["received"] < received:
+        assert time.monotonic() < deadline, "requests were never counted"
+        time.sleep(0.001)
 
 
 def get_raw(server, path: str):
@@ -74,23 +92,17 @@ class TestMetricsEndpoint:
         assert series["p50"] <= series["p99"]
         assert len(series["counts"]) == len(series["bounds"]) + 1
 
-    def test_per_graph_cache_hit_rate_is_derivable(self, graph, server, remote):
+    def test_cache_lookups_are_the_cache_counters(self, graph, server, remote):
         remote.sweep([0.2, 0.3, 0.4])
-        snapshot = remote.metrics()
-        fingerprint = graph.fingerprint()
-        hits = snapshot["counters"].get(
-            f"cache_lookups_total{{graph={fingerprint},outcome=hit}}", 0.0
-        )
-        misses = sum(
-            value
-            for key, value in snapshot["counters"].items()
-            if key.startswith(f"cache_lookups_total{{graph={fingerprint}")
-            and "outcome=hit" not in key
-        )
-        # A 3-α sweep on one session: ≥1 compile, the rest derive/hit —
-        # either way the per-graph series exist and the rate is finite.
-        assert misses >= 1
-        assert 0.0 <= hits / (hits + misses) < 1.0
+        counters = remote.metrics()["counters"]
+        info = server.scheduler.cache_info()
+        assert info.compilations >= 1
+        assert counters["cache_lookups_total{outcome=hit}"] == info.hits
+        assert counters["cache_lookups_total{outcome=derive}"] == info.derivations
+        assert counters["cache_lookups_total{outcome=compile}"] == info.compilations
+        # Per-graph lookups live in /v1/stats, which drops an evicted graph.
+        per_graph = remote.stats()["graphs"][graph.fingerprint()]["cache"]
+        assert per_graph["compilations"] == info.compilations
 
     def test_prometheus_format(self, server, remote):
         remote.enumerate(EnumerationRequest(algorithm="mule", alpha=0.5))
@@ -125,13 +137,13 @@ class TestMetricsEndpoint:
 
 
 class TestRemoteLocalParity:
-    def test_remote_metrics_match_the_registry(self, remote):
+    def test_remote_metrics_match_the_registry(self, server, remote):
         remote.enumerate(EnumerationRequest(algorithm="mule", alpha=0.5))
         over_the_wire = remote.metrics()
-        local = obs_registry().snapshot()
-        # The server thread shares this process's registry; only the
-        # http_* series may drift (the /v1/metrics request itself is
-        # recorded after its response is written).
+        local = server.scheduler.metrics.snapshot()
+        # /v1/metrics serves the server's registry; only the http_* series
+        # may drift (the /v1/metrics request itself is recorded after its
+        # response is written).
         stable = lambda d: {  # noqa: E731
             k: v for k, v in d.items() if not k.startswith("http_")
         }
@@ -187,6 +199,100 @@ class TestEnumerationDeterminism:
         disabled.assert_matches(enabled)
 
 
+class TestServerScope:
+    def test_two_servers_report_only_their_own_traffic(self, graph):
+        with MiningServer(graph, port=0) as mine, MiningServer(graph, port=0) as theirs:
+            remote = RemoteSession(mine.url)
+            for _ in range(3):
+                remote.enumerate(REQUEST)
+            settle(mine, 3)
+            counters = mine.scheduler.metrics.snapshot()["counters"]
+            served = (
+                "http_requests_total{endpoint=/v1/enumerate,method=POST,status=200}"
+            )
+            assert counters[served] == 3.0
+            assert counters["sched_jobs_submitted_total"] == 3.0
+
+            other = RemoteSession(theirs.url).metrics()["counters"]
+            assert not any(key.startswith("http_requests_total") for key in other)
+            assert other["sched_jobs_submitted_total"] == 0.0
+            for outcome in ("hit", "derive", "compile"):
+                assert other[f"cache_lookups_total{{outcome={outcome}}}"] == 0.0
+            stats = theirs.stats_payload()
+            assert stats["http"]["received"] == 0
+            assert stats["scheduler"]["submitted"] == 0
+
+    def test_stats_and_metrics_read_the_same_owners(self, graph):
+        with MiningServer(graph, port=0) as server:
+            remote = RemoteSession(server.url)
+            remote.enumerate(REQUEST)
+            remote.sweep([0.2, 0.3])
+            remote.submit(REQUEST).wait()
+            with pytest.raises(FormatError):
+                remote._post("/v1/enumerate", {"schema": 1})
+            settle(server, 4)
+            stats = server.stats_payload()
+            snapshot = server.scheduler.metrics.snapshot()
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        scheduler = stats["scheduler"]
+        assert counters["sched_jobs_submitted_total"] == scheduler["submitted"] == 4
+        assert gauges["sched_queue_depth"] == scheduler["queued"] == 0
+        assert gauges["sched_inflight_jobs"] == scheduler["inflight"] == 0
+        assert (
+            counters["sched_single_flight_waits_total"]
+            == scheduler["single_flight_waits"]
+        )
+        assert scheduler["completed"] == scheduler["done"] + scheduler["cancelled"]
+        for state in ("done", "failed", "cancelled"):
+            assert counters[f"jobs_transitions_total{{state={state}}}"] == (
+                stats["jobs"][state]
+            )
+            assert stats["jobs"][state] == scheduler[state]
+        assert counters["jobs_transitions_total{state=running}"] == 4
+        cache = stats["cache"]
+        assert counters["cache_lookups_total{outcome=hit}"] == cache["hits"]
+        assert counters["cache_lookups_total{outcome=derive}"] == cache["derivations"]
+        assert (
+            counters["cache_lookups_total{outcome=compile}"] == cache["compilations"]
+        )
+        mutating = {
+            key: value
+            for key, value in counters.items()
+            if key.startswith("http_requests_total")
+            and ("method=POST" in key or "method=DELETE" in key)
+        }
+        failed = {key: value for key, value in mutating.items() if "status=4" in key}
+        assert stats["http"]["received"] == sum(mutating.values()) == 4
+        assert stats["http"]["failed"] == sum(failed.values()) == 1
+
+    def test_churned_graphs_leave_no_series_behind(self):
+        with MiningServer(GraphStore(max_graphs=2), port=0) as server:
+            store = RemoteStore(server.url)
+            for seed in range(20):
+                graph = random_uncertain_graph(8, 0.5, rng=random.Random(seed))
+                info = store.add(graph)
+                store.session(info.fingerprint).enumerate(REQUEST)
+            counters = RemoteSession(server.url).metrics()["counters"]
+        lookups = [key for key in counters if key.startswith("cache_lookups_total")]
+        assert sorted(lookups) == [
+            "cache_lookups_total{outcome=compile}",
+            "cache_lookups_total{outcome=derive}",
+            "cache_lookups_total{outcome=hit}",
+        ]
+        assert counters["cache_lookups_total{outcome=compile}"] >= 20
+
+    def test_every_series_has_a_layer_prefix(self, server, remote):
+        remote.enumerate(REQUEST)
+        # Every registered name, including series with no values yet.
+        names = {
+            instrument.name for instrument in server.scheduler.metrics.instruments()
+        }
+        assert {"sched_queue_depth", "jobs_transitions_total"} <= names
+        assert {"http_requests_total", "engine_runs_total"} <= names
+        for name in names:
+            assert name.startswith(_LAYER_PREFIXES) and _NAME_RE.match(name), name
+
+
 class TestStatsTearResistance:
     def test_per_graph_counters_never_exceed_aggregate_under_churn(self, graph):
         """Regression for the stats tear: components snapshotted under
@@ -195,6 +301,7 @@ class TestStatsTearResistance:
             remote = RemoteSession(server.url)
             stop = threading.Event()
             errors: list[Exception] = []
+            calls: list[int] = []
 
             def churn():
                 alphas = [0.2, 0.3, 0.4, 0.5, 0.6]
@@ -210,6 +317,7 @@ class TestStatsTearResistance:
                         errors.append(exc)
                         return
                     i += 1
+                calls.append(i)
 
             workers = [threading.Thread(target=churn) for _ in range(3)]
             for worker in workers:
@@ -234,6 +342,9 @@ class TestStatsTearResistance:
                 for worker in workers:
                     worker.join()
             assert errors == []
+            # No answered request is lost between concurrent handlers.
+            settle(server, sum(calls))
+            assert server.stats_payload()["http"]["received"] == sum(calls)
 
 
 class TestTraceDir:

@@ -8,13 +8,16 @@ The concurrency guarantees pinned here:
 * concurrent sweeps share one compilation end to end;
 * interleaved load over *different* graphs never cross-contaminates
   outcomes (session-per-fingerprint isolation);
-* the bookkeeping counters (submitted/completed/failed, waits) add up.
+* the bookkeeping counters (submitted/completed/failed, waits) add up,
+  and the scheduler's metrics report the same counts, after a drain and
+  after a refused submission too.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import sys
 import threading
 import time
 
@@ -164,6 +167,40 @@ class TestBookkeeping:
         assert stats.inflight == 0
         assert stats.queued == 0
 
+    def test_counts_hold_under_concurrent_jobs(self, graph):
+        """A lost update in the job counts would break the partition."""
+        submitters, per_thread = 8, 10
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with EnumerationScheduler(graph, max_workers=4) as scheduler:
+
+                def submit_some():
+                    for i in range(per_thread):
+                        job = scheduler.submit_job(REQUEST, max_pending_pages=None)
+                        if i % 3 == 0:
+                            job.cancel()
+
+                threads = [
+                    threading.Thread(target=submit_some) for _ in range(submitters)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        stats = scheduler.stats()
+        total = submitters * per_thread
+        assert stats.submitted == total
+        assert stats.queued == stats.inflight == stats.failed == 0
+        assert stats.done + stats.cancelled == stats.completed == total
+        counters = scheduler.metrics.snapshot()["counters"]
+        assert counters["sched_jobs_submitted_total"] == total
+        assert counters["jobs_transitions_total{state=done}"] == stats.done
+        assert counters["jobs_transitions_total{state=cancelled}"] == stats.cancelled
+
     def test_failures_are_counted_and_raised(self, graph, monkeypatch):
         class Boom(RuntimeError):
             pass
@@ -228,9 +265,31 @@ class TestShutdownSubmitRace:
             scheduler.submit_job(REQUEST)
         states = [job.state for job in scheduler.jobs.list()]
         assert JobState.QUEUED not in states
-        assert scheduler.stats().queued == 0
+        stats = scheduler.stats()
+        assert stats.queued == 0
+        # The refused job is listed, so it counts as submitted and failed.
+        counters = scheduler.metrics.snapshot()["counters"]
+        assert stats.submitted == counters["sched_jobs_submitted_total"]
+        assert stats.submitted == len(scheduler.jobs.list()) == 1
+        assert stats.failed == 1
         monkeypatch.undo()
         scheduler.shutdown()
+
+    def test_drained_jobs_count_as_failed_not_queued(self, graph, slow_compile):
+        scheduler = EnumerationScheduler(graph, max_workers=1)
+        jobs = [scheduler.submit_job(REQUEST) for _ in range(4)]
+        deadline = time.monotonic() + 10.0
+        while jobs[0].state == JobState.QUEUED:
+            assert time.monotonic() < deadline, "the first job never started"
+            time.sleep(0.001)
+        scheduler.shutdown(drain=True)
+        stats = scheduler.stats()
+        snapshot = scheduler.metrics.snapshot()
+        assert stats.queued == 0 == snapshot["gauges"]["sched_queue_depth"]
+        assert stats.inflight == 0 == snapshot["gauges"]["sched_inflight_jobs"]
+        assert stats.failed == scheduler.jobs.counts()[JobState.FAILED] == 3
+        assert stats.completed == 1
+        assert stats.submitted == 4
 
     def test_drain_race_leaves_no_zombie_queued_job(self, graph):
         submitters = 8
