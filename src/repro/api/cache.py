@@ -69,9 +69,10 @@ class CompiledGraphCache:
 
     Thread-safe: the store and its counters are guarded by a lock, so one
     cache may serve concurrent sessions.  The expensive work (compilation,
-    derivation) runs *outside* the lock — two threads missing the same key
-    simultaneously may both build it (the second store wins; both builds
-    are counted) — so a slow compile never blocks other sessions' hits.
+    derivation) runs *outside* the lock, so a slow compile never blocks
+    other keys' hits, and misses are single-flighted: concurrent lookups of
+    a key another thread is building wait for that build instead of
+    repeating it.
 
     Derivation bases are touched on every use, so under LRU pressure a
     wide α sweep keeps its single base resident and evicts the derived
@@ -111,6 +112,9 @@ class CompiledGraphCache:
         # once" instead of only the global total.  Counters live and die
         # with the graph's residency (see :meth:`discard`).
         self._by_fingerprint: dict[str, list[int]] = {}
+        # Keys being built right now; lookups of such a key wait on its event.
+        self._building: dict[_Key, threading.Event] = {}
+        self._waits = 0
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -126,56 +130,74 @@ class CompiledGraphCache:
     ) -> CompiledGraph:
         """Return the compiled artifact for these options, building it on miss.
 
+        One thread builds a missing key; concurrent lookups of that key
+        wait for it (one :meth:`single_flight_waits` each, no lookup
+        counted) and then look again — a hit, or a build of their own when
+        that build failed or its artifact was already evicted.
         ``pruning_report`` forces a full compile even on a hit — the report
         is filled by the filter actually running, which a cached artifact
-        cannot replay — and the fresh artifact replaces the cached entry.
+        cannot replay — and the fresh artifact replaces the cached entry
+        (such calls are not deduplicated).
         """
         key: _Key = (fingerprint, alpha, size_threshold)
         base: CompiledGraph | None = None
-        with self._lock:
-            if pruning_report is None:
+        building: threading.Event | None = None
+        while pruning_report is None:
+            with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None:
                     self._hits += 1
                     self._count_locked(fingerprint, 0)
                     self._entries.move_to_end(key)
                     return entry
-                if size_threshold is None and alpha is not None:
-                    base_key = self._best_base_key_locked(fingerprint, alpha)
-                    if base_key is not None:
-                        base = self._entries[base_key]
-                        # Keep derivation bases hot: a wide sweep must
-                        # evict its derived one-shot artifacts under LRU
-                        # pressure, never the one base serving them all.
-                        self._entries.move_to_end(base_key)
+                inflight = self._building.get(key)
+                if inflight is None:
+                    building = self._building[key] = threading.Event()
+                    if size_threshold is None and alpha is not None:
+                        base_key = self._best_base_key_locked(fingerprint, alpha)
+                        if base_key is not None:
+                            base = self._entries[base_key]
+                            # Keep derivation bases hot: a wide sweep must
+                            # evict its derived one-shot artifacts under LRU
+                            # pressure, never the one base serving them all.
+                            self._entries.move_to_end(base_key)
+                    break
+                self._waits += 1
+            inflight.wait()
 
         # The expensive work happens outside the lock (compiled graphs are
         # immutable, so a base may be read even if concurrently evicted).
-        if base is not None:
-            derived = base.restrict_probability(alpha)
+        try:
+            if base is not None:
+                derived = base.restrict_probability(alpha)
+                with self._lock:
+                    self._misses += 1
+                    self._derivations += 1
+                    self._count_locked(fingerprint, 1)
+                    self._count_locked(fingerprint, 3)
+                    self._store_locked(key, derived)
+                return derived
+
+            started = perf_counter()
+            compiled = compile_graph(
+                graph,
+                alpha=alpha,
+                size_threshold=size_threshold,
+                pruning_report=pruning_report,
+            )
+            _CACHE_COMPILE_SECONDS.observe(perf_counter() - started)
             with self._lock:
                 self._misses += 1
-                self._derivations += 1
+                self._compilations += 1
                 self._count_locked(fingerprint, 1)
-                self._count_locked(fingerprint, 3)
-                self._store_locked(key, derived)
-            return derived
-
-        started = perf_counter()
-        compiled = compile_graph(
-            graph,
-            alpha=alpha,
-            size_threshold=size_threshold,
-            pruning_report=pruning_report,
-        )
-        _CACHE_COMPILE_SECONDS.observe(perf_counter() - started)
-        with self._lock:
-            self._misses += 1
-            self._compilations += 1
-            self._count_locked(fingerprint, 1)
-            self._count_locked(fingerprint, 2)
-            self._store_locked(key, compiled)
-        return compiled
+                self._count_locked(fingerprint, 2)
+                self._store_locked(key, compiled)
+            return compiled
+        finally:
+            if building is not None:
+                with self._lock:
+                    del self._building[key]
+                building.set()
 
     def adopt(
         self,
@@ -255,6 +277,11 @@ class CompiledGraphCache:
                 entries=len(self._entries),
             )
 
+    def single_flight_waits(self) -> int:
+        """Lookups that waited for another thread's build of their key."""
+        with self._lock:
+            return self._waits
+
     def info_for(self, fingerprint: str) -> CacheInfo:
         """Return the counters attributable to one graph fingerprint.
 
@@ -330,7 +357,7 @@ class CompiledGraphCache:
         """Drop every artifact and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = 0
+            self._hits = self._misses = self._waits = 0
             self._compilations = self._derivations = 0
             self._by_fingerprint.clear()
 

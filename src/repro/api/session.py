@@ -62,7 +62,7 @@ from .cache import CacheInfo, CompiledGraphCache
 from .outcome import EnumerationOutcome
 from .request import EnumerationRequest
 
-__all__ = ["MiningSession", "plan_base_compile"]
+__all__ = ["MiningSession"]
 
 # Engine progress is observed *here*, from the RunReport/SearchStatistics a
 # finished kernel run hands back — never inside ``core/engine`` itself, so
@@ -352,6 +352,10 @@ class MiningSession:
     def prepare(self, requests: Sequence[EnumerationRequest]) -> None:
         """Ensure one derivation base covers every plain compile in ``requests``.
 
+        Only plain (non-SNF) requests with a threshold count.  If any of
+        them needs an unpruned artifact, that is the base (it derives every
+        other level); otherwise the base is pruned at their minimum α.
+
         :meth:`batch` calls this automatically; callers that dispatch the
         requests themselves (interleaved with other work, in their own
         order — e.g. the sweep loops of :mod:`repro.analysis.comparison`)
@@ -359,13 +363,17 @@ class MiningSession:
         compiles only once instead of recompiling at every point that no
         cached base can legally derive.
         """
-        if self._graph.num_vertices == 0:
+        levels = [
+            request.compile_alpha()
+            for request in requests
+            if request.compile_size_threshold() is None and request.alpha is not None
+        ]
+        if not levels or self._graph.num_vertices == 0:
             return
-        target = plan_base_compile(requests)
-        if target is None:
-            return
-        alpha, size_threshold = target
-        self.compiled(alpha=alpha, size_threshold=size_threshold)
+        if any(level is None for level in levels):
+            self.compiled()
+        else:
+            self.compiled(alpha=min(levels))
 
     # ------------------------------------------------------------------ #
     # Top-k threshold search
@@ -494,34 +502,6 @@ class MiningSession:
 
     def __repr__(self) -> str:
         return f"MiningSession(graph={self._graph!r}, cache={self._cache!r})"
-
-
-def plan_base_compile(
-    requests: Sequence[EnumerationRequest],
-) -> "tuple[float | None, int | None] | None":
-    """Pick the one compile target that derives a whole batch, or ``None``.
-
-    This is the base-selection rule :meth:`MiningSession.prepare` and the
-    service scheduler share (one implementation, so the service's
-    "a sweep compiles exactly once" guarantee cannot drift): consider only
-    plain (non-SNF) requests with a threshold; if any of them needs an
-    unpruned artifact, that is the base (it derives every other level),
-    otherwise prune at the batch's minimum α.  Returns
-    ``(alpha, size_threshold)`` compile options, or ``None`` when the batch
-    has nothing to pre-plan.
-    """
-    plain = [
-        request
-        for request in requests
-        if request.compile_size_threshold() is None and request.alpha is not None
-    ]
-    if not plain:
-        return None
-    levels = [request.compile_alpha() for request in plain]
-    if any(level is None for level in levels):
-        # An unpruned artifact is requested anyway; it derives the rest.
-        return (None, None)
-    return (min(levels), None)
 
 
 def _root_shard_mask(compiled: CompiledGraph, labels: Sequence) -> int:

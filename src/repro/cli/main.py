@@ -306,15 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumeration worker threads (default: 4)",
     )
     serve_parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="auto",
-        help=(
-            "default engine kernel for requests that leave kernel=auto "
-            "(explicit per-request kernels always win)"
-        ),
-    )
-    serve_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-request access logs"
     )
     serve_parser.add_argument(
@@ -841,7 +832,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_workers=args.max_workers,
-        default_kernel=args.kernel,
         quiet=args.quiet,
         trace_dir=args.trace_dir,
     )

@@ -20,10 +20,11 @@ sharing one server-side :class:`~repro.api.cache.CompiledGraphCache`.
   ``queued → running → done | failed | cancelled``, bounded page buffer
   with backpressure, cooperative cancellation, live progress) and
   :class:`JobRegistry` (id space, lookup, retention).
-* :class:`EnumerationScheduler` — graph-agnostic bounded thread pool over
-  a shared :class:`~repro.api.store.GraphStore` with per-fingerprint
-  single-flight compilation dedup and load/cache counters; synchronous
-  ``run``/``batch``/``sweep`` are submit + await over the job pipeline.
+* :class:`EnumerationScheduler` — graph-agnostic bounded thread pool that
+  queues jobs over a shared :class:`~repro.api.store.GraphStore` (whose
+  cache single-flights compilations), with load/cache counters;
+  synchronous ``run``/``batch``/``sweep`` are submit + ``job.wait()``
+  over the job pipeline.
 * :class:`MiningServer` — the stdlib HTTP server behind
   ``repro-mule serve``: the frozen ``/v1`` surface (default graph), the
   ``/v2/graphs`` resource endpoints (upload, list, get, delete,

@@ -86,10 +86,12 @@ _RECONNECT_BACKOFF_CAP_SECONDS = 2.0
 
 
 class _HttpClient:
-    """Shared urllib transport: request building, error mapping, decoding.
+    """Shared urllib transport, and the control-plane calls every client has.
 
-    Every verb accepts a per-call ``timeout`` override; ``None`` (the
-    default) falls back to the client-wide timeout the constructor set.
+    Every request goes through :meth:`_urlopen`, the one place that maps
+    urllib failures.  Every verb accepts a per-call ``timeout`` override;
+    ``None`` (the default) falls back to the client-wide timeout the
+    constructor set.
     """
 
     def __init__(self, base_url: str, timeout: float) -> None:
@@ -102,10 +104,7 @@ class _HttpClient:
         return self._base_url
 
     def _get(self, path: str, *, timeout: float | None = None) -> dict:
-        return self._call(
-            urllib.request.Request(self._base_url + path, method="GET"),
-            timeout=timeout,
-        )
+        return self._call("GET", path, timeout=timeout)
 
     def _post(
         self, path: str, envelope: dict, *, timeout: float | None = None
@@ -115,38 +114,22 @@ class _HttpClient:
     def _post_body(
         self, path: str, body: bytes, *, timeout: float | None = None
     ) -> dict:
-        request = urllib.request.Request(
-            self._base_url + path,
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        return self._call(request, timeout=timeout)
+        return self._call("POST", path, body=body, timeout=timeout)
 
     def _delete(self, path: str, *, timeout: float | None = None) -> dict:
-        return self._call(
-            urllib.request.Request(self._base_url + path, method="DELETE"),
-            timeout=timeout,
-        )
+        return self._call("DELETE", path, timeout=timeout)
 
     def _call(
-        self, request: urllib.request.Request, *, timeout: float | None = None
+        self,
+        method: str,
+        path: str,
+        *,
+        body: bytes | None = None,
+        timeout: float | None = None,
     ) -> dict:
-        if timeout is None:
-            timeout = self._timeout
+        raw = self._urlopen(method, path, body=body, timeout=timeout)
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                body = response.read()
-        except urllib.error.HTTPError as exc:
-            raise self._error_from_response(exc) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self._base_url}: {exc.reason}"
-            ) from exc
-        except OSError as exc:
-            raise ServiceError(f"transport failure: {exc}") from exc
-        try:
-            return codec.decode(body)
+            return codec.decode(raw)
         except FormatError as exc:
             raise ServiceError(f"malformed server response: {exc}") from exc
 
@@ -157,28 +140,39 @@ class _HttpClient:
         the chunked transfer encoding transparently, so iterating the
         response yields NDJSON lines as the server flushes them.
         """
-        if timeout is None:
-            timeout = self._timeout
-        request = urllib.request.Request(self._base_url + path, method="GET")
-        try:
-            return urllib.request.urlopen(request, timeout=timeout)
-        except urllib.error.HTTPError as exc:
-            raise self._error_from_response(exc) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self._base_url}: {exc.reason}"
-            ) from exc
-        except OSError as exc:
-            raise ServiceError(f"transport failure: {exc}") from exc
+        return self._urlopen("GET", path, timeout=timeout, stream=True)
 
     def _get_text(self, path: str, *, timeout: float | None = None) -> str:
         """GET a plain-text resource (the Prometheus exposition format)."""
+        return self._urlopen("GET", path, timeout=timeout).decode("utf-8")
+
+    def _urlopen(
+        self,
+        method: str,
+        path: str,
+        *,
+        body: bytes | None = None,
+        timeout: float | None = None,
+        stream: bool = False,
+    ):
+        """Send one request; return its body, or the open response if ``stream``.
+
+        An HTTP error re-raises the exception the server sent; a transport
+        failure, while connecting or while reading the body, raises
+        :class:`~repro.errors.ServiceError`.
+        """
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        request = urllib.request.Request(
+            self._base_url + path, data=body, headers=headers, method=method
+        )
         if timeout is None:
             timeout = self._timeout
-        request = urllib.request.Request(self._base_url + path, method="GET")
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.read().decode("utf-8")
+            response = urllib.request.urlopen(request, timeout=timeout)
+            if stream:
+                return response
+            with response:
+                return response.read()
         except urllib.error.HTTPError as exc:
             raise self._error_from_response(exc) from exc
         except urllib.error.URLError as exc:
@@ -189,8 +183,35 @@ class _HttpClient:
             raise ServiceError(f"transport failure: {exc}") from exc
 
     # ------------------------------------------------------------------ #
-    # Observability (shared by sessions and stores)
+    # Control plane (shared by sessions and stores)
     # ------------------------------------------------------------------ #
+    def health(self, *, timeout: float | None = None) -> dict:
+        """The server's ``/v1/health`` payload (raises if unreachable).
+
+        Control-plane call: defaults to the snappy
+        :data:`DEFAULT_CONTROL_TIMEOUT_SECONDS`, not the client-wide
+        data-plane timeout — a liveness probe must fail fast.
+        """
+        if timeout is None:
+            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
+        return self._get("/v1/health", timeout=timeout)
+
+    def stats(self, *, timeout: float | None = None) -> dict:
+        """The server's ``/v1/stats`` payload (control-plane timeout)."""
+        if timeout is None:
+            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
+        return self._get("/v1/stats", timeout=timeout)
+
+    def job(self, job_id: str) -> "RemoteJob":
+        """Attach to a server-side job by id (``RemoteJob`` handle)."""
+        return RemoteJob(self, job_id)
+
+    def jobs(self, *, timeout: float | None = None) -> list[codec.JobStatus]:
+        """List every job registered on the server (control-plane timeout)."""
+        if timeout is None:
+            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
+        return codec.job_list_from_wire(self._get("/v2/jobs", timeout=timeout))
+
     def metrics(self, *, timeout: float | None = None) -> dict:
         """The server's metrics snapshot (``GET /v1/metrics``).
 
@@ -349,7 +370,7 @@ class RemoteJob:
         """Drain the result stream and return the reassembled outcome.
 
         Blocks until the job is terminal; raises the job's error if it
-        failed.  The remote blocking analog of ``Future.result()``.
+        failed.  The remote analog of :meth:`repro.service.jobs.Job.wait`.
         """
         for _ in self.iter_results():
             pass
@@ -474,16 +495,6 @@ class RemoteSession(_HttpClient):
         status = codec.job_status_from_wire(payload)
         return RemoteJob(self, status.id)
 
-    def job(self, job_id: str) -> RemoteJob:
-        """Re-attach to a previously submitted job by id."""
-        return RemoteJob(self, job_id)
-
-    def jobs(self, *, timeout: float | None = None) -> list[codec.JobStatus]:
-        """List every job registered on the server."""
-        if timeout is None:
-            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
-        return codec.job_list_from_wire(self._get("/v2/jobs", timeout=timeout))
-
     def cache_info(self) -> CacheInfo:
         """The server-side compiled-graph cache counters.
 
@@ -513,26 +524,6 @@ class RemoteSession(_HttpClient):
             return CacheInfo(**cache)
         except TypeError as exc:
             raise ServiceError(f"malformed cache counters: {cache!r}") from exc
-
-    # ------------------------------------------------------------------ #
-    # Service introspection
-    # ------------------------------------------------------------------ #
-    def health(self, *, timeout: float | None = None) -> dict:
-        """The server's ``/v1/health`` payload (raises if unreachable).
-
-        Control-plane call: defaults to the snappy
-        :data:`DEFAULT_CONTROL_TIMEOUT_SECONDS`, not the session-wide
-        data-plane timeout — a liveness probe must fail fast.
-        """
-        if timeout is None:
-            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
-        return self._get("/v1/health", timeout=timeout)
-
-    def stats(self, *, timeout: float | None = None) -> dict:
-        """The server's ``/v1/stats`` payload (control-plane timeout)."""
-        if timeout is None:
-            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
-        return self._get("/v1/stats", timeout=timeout)
 
     def graph_info(self) -> GraphInfo:
         """The served graph's :class:`GraphInfo` (v2; any session may ask)."""
@@ -622,16 +613,6 @@ class RemoteStore(_HttpClient):
         """
         return RemoteSession(self._base_url, graph=ref, timeout=self._timeout)
 
-    def job(self, job_id: str) -> RemoteJob:
-        """Attach to a server-side job by id (``RemoteJob`` handle)."""
-        return RemoteJob(self, job_id)
-
-    def jobs(self, *, timeout: float | None = None) -> list[codec.JobStatus]:
-        """List every job registered on the server."""
-        if timeout is None:
-            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
-        return codec.job_list_from_wire(self._get("/v2/jobs", timeout=timeout))
-
     def __contains__(self, ref: object) -> bool:
         # StoreError (not just GraphNotFoundError): an ambiguous prefix
         # answers False here exactly as GraphStore.__contains__ does —
@@ -643,21 +624,6 @@ class RemoteStore(_HttpClient):
         except StoreError:
             return False
         return True
-
-    # ------------------------------------------------------------------ #
-    # Service introspection
-    # ------------------------------------------------------------------ #
-    def health(self, *, timeout: float | None = None) -> dict:
-        """The server's ``/v1/health`` payload (control-plane timeout)."""
-        if timeout is None:
-            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
-        return self._get("/v1/health", timeout=timeout)
-
-    def stats(self, *, timeout: float | None = None) -> dict:
-        """The server's ``/v1/stats`` payload (control-plane timeout)."""
-        if timeout is None:
-            timeout = DEFAULT_CONTROL_TIMEOUT_SECONDS
-        return self._get("/v1/stats", timeout=timeout)
 
     def __repr__(self) -> str:
         return f"RemoteStore(base_url={self._base_url!r})"

@@ -1002,8 +1002,10 @@ class JobStatus(NamedTuple):
 
 
 class JobChunk(NamedTuple):
-    """A decoded ``job-result-chunk`` envelope: one NDJSON stream line.
+    """One element of a job's result stream: a ``job-result-chunk`` envelope.
 
+    :meth:`~repro.service.jobs.Job.stream_chunks` yields these, the server
+    writes each as one NDJSON line, and the client decodes them back.
     Non-final chunks carry only records.  The final chunk carries exactly
     one of ``summary`` (an :class:`EnumerationOutcome` without records —
     the job reached ``done`` or ``cancelled``) or ``error`` (the job

@@ -38,7 +38,6 @@ import threading
 from collections import OrderedDict
 from collections.abc import Iterator
 from time import perf_counter
-from typing import NamedTuple
 
 from ..api.outcome import EnumerationOutcome
 from ..api.request import EnumerationRequest
@@ -51,13 +50,13 @@ from ..core.engine.controls import (
 from ..core.result import CliqueRecord, SearchStatistics
 from ..errors import JobError, JobNotFoundError, ParameterError, ServiceError
 from ..obs import MetricsRegistry
+from .codec import JobChunk
 
 __all__ = [
     "DEFAULT_MAX_PENDING_PAGES",
     "DEFAULT_PAGE_SIZE",
     "Job",
     "JobCancelled",
-    "JobChunk",
     "JobRegistry",
     "JobState",
 ]
@@ -91,21 +90,6 @@ class JobCancelled(Exception):
     Never escapes the scheduler's job runner — it only unwinds the
     enumeration loop so the job can settle into its ``cancelled`` state.
     """
-
-
-class JobChunk(NamedTuple):
-    """One element of a job's result stream.
-
-    Non-final chunks carry a page of records; the single final chunk
-    carries either the outcome summary (records stripped) or the error
-    that failed the job — never both.
-    """
-
-    seq: int
-    records: tuple[CliqueRecord, ...]
-    final: bool
-    summary: EnumerationOutcome | None
-    error: BaseException | None
 
 
 class Job:
@@ -154,9 +138,6 @@ class Job:
         self._algorithm = request.label
         self._alpha = request.alpha
         self._registry = registry
-        #: The executor future driving this job; set by the scheduler at
-        #: dispatch (synchronous callers await it for legacy semantics).
-        self.future = None
 
     # ------------------------------------------------------------------ #
     # Observer surface
@@ -273,16 +254,15 @@ class Job:
                         summary, error = self._summary_locked(), None
             if page is None:
                 yield JobChunk(
-                    seq=seq, records=(), final=True, summary=summary, error=error
+                    job=self.id,
+                    seq=seq,
+                    records=(),
+                    final=True,
+                    summary=summary,
+                    error=error,
                 )
                 return
-            yield JobChunk(
-                seq=seq,
-                records=tuple(page),
-                final=False,
-                summary=None,
-                error=None,
-            )
+            yield JobChunk(job=self.id, seq=seq, records=tuple(page), final=False)
             # Resumed: the previous chunk was fully delivered — ack it.
             self._release(seq)
             seq += 1

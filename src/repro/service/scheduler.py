@@ -1,56 +1,43 @@
 """Concurrent request scheduling over a shared graph store.
 
 :class:`EnumerationScheduler` is the execution layer between the HTTP
-server and the session API: requests run on a bounded thread pool, the
-sessions live in one :class:`~repro.api.store.GraphStore` (all behind one
-shared :class:`~repro.api.cache.CompiledGraphCache`), and concurrent
-compilations of the same (fingerprint, compile options) key are
-**single-flighted** — one thread compiles, the rest wait for the artifact
-instead of duplicating the most expensive step of a request.
+server and the session API: requests run on a bounded thread pool, and the
+sessions live in one :class:`~repro.api.store.GraphStore`, all behind one
+shared :class:`~repro.api.cache.CompiledGraphCache`.  The scheduler only
+queues jobs.  Every other decision has one owner elsewhere: the cache
+single-flights concurrent compilations of one (fingerprint, compile
+options) key, the session picks the base a batch derives from, and the
+request names its engine kernel.
 
 The scheduler is graph-agnostic: it holds no graph of its own.  Every
 submission names its target — a store reference (``ref="ppi"`` / a
 fingerprint), an ad-hoc graph object (registered in the store on first
 use), or nothing at all, which resolves to the store's *default* graph
 (how the frozen ``/v1`` wire surface keeps serving its one implicit
-graph).  Single-flight keys include the fingerprint, so dedup is preserved
-per graph across arbitrarily mixed multi-graph load.
-
-The cache itself is thread-safe but deliberately optimistic: two threads
-missing the same key both build it (see
-:class:`~repro.api.cache.CompiledGraphCache`).  That is the right trade
-for occasional in-process sharing, and exactly the wrong one for a service
-where a popular (graph, α) arriving N times at once would compile N times.
-The scheduler closes that hole without touching the cache's locking: every
-job first funnels its compile target through :meth:`_ensure_compiled`,
-so by the time the enumeration asks the cache, the artifact is already
-resident.
+graph).
 
 Execution is job-shaped all the way down (see :mod:`repro.service.jobs`):
 :meth:`submit_job` registers a :class:`~repro.service.jobs.Job` — state
 machine, paged result buffer, cancellation token — and the synchronous
 :meth:`submit`/:meth:`run`/:meth:`batch`/:meth:`sweep` surface is
-``submit + await`` over that same pipeline with an unbounded buffer, so
-sync and async callers exercise one execution path (and one single-flight
-compile funnel).
+``submit + job.wait()`` over that same pipeline with an unbounded buffer,
+so sync and async callers exercise one execution path.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from typing import NamedTuple
 
 from ..api.cache import CacheInfo
 from ..api.outcome import EnumerationOutcome
 from ..api.request import EnumerationRequest
-from ..api.session import MiningSession, plan_base_compile
+from ..api.session import MiningSession
 from ..api.store import GraphStore
-from ..core.engine import KERNELS
 from ..core.result import CliqueRecord
-from ..errors import JobError, ParameterError, ServiceError
+from ..errors import ParameterError, ServiceError
 from ..obs import MetricsRegistry, registry as _obs_registry
 from ..uncertain.graph import UncertainGraph
 from .jobs import DEFAULT_MAX_PENDING_PAGES, Job, JobCancelled, JobRegistry, JobState
@@ -72,10 +59,10 @@ class SchedulerStats(NamedTuple):
     ``queued`` and ``inflight`` are the jobs now queued and running; and
     ``done``, ``failed`` and ``cancelled`` are cumulative terminal counts,
     with ``completed = done + cancelled``.  A job drained while queued
-    counts as failed.  ``single_flight_waits`` counts jobs that
-    piggybacked on another thread's in-progress compilation instead of
-    duplicating it.  ``sessions`` is the number of graphs resident in the
-    backing store.
+    counts as failed.  ``single_flight_waits`` is read from the store's
+    cache: lookups that waited for another thread's build of their key
+    instead of repeating it.  ``sessions`` is the number of graphs
+    resident in the backing store.
     """
 
     submitted: int
@@ -104,11 +91,6 @@ class EnumerationScheduler:
         :attr:`store`).
     max_workers:
         Thread-pool bound (default :data:`DEFAULT_MAX_WORKERS`).
-    default_kernel:
-        Engine kernel applied to requests that leave ``kernel`` at
-        ``"auto"`` (what ``repro serve --kernel`` sets).  Requests that
-        name a kernel explicitly keep it — the deployment default never
-        overrides a caller's choice.
 
     :attr:`metrics` is this scheduler's registry, layered over the process
     registry; its series read the counts their owners keep.
@@ -119,19 +101,12 @@ class EnumerationScheduler:
         target: "GraphStore | UncertainGraph | None" = None,
         *,
         max_workers: int | None = None,
-        default_kernel: str = "auto",
     ) -> None:
         if max_workers is None:
             max_workers = DEFAULT_MAX_WORKERS
         if max_workers < 1:
             raise ParameterError(f"max_workers must be positive, got {max_workers}")
-        if default_kernel not in KERNELS:
-            raise ParameterError(
-                f"unknown default_kernel {default_kernel!r}; "
-                f"expected one of {KERNELS}"
-            )
         self._max_workers = max_workers
-        self._default_kernel = default_kernel
         if isinstance(target, GraphStore):
             self._store = target
         elif isinstance(target, UncertainGraph):
@@ -150,8 +125,6 @@ class EnumerationScheduler:
         self.metrics = MetricsRegistry(parent=_obs_registry())
         self._registry = JobRegistry(self.metrics)
         self._lock = threading.Lock()
-        self._inflight_compiles: dict[tuple, threading.Event] = {}
-        self._single_flight_waits = 0
         self._closed = False
         self.metrics.counter(
             "sched_jobs_submitted_total",
@@ -170,7 +143,7 @@ class EnumerationScheduler:
         )
         self.metrics.counter(
             "sched_single_flight_waits_total",
-            "Jobs that piggybacked on another thread's in-flight compilation.",
+            "Cache lookups that waited for another thread's build of their key.",
             read=lambda: {(): self.stats().single_flight_waits},
         )
         self.metrics.counter(
@@ -225,17 +198,14 @@ class EnumerationScheduler:
         *,
         graph: UncertainGraph | None = None,
         ref: str | None = None,
-    ) -> "Future[EnumerationOutcome]":
-        """Queue one request; returns a future resolving to its outcome.
+    ) -> Job:
+        """Queue one request as a job that retains every result page.
 
-        Since the job refactor this is ``submit_job`` with an *unbounded*
-        result buffer (the synchronous consumer is ``Future.result()``,
-        which needs every page retained) — the sync surface is a thin
-        await over the exact pipeline the async endpoints use.
+        This is :meth:`submit_job` with an *unbounded* result buffer, which
+        :meth:`Job.wait` needs to assemble the outcome: the synchronous
+        surface is a thin await over the pipeline the async endpoints use.
         """
-        return self.submit_job(
-            request, graph=graph, ref=ref, max_pending_pages=None
-        ).future
+        return self.submit_job(request, graph=graph, ref=ref, max_pending_pages=None)
 
     def submit_job(
         self,
@@ -251,10 +221,8 @@ class EnumerationScheduler:
         ``max_pending_pages`` bounds the result buffer (``None`` retains
         every page, which synchronous awaiting requires); streaming
         consumers keep the default bound so a slow reader pauses the
-        producer instead of growing the server heap.  The returned job
-        carries its executor future as ``job.future``.
+        producer instead of growing the server heap.
         """
-        request = self._apply_default_kernel(request)
         session = self.session_for(graph, ref)
         # Closed-check, registration and executor hand-off are one atomic
         # step under the scheduler lock: shutdown() takes the same lock to
@@ -269,7 +237,7 @@ class EnumerationScheduler:
                 request, page_size=page_size, max_pending_pages=max_pending_pages
             )
             try:
-                job.future = self._executor.submit(self._run_job, session, job)
+                self._executor.submit(self._run_job, session, job)
             except RuntimeError as exc:
                 # The executor refused (interpreter/executor shutdown via a
                 # path that bypassed _closed): settle the job as failed so
@@ -281,19 +249,6 @@ class EnumerationScheduler:
                 ) from exc
         return job
 
-    def _apply_default_kernel(self, request: EnumerationRequest) -> EnumerationRequest:
-        """Resolve ``kernel="auto"`` to this deployment's default kernel.
-
-        Explicit per-request choices always win.  A ``vector`` default is
-        not forced onto algorithms the vector kernel cannot run (DFS-NOIP);
-        their ``"auto"`` survives and resolves to the python kernel.
-        """
-        if self._default_kernel == "auto" or request.kernel != "auto":
-            return request
-        if self._default_kernel == "vector" and request.algorithm == "noip":
-            return request
-        return replace(request, kernel=self._default_kernel)
-
     def run(
         self,
         request: EnumerationRequest,
@@ -302,7 +257,7 @@ class EnumerationScheduler:
         ref: str | None = None,
     ) -> EnumerationOutcome:
         """Run one request through the pool and block for its outcome."""
-        return self.submit(request, graph=graph, ref=ref).result()
+        return self.submit(request, graph=graph, ref=ref).wait()
 
     def batch(
         self,
@@ -313,19 +268,21 @@ class EnumerationScheduler:
     ) -> list[EnumerationOutcome]:
         """Run many requests concurrently, sharing one compilation.
 
-        Mirrors :meth:`MiningSession.batch`: one derivation base is
-        pre-planned before any job starts (itself single-flighted), so N
-        concurrent α points cost one compilation plus cheap per-α
-        derivations.  The base compile runs *on the pool* — compilation is
-        the expensive step ``max_workers`` exists to bound, so it must not
-        run on the (unbounded) calling thread.  Outcomes are returned in
-        request order.
+        Mirrors :meth:`MiningSession.batch`: :meth:`MiningSession.prepare`
+        builds one derivation base before any job starts, so N concurrent
+        α points cost one compilation plus cheap per-α derivations.  The
+        base compile runs *on the pool* — compilation is the expensive step
+        ``max_workers`` exists to bound, so it must not run on the
+        (unbounded) calling thread.  Outcomes are returned in request order.
         """
         requests = list(requests)
         session = self.session_for(graph, ref)
-        self._executor.submit(self._prepare, session, requests).result()
-        futures = [self.submit(request, graph=graph, ref=ref) for request in requests]
-        return [future.result() for future in futures]
+        try:
+            self._executor.submit(session.prepare, requests).result()
+        except CancelledError:
+            raise ServiceError("server shutdown") from None
+        jobs = [self.submit(request, graph=graph, ref=ref) for request in requests]
+        return [job.wait() for job in jobs]
 
     def sweep(
         self,
@@ -346,31 +303,12 @@ class EnumerationScheduler:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _run_job(
-        self, session: MiningSession, job: Job
-    ) -> "EnumerationOutcome | None":
+    def _run_job(self, session: MiningSession, job: Job) -> None:
         try:
             if job._begin():
-                request = job.request
-                self._ensure_compiled(
-                    session,
-                    alpha=request.compile_alpha(),
-                    size_threshold=request.compile_size_threshold(),
-                )
                 self._execute(session, job)
         except BaseException as exc:
             job._fail(exc)
-            raise
-        if job.state == JobState.FAILED:
-            # Settled as failed without this runner raising (e.g. drained
-            # while queued): surface the stored error on the future too.
-            raise job.error
-        try:
-            return job.wait(timeout=0)
-        except JobError:
-            # Pages were streamed out and released; the future's value is
-            # unused for such jobs (their consumer is the stream).
-            return None
 
     def _execute(self, session: MiningSession, job: Job) -> None:
         """Drive one running job to a terminal state.
@@ -415,61 +353,6 @@ class EnumerationScheduler:
         """
         return not request.parallel and request.algorithm != "top_k"
 
-    def _prepare(
-        self, session: MiningSession, requests: Sequence[EnumerationRequest]
-    ) -> None:
-        """Single-flighted equivalent of :meth:`MiningSession.prepare`.
-
-        The base target comes from the same
-        :func:`~repro.api.session.plan_base_compile` rule the session
-        uses, so the two layers cannot drift apart.
-        """
-        if session.graph.num_vertices == 0:
-            return
-        target = plan_base_compile(requests)
-        if target is None:
-            return
-        alpha, size_threshold = target
-        self._ensure_compiled(session, alpha=alpha, size_threshold=size_threshold)
-
-    def _ensure_compiled(
-        self,
-        session: MiningSession,
-        *,
-        alpha: float | None,
-        size_threshold: int | None,
-    ) -> None:
-        """Materialise one compile target, deduplicating concurrent builds.
-
-        The first thread to request a key becomes its *leader* and builds
-        the artifact (a cache hit, a cheap derivation or a full compile —
-        the cache decides); every other thread arriving while the build is
-        in flight waits on the leader's event and then finds the artifact
-        resident.  A leader failure leaves followers to retry in their own
-        :meth:`MiningSession.enumerate` call, where the error surfaces with
-        full context.
-        """
-        if session.graph.num_vertices == 0:
-            return
-        key = (session.fingerprint, alpha, size_threshold)
-        with self._lock:
-            event = self._inflight_compiles.get(key)
-            leader = event is None
-            if leader:
-                event = threading.Event()
-                self._inflight_compiles[key] = event
-            else:
-                self._single_flight_waits += 1
-        if leader:
-            try:
-                session.compiled(alpha=alpha, size_threshold=size_threshold)
-            finally:
-                with self._lock:
-                    del self._inflight_compiles[key]
-                event.set()
-        else:
-            event.wait()
-
     # ------------------------------------------------------------------ #
     # Introspection and lifecycle
     # ------------------------------------------------------------------ #
@@ -481,8 +364,6 @@ class EnumerationScheduler:
     def stats(self) -> SchedulerStats:
         """Return the current :class:`SchedulerStats` snapshot."""
         counts = self._registry.counts()
-        with self._lock:
-            waits = self._single_flight_waits
         return SchedulerStats(
             submitted=sum(counts.values()),
             completed=counts[JobState.DONE] + counts[JobState.CANCELLED],
@@ -491,7 +372,7 @@ class EnumerationScheduler:
             cancelled=counts[JobState.CANCELLED],
             inflight=counts[JobState.RUNNING],
             queued=counts[JobState.QUEUED],
-            single_flight_waits=waits,
+            single_flight_waits=self._store.cache.single_flight_waits(),
             max_workers=self._max_workers,
             sessions=len(self._store),
         )

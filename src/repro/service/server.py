@@ -198,7 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
                 cursor = _cursor_param(split.query)
                 # Eager cursor validation happens here, *before* any
                 # response bytes — a bad cursor is still a clean 400.
-                self._stream_ndjson(job, job.stream_chunks(cursor))
+                self._stream_ndjson(job.stream_chunks(cursor))
             else:
                 self._respond(200, codec.job_status_to_wire(_job_status(job)))
 
@@ -322,7 +322,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _stream_ndjson(self, job: Job, chunks) -> None:
+    def _stream_ndjson(self, chunks) -> None:
         """Write a job's result chunks as a chunked NDJSON response.
 
         One wire envelope per HTTP chunk, flushed immediately, so the
@@ -339,15 +339,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             for chunk in chunks:
-                wire = codec.JobChunk(
-                    job=job.id,
-                    seq=chunk.seq,
-                    records=chunk.records,
-                    final=chunk.final,
-                    summary=chunk.summary,
-                    error=chunk.error,
-                )
-                self._write_http_chunk(codec.encode(codec.job_chunk_to_wire(wire)))
+                self._write_http_chunk(codec.encode(codec.job_chunk_to_wire(chunk)))
             self._write_http_chunk(b"")
         except (BrokenPipeError, ConnectionResetError):
             pass
@@ -558,10 +550,6 @@ class MiningServer:
         port is available as :attr:`port` — what the tests use).
     max_workers:
         Enumeration thread-pool bound, forwarded to the scheduler.
-    default_kernel:
-        Engine kernel applied to requests arriving with ``kernel="auto"``
-        (forwarded to the scheduler; what ``repro-mule serve --kernel``
-        sets).  Explicit per-request kernels always win.
     quiet:
         Suppress per-request access logging (default ``True``; the CLI
         turns logging on).  Access lines carry the response status and
@@ -586,14 +574,11 @@ class MiningServer:
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         max_workers: int | None = None,
-        default_kernel: str = "auto",
         quiet: bool = True,
         trace_dir: "str | Path | None" = None,
     ) -> None:
         self.quiet = quiet
-        self._scheduler = EnumerationScheduler(
-            target, max_workers=max_workers, default_kernel=default_kernel
-        )
+        self._scheduler = EnumerationScheduler(target, max_workers=max_workers)
         self._httpd = _ServiceHTTPServer((host, port), _Handler)
         self._httpd.service = self
         self._serve_thread: threading.Thread | None = None
@@ -795,10 +780,11 @@ class MiningServer:
         """Enter drain mode without stopping the HTTP loop.
 
         New submissions (every POST) are refused with ``503``; queued jobs
-        settle as ``failed("server shutdown")``; producers blocked on a
-        full result buffer are woken to fail the same way.  Running jobs
-        keep executing and status/result GETs keep working, so attached
-        consumers can finish their streams.
+        settle as ``failed("server shutdown")``, and a synchronous request
+        waiting on one gets that ``ServiceError`` as a ``400``; producers
+        blocked on a full result buffer are woken to fail the same way.
+        Running jobs keep executing and status/result GETs keep working,
+        so attached consumers can finish their streams.
         """
         self._draining = True
         self._scheduler.shutdown(wait=False, drain=True)

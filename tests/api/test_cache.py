@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+import threading
+import time
+
 import pytest
 
+import repro.api.cache as cache_module
+from repro.api import EnumerationRequest, GraphStore, MiningSession
 from repro.api.cache import CacheInfo, CompiledGraphCache
 from repro.core.engine import compile_graph
 from repro.core.pruning import PruningReport
@@ -174,6 +181,142 @@ class TestStore:
         cache.clear()
         assert len(cache) == 0
         assert cache.info() == (0, 0, 0, 0, 0)
+
+
+def slow_down_compiles(monkeypatch, seconds):
+    """Make every compile take ``seconds`` more; return the list of calls."""
+    real = cache_module.compile_graph
+    calls = []
+
+    def slowed(*args, **kwargs):
+        calls.append(kwargs)
+        time.sleep(seconds)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "compile_graph", slowed)
+    return calls
+
+
+def run_together(count, target):
+    """Run ``target`` on ``count`` threads released at once; return results.
+
+    Each result is the value ``target`` returned or the exception it raised.
+    """
+    barrier = threading.Barrier(count)
+    results = []
+
+    def call():
+        barrier.wait(timeout=5)
+        try:
+            results.append(target())
+        except Exception as exc:
+            results.append(exc)
+
+    threads = [threading.Thread(target=call) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "a thread never returned"
+    return results
+
+
+class TestSingleFlight:
+    """Concurrent misses of one key build it once; waits count no lookup."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Slow every compile down by 50 ms; the list of calls made."""
+        return slow_down_compiles(monkeypatch, 0.05)
+
+    def test_threads_sharing_a_store_session_compile_once(self, compiles):
+        from repro.generators.erdos_renyi import random_uncertain_graph
+
+        graph = random_uncertain_graph(16, 0.5, rng=random.Random(11))
+        store = GraphStore()
+        store.add(graph)
+        session = store.session()
+        request = EnumerationRequest(algorithm="mule", alpha=0.4)
+        outcomes = run_together(6, lambda: session.enumerate(request))
+        info = store.cache_info()
+        assert (info.compilations, info.hits + info.misses) == (1, 6), info
+        assert store.cache.single_flight_waits() >= 1
+        reference = MiningSession(graph).enumerate(request)
+        for outcome in outcomes:
+            outcome.assert_matches(reference)
+
+    def test_failed_build_leaves_no_waiter_hanging(self, graph, compiles, monkeypatch):
+        slowed = cache_module.compile_graph
+        tickets = itertools.count()
+
+        def fail_first(*args, **kwargs):
+            ticket = next(tickets)
+            artifact = slowed(*args, **kwargs)
+            if ticket == 0:
+                raise RuntimeError("first build failed")
+            return artifact
+
+        monkeypatch.setattr(cache_module, "compile_graph", fail_first)
+        cache = CompiledGraphCache()
+        fp = graph.fingerprint()
+        results = run_together(6, lambda: cache.get(graph, fp, alpha=0.4))
+        errors = [r for r in results if isinstance(r, Exception)]
+        artifacts = {id(r) for r in results if not isinstance(r, Exception)}
+        assert len(results) == 6 and len(errors) == 1, results
+        assert len(artifacts) == 1
+        assert len(compiles) == 2
+        info = cache.info()
+        assert info.misses == info.compilations == 1, info
+        assert info.hits == 4, info
+
+    def test_clear_resets_the_wait_count(self, graph, compiles):
+        cache = CompiledGraphCache()
+        fp = graph.fingerprint()
+        run_together(3, lambda: cache.get(graph, fp, alpha=0.4))
+        assert cache.single_flight_waits() >= 1
+        cache.clear()
+        assert cache.single_flight_waits() == 0
+
+    def test_pruning_report_calls_are_not_deduplicated(self, graph, compiles):
+        cache = CompiledGraphCache()
+        fp = graph.fingerprint()
+        run_together(
+            3, lambda: cache.get(graph, fp, alpha=0.4, pruning_report=PruningReport())
+        )
+        assert len(compiles) == 3
+        assert cache.single_flight_waits() == 0
+
+    def test_mixed_alphas_under_eviction_match_serial(self, monkeypatch):
+        from repro.generators.erdos_renyi import random_uncertain_graph
+
+        slow_down_compiles(monkeypatch, 0.01)
+        graph = random_uncertain_graph(16, 0.5, rng=random.Random(11))
+        store = GraphStore(cache_maxsize=3)
+        store.add(graph)
+        session = store.session()
+        alphas = [0.6, 0.2, 0.5, 0.3, 0.7, 0.4, 0.25, 0.45]
+        requests = [
+            EnumerationRequest(algorithm="mule", alpha=alpha, prune_edges=i % 3 != 0)
+            for i, alpha in enumerate(alphas)
+        ]
+        serial = [MiningSession(graph).enumerate(r) for r in requests]
+        offsets = itertools.count()
+
+        def worker():
+            offset = next(offsets)
+            return [
+                (i, session.enumerate(requests[i]))
+                for i in ((offset + step) % len(requests) for step in range(12))
+            ]
+
+        for result in run_together(6, worker):
+            assert not isinstance(result, Exception), result
+            for i, outcome in result:
+                outcome.assert_matches(serial[i])
+        info = store.cache_info()
+        assert info.hits + info.misses == 6 * 12, info
+        assert info.misses == info.compilations + info.derivations, info
+        assert info.entries <= 3, info
 
 
 class TestPerFingerprintCounters:

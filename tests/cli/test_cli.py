@@ -51,7 +51,7 @@ class TestParser:
             for action in subparser._actions
             if "--kernel" in action.option_strings
         }
-        assert {"enumerate", "serve"} <= set(flags)
+        assert set(flags) == {"enumerate", "compare"}
         assert all(tuple(choices) == KERNELS for choices in flags.values())
 
 

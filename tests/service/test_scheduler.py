@@ -1,25 +1,30 @@
-"""Scheduler tests — single-flight compilation, mixed-graph isolation.
+"""Scheduler tests — one cache lookup per job, mixed-graph isolation.
 
 The concurrency guarantees pinned here:
 
 * N concurrent requests for the same (graph, α) perform exactly **one**
   compilation (asserted via ``cache_info()``), even on a cold cache —
-  the single-flight dedup the plain cache deliberately does not provide;
+  the shared cache single-flights its misses, and each job looks the
+  cache up once, as a session call does;
 * concurrent sweeps share one compilation end to end;
 * interleaved load over *different* graphs never cross-contaminates
   outcomes (session-per-fingerprint isolation);
+* a request's own ``kernel`` reaches the engine unchanged;
 * the bookkeeping counters (submitted/completed/failed, waits) add up,
   and the scheduler's metrics report the same counts, after a drain and
-  after a refused submission too.
+  after a refused submission too; a drained synchronous caller gets its
+  job's ``ServiceError``, and a finished job keeps no second copy of its
+  records.
 """
 
 from __future__ import annotations
 
+import gc
 import random
-import re
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -28,6 +33,7 @@ from repro.errors import ParameterError, ServiceError
 from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.service import EnumerationScheduler
 from repro.service.jobs import JobState
+from repro.uncertain.graph import UncertainGraph
 import repro.api.cache as cache_module
 
 REQUEST = EnumerationRequest(algorithm="mule", alpha=0.4)
@@ -43,6 +49,17 @@ def other_graph():
     return random_uncertain_graph(12, 0.6, rng=random.Random(99))
 
 
+def slow_down_compiles(monkeypatch, seconds):
+    """Make every real compilation take ``seconds`` more wall clock."""
+    real = cache_module.compile_graph
+
+    def slowed(*args, **kwargs):
+        time.sleep(seconds)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "compile_graph", slowed)
+
+
 @pytest.fixture
 def slow_compile(monkeypatch):
     """Make every real compilation take a visible amount of wall clock.
@@ -52,25 +69,21 @@ def slow_compile(monkeypatch):
     through it; 50 ms guarantees all concurrently submitted jobs arrive
     while the leader is still compiling.
     """
-    real = cache_module.compile_graph
-
-    def slowed(*args, **kwargs):
-        time.sleep(0.05)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cache_module, "compile_graph", slowed)
+    slow_down_compiles(monkeypatch, 0.05)
 
 
 class TestSingleFlight:
     def test_same_key_compiles_exactly_once(self, graph, slow_compile):
         with EnumerationScheduler(graph, max_workers=8) as scheduler:
-            futures = [scheduler.submit(REQUEST) for _ in range(12)]
-            outcomes = [future.result() for future in futures]
+            jobs = [scheduler.submit(REQUEST) for _ in range(12)]
+            outcomes = [job.wait() for job in jobs]
             info = scheduler.cache_info()
             stats = scheduler.stats()
         assert info.compilations == 1, info
-        # Followers piggybacked on the leader instead of compiling.
+        # Followers waited for the leader's build instead of compiling.
         assert stats.single_flight_waits >= 1, stats
+        assert stats.single_flight_waits == scheduler.store.cache.single_flight_waits()
+        assert info.hits + info.misses == 12, info
         reference = MiningSession(graph).enumerate(REQUEST)
         for outcome in outcomes:
             outcome.assert_matches(reference)
@@ -123,17 +136,25 @@ class TestSingleFlight:
         assert info.compilations == 2, info
         a.assert_matches(b, compare_statistics=False)
 
+    def test_a_job_looks_the_cache_up_once(self, graph):
+        session = MiningSession(graph, cache=cache_module.CompiledGraphCache())
+        session.enumerate(REQUEST)
+        session.enumerate(REQUEST)
+        with EnumerationScheduler(graph) as scheduler:
+            scheduler.run(REQUEST)
+            scheduler.run(REQUEST)
+            info = scheduler.cache_info()
+        assert info[:4] == session.cache_info()[:4] == (1, 1, 1, 0), info
+
 
 class TestMixedGraphLoad:
     def test_outcomes_never_cross_contaminate(self, graph, other_graph):
         with EnumerationScheduler(graph, max_workers=6) as scheduler:
-            futures = []
+            jobs = []
             for _ in range(4):
-                futures.append((graph, scheduler.submit(REQUEST)))
-                futures.append(
-                    (other_graph, scheduler.submit(REQUEST, graph=other_graph))
-                )
-            results = [(g, future.result()) for g, future in futures]
+                jobs.append((graph, scheduler.submit(REQUEST)))
+                jobs.append((other_graph, scheduler.submit(REQUEST, graph=other_graph)))
+            results = [(g, job.wait()) for g, job in jobs]
             assert scheduler.stats().sessions == 2
 
         expected = {
@@ -212,12 +233,27 @@ class TestBookkeeping:
             # Patch the compile step: it is the shared front of both the
             # streaming and the materialising job paths.
             monkeypatch.setattr(MiningSession, "compiled", explode)
-            future = scheduler.submit(REQUEST)
+            job = scheduler.submit(REQUEST)
             with pytest.raises(Boom):
-                future.result()
+                job.wait()
             stats = scheduler.stats()
         assert stats.failed == 1
         assert stats.completed == 0
+
+    def test_streamed_job_keeps_no_copy_of_its_records(self, graph):
+        with EnumerationScheduler(graph) as scheduler:
+            job = scheduler.submit_job(REQUEST)
+            deadline = time.monotonic() + 10.0
+            while job.state not in JobState.TERMINAL:
+                assert time.monotonic() < deadline, "the job never finished"
+                time.sleep(0.001)
+            chunks = list(job.stream_chunks())
+            first = weakref.ref(chunks[0].records[0])
+            assert chunks[-1].final and chunks[-1].summary.num_cliques == 0
+            del chunks
+            gc.collect()
+            assert scheduler.jobs.get(job.id) is job
+            assert first() is None
 
     def test_invalid_max_workers_rejected(self, graph):
         with pytest.raises(ParameterError):
@@ -230,8 +266,6 @@ class TestBookkeeping:
             scheduler.submit(REQUEST)
 
     def test_empty_graph_requests_complete(self):
-        from repro.uncertain.graph import UncertainGraph
-
         with EnumerationScheduler(UncertainGraph()) as scheduler:
             outcome = scheduler.run(REQUEST)
         assert outcome.num_cliques == 0
@@ -291,6 +325,75 @@ class TestShutdownSubmitRace:
         assert stats.completed == 1
         assert stats.submitted == 4
 
+    def test_drained_synchronous_callers_get_service_error(self, graph, monkeypatch):
+        slow_down_compiles(monkeypatch, 0.3)
+        scheduler = EnumerationScheduler(graph, max_workers=1)
+        results: list[object] = []
+
+        def call():
+            try:
+                results.append(scheduler.run(REQUEST))
+            except BaseException as exc:
+                results.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        while scheduler.stats().submitted < 3 or scheduler.stats().inflight < 1:
+            assert time.monotonic() < deadline, "the jobs never got going"
+            time.sleep(0.001)
+        scheduler.shutdown(wait=True, drain=True)
+        for thread in threads:
+            thread.join(timeout=10)
+        errors = [r for r in results if isinstance(r, BaseException)]
+        assert len(results) == 3 and len(errors) == 2, results
+        for error in errors:
+            assert isinstance(error, ServiceError) and str(error) == "server shutdown"
+        assert scheduler.stats().failed == 2
+
+    def test_drained_batch_gets_service_error(self, graph, monkeypatch):
+        slow_down_compiles(monkeypatch, 0.3)
+        scheduler = EnumerationScheduler(graph, max_workers=1)
+        queued = []
+        real_submit = scheduler._executor.submit
+
+        def spy(*args):
+            future = real_submit(*args)
+            queued.append(future)
+            return future
+
+        monkeypatch.setattr(scheduler._executor, "submit", spy)
+        results: dict[str, object] = {}
+
+        def call(name, function):
+            try:
+                results[name] = function()
+            except BaseException as exc:
+                results[name] = exc
+
+        running = threading.Thread(
+            target=call, args=("run", lambda: scheduler.run(REQUEST))
+        )
+        running.start()
+        deadline = time.monotonic() + 10.0
+        while scheduler.stats().inflight < 1:
+            assert time.monotonic() < deadline, "the first job never started"
+            time.sleep(0.001)
+        batch = threading.Thread(
+            target=call, args=("batch", lambda: scheduler.sweep([0.3, 0.5]))
+        )
+        batch.start()
+        while len(queued) < 2:
+            assert time.monotonic() < deadline, "the batch never queued its base"
+            time.sleep(0.001)
+        scheduler.shutdown(wait=True, drain=True)
+        for thread in (running, batch):
+            thread.join(timeout=10)
+        assert results["run"].num_cliques > 0
+        assert isinstance(results["batch"], ServiceError), results
+        assert str(results["batch"]) == "server shutdown"
+
     def test_drain_race_leaves_no_zombie_queued_job(self, graph):
         submitters = 8
         for _ in range(5):
@@ -332,45 +435,23 @@ class TestShutdownSubmitRace:
             assert scheduler.jobs.counts()[JobState.QUEUED] == 0
 
 
-class TestDefaultKernel:
-    """The deployment-level kernel default (``serve --kernel``)."""
+class TestRequestKernel:
+    """A request's own ``kernel`` reaches the engine through the scheduler."""
 
-    def test_invalid_default_rejected(self, graph):
-        with pytest.raises(ParameterError):
-            EnumerationScheduler(graph, default_kernel="simd")
-
-    def test_invalid_default_error_lists_the_kernels(self, graph):
-        expected = re.escape("expected one of ('auto', 'python', 'vector')")
-        with pytest.raises(ParameterError, match=expected):
-            EnumerationScheduler(graph, default_kernel="simd")
-
-    @pytest.mark.parametrize("default", ["python", "vector"])
-    def test_auto_requests_adopt_the_default(self, graph, default):
-        with EnumerationScheduler(graph, default_kernel=default) as scheduler:
-            outcome = scheduler.run(REQUEST)
-        assert outcome.request.kernel == default
-
-    def test_explicit_kernel_wins_over_default(self, graph):
-        request = EnumerationRequest(algorithm="mule", alpha=0.4, kernel="python")
-        with EnumerationScheduler(graph, default_kernel="vector") as scheduler:
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    def test_explicit_kernel_reaches_the_engine(self, graph, kernel):
+        request = EnumerationRequest(algorithm="mule", alpha=0.4, kernel=kernel)
+        with EnumerationScheduler(graph) as scheduler:
             outcome = scheduler.run(request)
-        assert outcome.request.kernel == "python"
-
-    def test_vector_default_spares_the_baseline(self, graph):
-        # DFS-NOIP cannot run on the vector kernel; a vector default must
-        # leave its requests at "auto" instead of rejecting them.
-        request = EnumerationRequest(algorithm="noip", alpha=0.4)
-        with EnumerationScheduler(graph, default_kernel="vector") as scheduler:
-            outcome = scheduler.run(request)
-        assert outcome.request.kernel == "auto"
-        assert outcome.num_cliques > 0
+        assert outcome.request.kernel == kernel
 
     def test_kernels_produce_identical_outcomes(self, graph):
-        with EnumerationScheduler(graph, default_kernel="python") as py:
-            a = py.run(REQUEST)
-        with EnumerationScheduler(graph, default_kernel="vector") as vec:
-            b = vec.run(REQUEST)
-        assert [
-            (r.vertices, r.probability) for r in a.records
-        ] == [(r.vertices, r.probability) for r in b.records]
+        with EnumerationScheduler(graph) as scheduler:
+            a, b = (
+                scheduler.run(EnumerationRequest(algorithm="mule", alpha=0.4, kernel=k))
+                for k in ("python", "vector")
+            )
+        assert [(r.vertices, r.probability) for r in a.records] == [
+            (r.vertices, r.probability) for r in b.records
+        ]
         assert a.statistics == b.statistics

@@ -112,6 +112,19 @@ class TestRemoteSweep:
         assert remote.sweep([]) == []
 
 
+class TestRequestKernel:
+    def test_kernel_travels_with_the_request(self, remote):
+        a, b = (
+            remote.enumerate(EnumerationRequest(algorithm="mule", alpha=0.4, kernel=k))
+            for k in ("python", "vector")
+        )
+        assert (a.request.kernel, b.request.kernel) == ("python", "vector")
+        assert [(r.vertices, r.probability) for r in a.records] == [
+            (r.vertices, r.probability) for r in b.records
+        ]
+        assert a.statistics == b.statistics
+
+
 class TestErrorMapping:
     def test_bad_parameters_reraise_original_type(self, remote):
         payload = codec.request_to_wire(EnumerationRequest(algorithm="mule", alpha=0.5))
