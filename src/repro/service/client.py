@@ -23,7 +23,10 @@ asserted per graph on a busy multi-graph server.
 Outcomes decode to real :class:`~repro.api.outcome.EnumerationOutcome`
 objects: clique sets, probabilities, counters and stop provenance are
 identical to a local run of the same request (the remote-parity suites and
-the throughput benchmark assert this bit-for-bit).
+the throughput benchmark assert this bit-for-bit).  On v2 the clients ask
+for records as columns (``?records=columns``): one ``clique-columns``
+block per outcome or result page instead of one envelope per record, about
+a quarter of the bytes.  The decoders accept rows too.
 
 :class:`RemoteJob` is the client face of the async job pipeline: submit
 with :meth:`RemoteSession.submit`, poll :meth:`RemoteJob.status`, stream
@@ -286,7 +289,8 @@ class RemoteJob:
 
         Reconnects transparently on dropped connections: the resume
         cursor only advances past a chunk once it was fully received, so
-        no record is lost or duplicated.  When the stream ends, a failed
+        no record is lost or duplicated.  Every stream it opens asks for
+        the records as columns.  When the stream ends, a failed
         job's error is re-raised; a ``done``/``cancelled`` job returns
         normally (check :meth:`outcome` for the ``stop_reason``).
 
@@ -302,7 +306,7 @@ class RemoteJob:
         while self._summary is None and self._error is None:
             before = self._cursor
             stream = self._client._open_stream(
-                f"/v2/jobs/{self.id}/results?cursor={self._cursor}"
+                f"/v2/jobs/{self.id}/results?records=columns&cursor={self._cursor}"
             )
             try:
                 yield from self._consume(stream)
@@ -408,7 +412,8 @@ class RemoteSession(_HttpClient):
     graph:
         Optional graph reference (registered name or fingerprint).  When
         omitted the session speaks the v1 surface against the server's
-        default graph; when given it speaks v2 against that graph.
+        default graph; when given it speaks v2 against that graph, and
+        asks for records as columns.
     timeout:
         Socket timeout per request, in seconds.
     """
@@ -437,7 +442,7 @@ class RemoteSession(_HttpClient):
             payload = self._post("/v1/enumerate", codec.request_to_wire(request))
         else:
             payload = self._post(
-                f"/v2/graphs/{self._graph_ref}/enumerate",
+                f"/v2/graphs/{self._graph_ref}/enumerate?records=columns",
                 codec.ref_request_to_wire(request, graph=self._graph_ref),
             )
         return codec.outcome_from_wire(payload)
@@ -464,7 +469,7 @@ class RemoteSession(_HttpClient):
             payload = self._post("/v1/sweep", codec.sweep_to_wire(base, alphas))
         else:
             payload = self._post(
-                f"/v2/graphs/{self._graph_ref}/sweep",
+                f"/v2/graphs/{self._graph_ref}/sweep?records=columns",
                 codec.ref_sweep_to_wire(base, alphas, graph=self._graph_ref),
             )
         return codec.outcomes_from_wire(payload)

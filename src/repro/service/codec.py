@@ -11,9 +11,18 @@ envelopes (sweep requests, outcome lists, errors).
 Each wire kind is described once, as a table of fields (:class:`_Kind`);
 one generic encoder and one generic decoder walk that table, so the two
 directions agree by construction.  The kinds whose per-record, per-edge
-and per-histogram work is hot or irregular (``clique-record``, ``graph``,
-``metrics``) keep hand-written bodies and take their key sets from the
-table.
+and per-histogram work is hot or irregular (``clique-record``,
+``clique-columns``, ``graph``, ``metrics``) keep hand-written bodies and
+take their key sets from the table.
+
+Records travel in one of two forms.  Rows are one ``clique-record``
+envelope per record, the v1 form every envelope that carries records
+defaults to.  Columns are one ``clique-columns`` block per record list
+(every label in one array, one size per record, the probabilities packed
+as little-endian float64); ``enumeration-outcome`` and
+``job-result-chunk`` carry it in their additive ``columns`` key when the
+encoder is asked with ``columns=True``.  Both forms decode everywhere,
+to the same records.
 
 Design rules — these are the compatibility contract the conformance corpus
 (``tests/service/fixtures``) pins down:
@@ -45,9 +54,12 @@ True
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+import struct
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
-
+from itertools import islice
 from typing import Any, Generic, NamedTuple, NoReturn, TypeVar
 
 from ..api.outcome import EnumerationOutcome
@@ -81,6 +93,8 @@ __all__ = [
     "record_from_wire",
     "records_to_wire",
     "records_from_wire",
+    "columns_to_wire",
+    "columns_from_wire",
     "sweep_to_wire",
     "sweep_from_wire",
     "error_to_wire",
@@ -365,7 +379,11 @@ class _Kind(Generic[T]):
 
     ``build`` makes the decoded value from the fields, by name; ``parts``
     takes a value apart into its fields, in table order (default: the
-    value's attributes of the same names).  ``source`` is the type
+    value's attributes of the same names; an additive key the value has
+    no attribute for is at its default).  :meth:`encode` takes fields
+    already in wire form by keyword, and these replace what ``parts``
+    gives: that is how a caller picks the form of a field the value does
+    not hold, as ``columns`` is to an outcome.  ``source`` is the type
     :func:`to_wire` encodes as this kind, or for a list kind the type of
     its items.  A kind with a hand-written body passes it as ``encoder``
     and ``decoder``, and takes its key set from here; its ``build``
@@ -399,24 +417,33 @@ class _Kind(Generic[T]):
         for field in fields:
             if field.type.nested is not None:
                 self._nested.append((field.name, field.nullable, field.type.nested))
-        self.encode: Callable[[Any], dict[str, Any]] = encoder or self._encode
+        self.encode: Callable[..., dict[str, Any]] = encoder or self._encode
         self.decode: Callable[[object], T] = decoder or self._decode
 
-    def _encode(self, value: Any) -> dict[str, Any]:
+    def _encode(self, value: Any, **wire: Any) -> dict[str, Any]:
         if self.parts is None:
-            values: Sequence[Any] = [getattr(value, name) for name in self._names]
+            values: Sequence[Any] = [
+                getattr(value, f.name) if f.since is None else getattr(value, f.name, f.default)
+                for f in self.fields
+            ]
         else:
             values = self.parts(value)
+        fields = dict(zip(self._names, values))
+        fields.update(wire)
         if self._check is not None:
-            self._check(dict(zip(self._names, values)))
+            self._check(fields)
         payload: dict[str, Any] = {"schema": self.since, "kind": self.name}
-        for field, item in zip(self.fields, values):
+        for field in self.fields:
+            item = fields[field.name]
             if field.since is not None:
                 if item == field.default:
                     continue
                 payload["schema"] = max(payload["schema"], field.since)
             encoder = field.type.encode
-            payload[field.name] = item if item is None or encoder is None else encoder(item)
+            if item is None or encoder is None or field.name in wire:
+                payload[field.name] = item
+            else:
+                payload[field.name] = encoder(item)
         return payload
 
     def _decode(self, payload: object) -> T:
@@ -620,6 +647,104 @@ def _records_from_wire(raw: list[Any]) -> list[CliqueRecord]:
 #: pass in.
 _RECORDS = _Type(
     _list_field, lambda records: [record_to_wire(r) for r in records], _records_from_wire
+)
+
+
+# ---------------------------------------------------------------------- #
+# Record lists as columns (hand-written: one pass per column)
+# ---------------------------------------------------------------------- #
+#: The wire's size type, matched exactly: ``bool`` is its own type.
+_SIZE_TYPES = frozenset({int})
+
+
+def columns_to_wire(records: Iterable[CliqueRecord]) -> dict[str, Any]:
+    """Encode a record list as one ``clique-columns`` block (schema v2).
+
+    ``vertices`` holds every record's labels, record after record, each
+    record's in the order :func:`record_to_wire` writes them; ``sizes``
+    holds one label count per record; ``probabilities`` is the standard
+    base64 (RFC 4648 section 4) of the probabilities as little-endian
+    IEEE 754 binary64, 8 bytes per record.  Labels must be wire-encodable
+    and probabilities finite, as in rows.
+    """
+    vertices: list[int | float | str] = []
+    sizes: list[int] = []
+    probabilities: list[float] = []
+    for record in records:
+        labels = record.as_tuple()
+        vertices += labels
+        sizes.append(len(labels))
+        probabilities.append(record.probability)
+    if not _LABEL_TYPES.issuperset(map(type, vertices)):
+        vertices = [_vertex_to_wire(v) for v in vertices]
+    try:
+        packed = struct.pack(f"<{len(probabilities)}d", *probabilities)
+    except struct.error as exc:
+        raise FormatError(f"clique-columns: probabilities must be numbers ({exc})") from exc
+    if not all(map(math.isfinite, probabilities)):
+        raise FormatError("clique-columns: probabilities must be finite")
+    return _envelope(
+        "clique-columns",
+        {
+            "vertices": vertices,
+            "sizes": sizes,
+            "probabilities": base64.b64encode(packed).decode("ascii"),
+        },
+        version=SCHEMA_VERSION_V2,
+    )
+
+
+def columns_from_wire(payload: object) -> list[CliqueRecord]:
+    """Decode a ``clique-columns`` block to its records, in order.
+
+    It accepts exactly the record lists that decode from rows, to equal
+    records with bit-identical probabilities: labels are ``int``,
+    ``float`` or ``str`` and never repeat within a record, and every
+    probability is finite (``NaN`` and infinities cannot travel in rows).
+    The columns must also agree: the sizes are ints >= 0 that add up to
+    the number of labels, and the probabilities are strict base64 of
+    exactly 8 bytes per size.
+    """
+    kind = "clique-columns"
+    payload = _open_envelope(payload, kind, _COLUMNS.keys, min_version=SCHEMA_VERSION_V2)
+    vertices = _field(payload, kind, "vertices", list)
+    sizes = _field(payload, kind, "sizes", list)
+    packed = _field(payload, kind, "probabilities", str)
+    if not _LABEL_TYPES.issuperset(map(type, vertices)):
+        for value in vertices:
+            _vertex_from_wire(value, kind)
+    if not _SIZE_TYPES.issuperset(map(type, sizes)) or (sizes and min(sizes) < 0):
+        raise FormatError(f"{kind}.sizes entries must be ints >= 0")
+    if sum(sizes) != len(vertices):
+        raise FormatError(
+            f"{kind}: the sizes add up to {sum(sizes)} labels, "
+            f"but vertices holds {len(vertices)}"
+        )
+    try:
+        raw = base64.b64decode(packed, validate=True)
+    except ValueError as exc:
+        raise FormatError(f"{kind}.probabilities is not base64: {exc}") from exc
+    if len(raw) != 8 * len(sizes):
+        raise FormatError(
+            f"{kind}.probabilities holds {len(raw)} bytes, "
+            f"but {len(sizes)} records need {8 * len(sizes)}"
+        )
+    probabilities = struct.unpack(f"<{len(sizes)}d", raw)
+    if not all(map(math.isfinite, probabilities)):
+        raise FormatError(f"{kind}.probabilities must be finite")
+    labels = iter(vertices)
+    cliques = [frozenset(islice(labels, size)) for size in sizes]
+    if sum(map(len, cliques)) != len(vertices):
+        raise FormatError(f"{kind}: duplicate vertices")
+    return list(map(CliqueRecord, cliques, probabilities))
+
+
+_COLUMNS: _Kind[list[CliqueRecord]] = _Kind(
+    "clique-columns", SCHEMA_VERSION_V2,
+    _Field("vertices", _HAND),
+    _Field("sizes", _HAND),
+    _Field("probabilities", _HAND),
+    build=list, encoder=columns_to_wire, decoder=columns_from_wire,
 )
 
 
@@ -941,8 +1066,21 @@ def _check_job_status(status: dict[str, Any]) -> None:
         raise FormatError("job-status.error must be set exactly when failed")
 
 
+def _check_record_form(kind: str, envelope: dict[str, Any]) -> None:
+    """Records travel as rows or as columns; an envelope never holds both."""
+    if envelope["records"] and envelope["columns"] is not None:
+        raise FormatError(f"{kind}: records and columns are exclusive")
+
+
+def _check_outcome(outcome: dict[str, Any]) -> None:
+    _check_record_form("enumeration-outcome", outcome)
+
+
 def _check_chunk(chunk: dict[str, Any]) -> None:
+    _check_record_form("job-result-chunk", chunk)
     if chunk["final"]:
+        if chunk["records"] or chunk["columns"] is not None:
+            raise FormatError("job-result-chunk: a final chunk carries no records")
         if (chunk["summary"] is None) == (chunk["error"] is None):
             raise FormatError(
                 "job-result-chunk: a final chunk carries exactly one of "
@@ -1075,6 +1213,13 @@ _REQUEST: _Kind[EnumerationRequest] = _Kind(
     build=EnumerationRequest, source=EnumerationRequest,
 )
 
+# ``columns`` is the records as one ``clique-columns`` block: an additive
+# v2 key of outcomes and result chunks that only the encoders' ``columns=True``
+# sets, with ``records`` then empty.
+_COLUMNS_FIELD = _Field(
+    "columns", _nested(_COLUMNS), nullable=True, since=SCHEMA_VERSION_V2, default=None
+)
+
 _OUTCOME: _Kind[EnumerationOutcome] = _Kind(
     "enumeration-outcome", SCHEMA_VERSION,
     _Field("algorithm", _STR),
@@ -1084,7 +1229,12 @@ _OUTCOME: _Kind[EnumerationOutcome] = _Kind(
     _Field("report", _nested(_REPORT)),
     _Field("elapsed_seconds", _SECONDS),
     _Field("request", _nested(_REQUEST), nullable=True),
-    build=EnumerationOutcome, source=EnumerationOutcome,
+    _COLUMNS_FIELD,
+    build=lambda records, columns, **fields: EnumerationOutcome(
+        records=records if columns is None else columns, **fields
+    ),
+    check=_check_outcome,
+    source=EnumerationOutcome,
 )
 
 _SWEEP: _Kind[tuple[EnumerationRequest, list[float]]] = _Kind(
@@ -1191,7 +1341,10 @@ _JOB_CHUNK: _Kind[JobChunk] = _Kind(
     _Field("final", _BOOL),
     _Field("summary", _nested(_JOB_SUMMARY), nullable=True),
     _Field("error", _nested(_ERROR), nullable=True),
-    build=lambda records, **fields: JobChunk(records=tuple(records), **fields),
+    _COLUMNS_FIELD,
+    build=lambda records, columns, **fields: JobChunk(
+        records=tuple(records if columns is None else columns), **fields
+    ),
     check=_check_chunk,
     source=JobChunk,
 )
@@ -1209,7 +1362,7 @@ _KINDS: tuple[_Kind[Any], ...] = (
     _RECORD, _RECORD_LIST, _STATISTICS, _REPORT, _CONTROLS, _REQUEST,
     _OUTCOME, _SWEEP, _OUTCOME_LIST, _ERROR, _GRAPH, _GRAPH_INFO,
     _GRAPH_LIST, _UPLOAD, _REF_REQUEST, _REF_SWEEP, _JOB_REQUEST,
-    _JOB_STATUS, _JOB_SUMMARY, _JOB_CHUNK, _JOB_LIST, _METRICS,
+    _JOB_STATUS, _JOB_SUMMARY, _JOB_CHUNK, _JOB_LIST, _METRICS, _COLUMNS,
 )
 
 
@@ -1268,7 +1421,17 @@ def request_to_wire(request: EnumerationRequest) -> dict[str, Any]:
     return _REQUEST.encode(request)
 
 
-def outcome_to_wire(outcome: EnumerationOutcome) -> dict[str, Any]:
+def outcome_to_wire(
+    outcome: EnumerationOutcome, *, columns: bool = False
+) -> dict[str, Any]:
+    """Encode an outcome, its records as rows (the v1 bytes) by default.
+
+    ``columns=True`` carries the records as one ``clique-columns`` block
+    in the additive ``columns`` key instead, with ``records`` empty and
+    the envelope stamped ``schema: 2``.
+    """
+    if columns:
+        return _OUTCOME.encode(outcome, records=[], columns=columns_to_wire(outcome.records))
     return _OUTCOME.encode(outcome)
 
 
@@ -1277,7 +1440,13 @@ def sweep_to_wire(request: EnumerationRequest, alphas: Sequence[float]) -> dict[
     return _SWEEP.encode((request, alphas))
 
 
-def outcomes_to_wire(outcomes: Iterable[EnumerationOutcome]) -> dict[str, Any]:
+def outcomes_to_wire(
+    outcomes: Iterable[EnumerationOutcome], *, columns: bool = False
+) -> dict[str, Any]:
+    """Encode a sweep's outcomes; ``columns`` as in :func:`outcome_to_wire`."""
+    if columns:
+        wire = [outcome_to_wire(outcome, columns=True) for outcome in outcomes]
+        return _OUTCOME_LIST.encode(wire, outcomes=wire)
     return _OUTCOME_LIST.encode(outcomes)
 
 
@@ -1348,8 +1517,15 @@ def job_summary_to_wire(outcome: EnumerationOutcome) -> dict[str, Any]:
     return _JOB_SUMMARY.encode(outcome)
 
 
-def job_chunk_to_wire(chunk: JobChunk) -> dict[str, Any]:
-    """Encode one result-stream chunk (a line of ``GET .../results``)."""
+def job_chunk_to_wire(chunk: JobChunk, *, columns: bool = False) -> dict[str, Any]:
+    """Encode one result-stream chunk (a line of ``GET .../results``).
+
+    ``columns=True`` carries a page's records as one ``clique-columns``
+    block, as :func:`outcome_to_wire` does.  A final chunk carries no
+    records, so it encodes the same either way.
+    """
+    if columns and not chunk.final:
+        return _JOB_CHUNK.encode(chunk, records=[], columns=columns_to_wire(chunk.records))
     return _JOB_CHUNK.encode(chunk)
 
 

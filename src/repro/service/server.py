@@ -21,13 +21,17 @@ endpoint                            semantics
 ``GET /v2/graphs/{ref}``            one graph's ``graph-info``
 ``DELETE /v2/graphs/{ref}``         unregister a graph (and its cached artifacts)
 ``POST /v2/graphs/{ref}/enumerate`` run against the referenced graph
+                                    (``?records=columns``: records as
+                                    one ``clique-columns`` block)
 ``POST /v2/graphs/{ref}/sweep``     sweep the referenced graph
+                                    (``?records=columns`` as above)
 ``POST /v2/jobs``                   submit an enumeration asynchronously; returns
                                     its ``job-status`` immediately
 ``GET /v2/jobs``                    list registered jobs (``job-list`` envelope)
 ``GET /v2/jobs/{id}``               one job's live ``job-status``
 ``GET /v2/jobs/{id}/results``       stream result pages as NDJSON chunks
-                                    (``?cursor=N`` resumes mid-stream)
+                                    (``?cursor=N`` resumes mid-stream;
+                                    ``?records=columns`` as above)
 ``DELETE /v2/jobs/{id}``            cancel a job; returns its post-cancel status
 ================================--  ================================================
 
@@ -35,14 +39,22 @@ endpoint                            semantics
 8+ characters accepted).  Library errors map to ``400`` with an ``error``
 envelope (the client re-raises the original exception type); unknown
 routes, unknown graph references *and* unknown job ids to ``404``; a
-draining server answers every POST with ``503``; anything unexpected maps
-to ``500``.  See ``docs/service.md`` for the wire schema and curl-able
-examples.
+draining server answers every POST with ``503``; a request body that
+stalls past :data:`CONNECTION_TIMEOUT_SECONDS` gets ``408``; anything
+unexpected maps to ``500``.  See ``docs/service.md`` for the wire schema
+and curl-able examples.
+
+Records answer as rows (one ``clique-record`` envelope each, the bytes v1
+and v2 have always answered) unless the request asks for
+``?records=columns``, which the in-repo clients always do on v2.
 
 The server is concurrency-correct by construction: each connection gets a
 handler thread (``ThreadingHTTPServer``) which *blocks* on the scheduler's
 bounded pool, so enumeration concurrency — and therefore memory — is
-bounded by ``max_workers`` no matter how many clients connect.
+bounded by ``max_workers`` no matter how many clients connect.  Responses
+go out with ``TCP_NODELAY``, so a client reusing its connection does not
+wait on a delayed ACK, and a connection idle or stalled for
+:data:`CONNECTION_TIMEOUT_SECONDS` is closed.
 """
 
 from __future__ import annotations
@@ -83,6 +95,12 @@ MAX_REQUEST_BYTES = 1 << 20
 #: carry whole edge lists, so their cap is wider.
 MAX_UPLOAD_BYTES = 64 << 20
 
+#: Seconds a connection may sit in one socket read or write: an idle
+#: keep-alive connection, a request line, headers or a body that stalls
+#: this long closes (a stalled body is answered ``408`` first), so no
+#: client can hold a handler thread forever.
+CONNECTION_TIMEOUT_SECONDS = 60.0
+
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying a backreference to the MiningServer."""
@@ -94,6 +112,10 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-mule"
+    # Headers and body leave in separate writes; with Nagle's algorithm on,
+    # a client reusing its connection would wait for its own delayed ACK.
+    disable_nagle_algorithm = True
+    timeout = CONNECTION_TIMEOUT_SECONDS
 
     #: Status of the last response written on this connection; 0 means no
     #: response made it out (the socket died mid-handler).
@@ -121,7 +143,13 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     route(service)
                 except BaseException as exc:  # noqa: BLE001 — a handler must not die
-                    if isinstance(exc, _RouteError):
+                    if self._response_status:
+                        # The response has begun (a chunked stream): an
+                        # error envelope now would corrupt it, so the
+                        # connection just closes.
+                        self.close_connection = True
+                        self.log_error("response aborted: %r", exc)
+                    elif isinstance(exc, _RouteError):
                         self._respond_error(404, ReproError(str(exc)))
                     elif isinstance(exc, _ServerDraining):
                         self._respond_error(
@@ -141,6 +169,8 @@ class _Handler(BaseHTTPRequestHandler):
                         self.close_connection = True
                         self._respond_error(411, ServiceError(str(exc)))
                         self._drain_request_body()
+                    elif isinstance(exc, _RequestTimeout):
+                        self._respond_error(408, ServiceError(str(exc)))
                     elif isinstance(exc, (GraphNotFoundError, JobNotFoundError)):
                         self._respond_error(404, exc)
                     elif isinstance(exc, ReproError):
@@ -195,10 +225,11 @@ class _Handler(BaseHTTPRequestHandler):
             job_id, results = target
             job = service.scheduler.jobs.get(job_id)
             if results:
-                cursor = _cursor_param(split.query)
+                params = _query_params(split.query, "cursor", "records")
+                columns = _records_param(params)
                 # Eager cursor validation happens here, *before* any
                 # response bytes — a bad cursor is still a clean 400.
-                self._stream_ndjson(job.stream_chunks(cursor))
+                self._stream_ndjson(job.stream_chunks(_cursor_param(params)), columns)
             else:
                 self._respond(200, codec.job_status_to_wire(_job_status(job)))
 
@@ -238,22 +269,26 @@ class _Handler(BaseHTTPRequestHandler):
             job = service.scheduler.submit_job(request, ref=ref, page_size=page_size)
             self._respond(200, codec.job_status_to_wire(_job_status(job)))
         else:
-            target = _graph_action(self.path)
+            # Only the graph actions take a query: the paths above are
+            # matched whole, so any of them with a query is unknown.
+            split = urlsplit(self.path)
+            target = _graph_action(split.path)
             if target is None:
                 raise _RouteError(f"unknown endpoint {self.path}")
             ref, action = target
             payload = codec.decode(self._read_body())
+            columns = _records_param(_query_params(split.query, "records"))
             if action == "enumerate":
                 body_ref, request = codec.ref_request_from_wire(payload)
                 _check_body_ref(service.store, ref, body_ref)
                 outcome = service.scheduler.run(request, ref=ref)
-                self._respond(200, codec.outcome_to_wire(outcome))
+                self._respond(200, codec.outcome_to_wire(outcome, columns=columns))
             else:
                 body_ref, base, alphas = codec.ref_sweep_from_wire(payload)
                 _check_body_ref(service.store, ref, body_ref)
                 requests = [base.with_alpha(alpha) for alpha in alphas]
                 outcomes = service.scheduler.batch(requests, ref=ref)
-                self._respond(200, codec.outcomes_to_wire(outcomes))
+                self._respond(200, codec.outcomes_to_wire(outcomes, columns=columns))
 
     # ------------------------------------------------------------------ #
     # I/O helpers
@@ -285,7 +320,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise FormatError(
                 f"request body of {length} bytes exceeds the {limit}-byte limit"
             )
-        return self.rfile.read(length)
+        try:
+            return self.rfile.read(length)
+        except TimeoutError as exc:
+            raise _RequestTimeout(
+                f"request body stalled for {self.timeout:g} s before its "
+                f"{length} bytes arrived"
+            ) from exc
 
     def _drain_request_body(self, *, limit: int = MAX_REQUEST_BYTES) -> None:
         """Best-effort discard of an unread request body.
@@ -322,14 +363,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _stream_ndjson(self, chunks) -> None:
+    def _stream_ndjson(self, chunks, columns: bool) -> None:
         """Write a job's result chunks as a chunked NDJSON response.
 
         One wire envelope per HTTP chunk, flushed immediately, so the
-        client observes records as the producer emits them.  A consumer
-        that disconnects mid-write never acknowledged the chunk it was
-        reading — the generator is closed without releasing that page, so
-        a reconnect at the same cursor resumes exactly there.
+        client observes records as the producer emits them; ``columns``
+        picks the records' form.  A consumer that disconnects mid-write
+        (any socket error, a timed-out write included) never acknowledged
+        the chunk it was reading — the generator is closed without
+        releasing that page, so a reconnect at the same cursor resumes
+        exactly there.
         """
         self.close_connection = True
         self.send_response(200)
@@ -339,9 +382,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             for chunk in chunks:
-                self._write_http_chunk(codec.encode(codec.job_chunk_to_wire(chunk)))
+                wire = codec.job_chunk_to_wire(chunk, columns=columns)
+                self._write_http_chunk(codec.encode(wire))
             self._write_http_chunk(b"")
-        except (BrokenPipeError, ConnectionResetError):
+        except OSError:
             pass
         finally:
             chunks.close()
@@ -381,6 +425,10 @@ class _RouteError(Exception):
 
 class _ServerDraining(Exception):
     """Submission while the server is draining — mapped to HTTP 503."""
+
+
+class _RequestTimeout(Exception):
+    """A request body that stopped short of its Content-Length — HTTP 408."""
 
 
 class _LengthRequired(Exception):
@@ -443,16 +491,18 @@ _KNOWN_ENDPOINTS = frozenset(
 )
 
 
-def _metrics_format(query: str) -> str:
-    """Parse ``?format=json|prometheus`` (default ``json``), strictly."""
+def _query_params(query: str, *names: str) -> dict[str, str]:
+    """Each query parameter's last value; a name not in ``names`` is a 400."""
     params = parse_qs(query, keep_blank_values=True)
-    unknown = set(params) - {"format"}
+    unknown = set(params) - set(names)
     if unknown:
         raise FormatError(f"unknown query parameters {sorted(unknown)}")
-    values = params.get("format")
-    if not values:
-        return "json"
-    chosen = values[-1]
+    return {name: values[-1] for name, values in params.items()}
+
+
+def _metrics_format(query: str) -> str:
+    """Parse ``?format=json|prometheus`` (default ``json``), strictly."""
+    chosen = _query_params(query, "format").get("format", "json")
     if chosen not in ("json", "prometheus"):
         raise FormatError(
             f"unknown metrics format {chosen!r}; expected 'json' or 'prometheus'"
@@ -460,19 +510,23 @@ def _metrics_format(query: str) -> str:
     return chosen
 
 
-def _cursor_param(query: str) -> int:
-    """Parse the ``?cursor=N`` resume position (default 0)."""
-    params = parse_qs(query, keep_blank_values=True)
-    unknown = set(params) - {"cursor"}
-    if unknown:
-        raise FormatError(f"unknown query parameters {sorted(unknown)}")
-    values = params.get("cursor")
-    if not values:
-        return 0
+def _cursor_param(params: dict[str, str]) -> int:
+    """The ``?cursor=N`` resume position (default 0)."""
+    value = params.get("cursor", "0")
     try:
-        return int(values[-1])
+        return int(value)
     except ValueError as exc:
-        raise FormatError(f"cursor must be an integer, got {values[-1]!r}") from exc
+        raise FormatError(f"cursor must be an integer, got {value!r}") from exc
+
+
+def _records_param(params: dict[str, str]) -> bool:
+    """Whether ``?records=rows|columns`` (default ``rows``) asks for columns."""
+    chosen = params.get("records", "rows")
+    if chosen not in ("rows", "columns"):
+        raise FormatError(
+            f"unknown records format {chosen!r}; expected 'rows' or 'columns'"
+        )
+    return chosen == "columns"
 
 
 def _job_status(job: Job) -> codec.JobStatus:

@@ -15,6 +15,7 @@ fractions before encoding.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from repro.api import EnumerationRequest, GraphInfo, MiningSession
@@ -69,6 +70,23 @@ def metrics_snapshot() -> dict:
     for value in (0.03125, 0.125, 0.5):
         latency.labels(endpoint="/v1/stats").observe(value)
     return registry.snapshot()
+
+
+def column_records() -> list[CliqueRecord]:
+    """Records for the ``clique-columns`` fixtures.
+
+    Mixed ``int``/``float``/``str`` labels, a size-1 record, and
+    probabilities whose exact bits matter: 1.0, 0.1 (not a binary
+    fraction), the smallest subnormal and the float just below 1/8.
+    """
+    return [
+        CliqueRecord(vertices=frozenset({1, 2.5, "gene"}), probability=0.1),
+        CliqueRecord(vertices=frozenset({"solo"}), probability=1.0),
+        CliqueRecord(vertices=frozenset({3, 4}), probability=5e-324),
+        CliqueRecord(
+            vertices=frozenset({-7, "x"}), probability=math.nextafter(0.125, 0.0)
+        ),
+    ]
 
 
 def build_payloads() -> dict[str, dict]:
@@ -247,6 +265,22 @@ def build_payloads() -> dict[str, dict]:
             )
         ),
         "job_list_mixed": codec.job_list_to_wire([status_running, status_done]),
+        # ---- schema v2: record lists as columns ---- #
+        "columns_mixed_labels": codec.columns_to_wire(column_records()),
+        # The additive ``columns`` key: the triangle outcome and its
+        # result page with their records as one block (schema 2).
+        "outcome_mule_triangle_columns": codec.outcome_to_wire(
+            mule_outcome, columns=True
+        ),
+        "job_result_chunk_page_columns": codec.job_chunk_to_wire(
+            codec.JobChunk(
+                job="job-000002",
+                seq=0,
+                records=tuple(column_records()),
+                final=False,
+            ),
+            columns=True,
+        ),
         # ---- schema v2: observability ---- #
         "metrics_snapshot": codec.metrics_to_wire(metrics_snapshot()),
     }

@@ -240,6 +240,108 @@ class TestKernelField:
         assert decoded.kernel == "vector"
 
 
+def triangle_outcome() -> EnumerationOutcome:
+    return EnumerationOutcome(
+        algorithm="mule",
+        alpha=0.5,
+        records=[
+            CliqueRecord(vertices=frozenset({1, 2, 3}), probability=0.729),
+            CliqueRecord(vertices=frozenset({4}), probability=1.0),
+        ],
+        report=RunReport(cliques_emitted=2, frames_expanded=9),
+    )
+
+
+def page(records, *, final=False, **fields) -> codec.JobChunk:
+    return codec.JobChunk(job="job-1", seq=0, records=tuple(records), final=final, **fields)
+
+
+class TestColumnsField:
+    """``columns`` is the additive v2 key that carries records as columns."""
+
+    def test_columns_promote_to_v2_with_empty_records(self):
+        outcome = triangle_outcome()
+        payload = codec.outcome_to_wire(outcome, columns=True)
+        assert payload["schema"] == codec.SCHEMA_VERSION_V2
+        assert payload["records"] == []
+        assert payload["columns"] == codec.columns_to_wire(outcome.records)
+        decoded = codec.outcome_from_wire(codec.decode(codec.encode(payload)))
+        decoded.assert_matches(outcome)
+
+    def test_an_empty_outcome_still_carries_its_block(self):
+        outcome = EnumerationOutcome(algorithm="mule", alpha=0.5)
+        payload = codec.outcome_to_wire(outcome, columns=True)
+        assert payload["columns"]["sizes"] == []
+        assert codec.outcome_from_wire(payload).records == []
+
+    def test_columns_under_v1_stamp_rejected(self):
+        payload = codec.outcome_to_wire(triangle_outcome(), columns=True)
+        payload["schema"] = codec.SCHEMA_VERSION
+        with pytest.raises(FormatError, match="columns requires schema >= 2"):
+            codec.outcome_from_wire(payload)
+
+    def test_records_and_columns_together_rejected(self):
+        payload = codec.outcome_to_wire(triangle_outcome(), columns=True)
+        payload["records"] = codec.outcome_to_wire(triangle_outcome())["records"]
+        with pytest.raises(FormatError, match="records and columns are exclusive"):
+            codec.outcome_from_wire(payload)
+        chunk = codec.job_chunk_to_wire(page(triangle_outcome().records), columns=True)
+        chunk["records"] = payload["records"]
+        with pytest.raises(FormatError, match="records and columns are exclusive"):
+            codec.job_chunk_from_wire(chunk)
+
+    def test_null_columns_decode_as_rows(self):
+        payload = codec.outcome_to_wire(triangle_outcome())
+        payload["schema"] = codec.SCHEMA_VERSION_V2
+        payload["columns"] = None
+        assert codec.outcome_from_wire(payload).records == triangle_outcome().records
+
+    def test_malformed_block_rejected(self):
+        payload = codec.outcome_to_wire(triangle_outcome(), columns=True)
+        payload["columns"] = []
+        with pytest.raises(FormatError, match="clique-columns payload must be a JSON object"):
+            codec.outcome_from_wire(payload)
+
+    def test_sweep_outcomes_carry_columns(self):
+        outcomes = [triangle_outcome(), EnumerationOutcome(algorithm="mule", alpha=0.9)]
+        payload = codec.outcomes_to_wire(outcomes, columns=True)
+        assert [o["records"] for o in payload["outcomes"]] == [[], []]
+        assert all("columns" in o for o in payload["outcomes"])
+        decoded = codec.outcomes_from_wire(codec.decode(codec.encode(payload)))
+        for got, expected in zip(decoded, outcomes):
+            got.assert_matches(expected)
+        assert codec.outcomes_to_wire(outcomes) == codec.to_wire(outcomes)
+
+
+class TestFinalChunk:
+    """A final chunk ends the stream; it carries no records."""
+
+    summary = triangle_outcome()
+
+    def test_final_chunk_with_records_is_not_encoded(self):
+        chunk = page(self.summary.records, final=True, summary=self.summary)
+        with pytest.raises(FormatError, match="a final chunk carries no records"):
+            codec.job_chunk_to_wire(chunk)
+        with pytest.raises(FormatError, match="a final chunk carries no records"):
+            codec.job_chunk_to_wire(chunk, columns=True)
+
+    def test_final_chunk_with_records_is_not_decoded(self):
+        payload = codec.job_chunk_to_wire(page((), final=True, summary=self.summary))
+        payload["records"] = codec.records_to_wire(self.summary.records)["records"]
+        with pytest.raises(FormatError, match="a final chunk carries no records"):
+            codec.job_chunk_from_wire(payload)
+
+    def test_final_chunk_with_columns_is_not_decoded(self):
+        payload = codec.job_chunk_to_wire(page((), final=True, summary=self.summary))
+        payload["columns"] = codec.columns_to_wire([])
+        with pytest.raises(FormatError, match="a final chunk carries no records"):
+            codec.job_chunk_from_wire(payload)
+
+    def test_final_chunk_encodes_the_same_in_either_form(self):
+        chunk = page((), final=True, summary=self.summary)
+        assert codec.job_chunk_to_wire(chunk, columns=True) == codec.job_chunk_to_wire(chunk)
+
+
 class TestTypeStrictness:
     def test_string_alpha_rejected(self):
         payload = envelope_of(EnumerationRequest(algorithm="mule", alpha=0.5))

@@ -30,9 +30,19 @@ FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
 
 
 def roundtrip(raw: bytes) -> bytes:
-    """Decode fixture bytes to an object and re-encode them canonically."""
+    """Decode fixture bytes to an object and re-encode them canonically.
+
+    An envelope that carried its records as columns is re-encoded with
+    columns.
+    """
     payload = codec.decode(raw)
     kind = payload.get("kind")
+    columns = "columns" in payload
+    if kind == "enumeration-outcome":
+        outcome = codec.outcome_from_wire(payload)
+        return codec.encode(codec.outcome_to_wire(outcome, columns=columns))
+    if kind == "clique-columns":
+        return codec.encode(codec.columns_to_wire(codec.columns_from_wire(payload)))
     if kind == "sweep-request":
         request, alphas = codec.sweep_from_wire(payload)
         return codec.encode(codec.sweep_to_wire(request, alphas))
@@ -49,7 +59,7 @@ def roundtrip(raw: bytes) -> bytes:
         )
     if kind == "job-result-chunk":
         chunk = codec.job_chunk_from_wire(payload)
-        return codec.encode(codec.job_chunk_to_wire(chunk))
+        return codec.encode(codec.job_chunk_to_wire(chunk, columns=columns))
     if kind == "metrics":
         # A metrics snapshot decodes to a plain dict, which the generic
         # to_wire dispatcher (rightly) refuses to guess a kind for.
@@ -290,6 +300,40 @@ class TestDecodeEquality:
         assert summary.report.stop_reason == StopReason.COMPLETED
         assert summary.request == EnumerationRequest(algorithm="mule", alpha=0.5)
 
+    def test_columns_mixed_labels(self):
+        from tests.service.make_fixtures import column_records
+
+        records = codec.from_wire(self.load("columns_mixed_labels"))
+        expected = column_records()
+        assert [r.vertices for r in records] == [r.vertices for r in expected]
+        assert [r.probability.hex() for r in records] == [
+            r.probability.hex() for r in expected
+        ]
+        assert [r.probability for r in records] == [
+            0.1, 1.0, 5e-324, 0.12499999999999999
+        ]
+
+    def test_outcome_mule_triangle_columns(self):
+        """Columns decode to exactly the outcome the rows fixture holds."""
+        columns = codec.from_wire(self.load("outcome_mule_triangle_columns"))
+        rows = codec.from_wire(self.load("outcome_mule_triangle"))
+        assert columns.records == rows.records
+        assert [r.probability for r in columns.records] == [
+            r.probability for r in rows.records
+        ]
+        columns.assert_matches(rows)
+        assert columns.elapsed_seconds == rows.elapsed_seconds
+
+    def test_job_result_chunk_page_columns(self):
+        from tests.service.make_fixtures import column_records
+
+        chunk = codec.from_wire(self.load("job_result_chunk_page_columns"))
+        assert (chunk.job, chunk.seq, chunk.final) == ("job-000002", 0, False)
+        assert chunk.summary is None and chunk.error is None
+        assert [(r.vertices, r.probability) for r in chunk.records] == [
+            (r.vertices, r.probability) for r in column_records()
+        ]
+
     def test_job_list_mixed(self):
         statuses = codec.from_wire(self.load("job_list_mixed"))
         assert [s.id for s in statuses] == ["job-000001", "job-000002"]
@@ -338,7 +382,7 @@ def corpus():
 
 
 def test_the_table_describes_every_kind_once():
-    assert len(codec._KINDS) == len(kinds()) == 22
+    assert len(codec._KINDS) == len(kinds()) == 23
     assert set(codec._DECODERS) == set(kinds()) - {
         "sweep-request", "graph-ref-request", "graph-ref-sweep", "job-request"
     }
@@ -374,6 +418,20 @@ def test_every_fixture_is_regenerated_by_make_fixtures():
     from tests.service.make_fixtures import build_payloads
 
     assert set(build_payloads()) == {path.stem for path in FIXTURE_PATHS}
+
+
+def test_make_fixtures_reproduces_every_fixture_byte_for_byte():
+    """Running ``make_fixtures.py`` leaves the corpus exactly as checked in."""
+    from tests.service.make_fixtures import build_payloads
+
+    payloads = build_payloads()
+    assert payloads
+    changed = [
+        name
+        for name, payload in sorted(payloads.items())
+        if codec.encode(payload) != (FIXTURES / f"{name}.json").read_bytes()
+    ]
+    assert changed == []
 
 
 def test_stop_reason_vocabulary_is_complete():

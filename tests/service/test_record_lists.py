@@ -8,11 +8,22 @@ list gives: the same records (labels, probability and its type) or the same
 first ``FormatError`` message.  A seeded fuzz over mutated record lists
 checks this.  On the encode side ``record_to_wire`` checks label types in
 one pass; it must give the bytes and errors of checking each label alone.
+
+Records may also travel as one ``clique-columns`` block.  A record list
+decodes from columns exactly when it decodes from rows, to equal records
+in the same order with bit-identical probabilities; a second seeded fuzz
+checks this on the wire bytes, and fixed cases check every malformed
+block raises only ``FormatError``.
 """
 
 from __future__ import annotations
 
+import base64
+import json
+import math
 import random
+import re
+import struct
 
 import pytest
 
@@ -252,3 +263,222 @@ class TestRecordEncode:
             with pytest.raises(FormatError) as caught:
                 encode()
             assert str(caught.value) == message, kind
+
+
+# --------------------------------------------------------------------- #
+# Rows and columns agree
+# --------------------------------------------------------------------- #
+#: Labels that neither form accepts, or accepts only once per record.
+BAD_LABELS = [True, False, None, [1], {"a": 1}]
+EQUAL_LABELS = [[1, 1.0], [1, True], [0, False], [2.0, 2], ["a", "a"]]
+ODD_PROBABILITIES = [math.nan, math.inf, -math.inf, -0.0, 1, 2.0, 1e308]
+
+
+def raw_record_lists(count: int, seed: int):
+    """Record lists as (labels per record, probabilities), some faulty."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(0, 5)
+        labels = [rng.sample(LABELS, rng.randint(0, 4)) for _ in range(size)]
+        probabilities = [rng.choice(PROBABILITIES) for _ in range(size)]
+        for _ in range(rng.choice([0, 0, 1, 1, 2]) if size else 0):
+            index = rng.randrange(size)
+            choice = rng.randrange(4)
+            if choice == 0:
+                labels[index].insert(rng.randint(0, len(labels[index])), rng.choice(BAD_LABELS))
+            elif choice == 1:
+                labels[index] = labels[index] + rng.choice(EQUAL_LABELS)
+            elif choice == 2 and labels[index]:
+                labels[index].append(rng.choice(labels[index]))
+            else:
+                probabilities[index] = rng.choice(ODD_PROBABILITIES)
+        yield labels, probabilities
+
+
+def rows_of(labels, probabilities) -> list:
+    return [
+        {
+            "schema": codec.SCHEMA_VERSION,
+            "kind": "clique-record",
+            "vertices": list(vertices),
+            "probability": probability,
+        }
+        for vertices, probability in zip(labels, probabilities)
+    ]
+
+
+def columns_of(labels, probabilities) -> dict:
+    packed = struct.pack(f"<{len(probabilities)}d", *probabilities)
+    return {
+        "schema": codec.SCHEMA_VERSION_V2,
+        "kind": "clique-columns",
+        "vertices": [label for vertices in labels for label in vertices],
+        "sizes": [len(vertices) for vertices in labels],
+        "probabilities": base64.b64encode(packed).decode("ascii"),
+    }
+
+
+def as_columns(envelope: dict, block: dict) -> dict:
+    return dict(envelope, schema=codec.SCHEMA_VERSION_V2, records=[], columns=block)
+
+
+#: Each carrying envelope, with its records as rows and as columns.
+CARRIERS = {
+    "enumeration-outcome": (
+        lambda rows: outcome_envelope(rows),
+        lambda block: as_columns(outcome_envelope([]), block),
+        lambda payload: codec.outcome_from_wire(payload).records,
+    ),
+    "job-result-chunk": (
+        lambda rows: chunk_envelope(rows),
+        lambda block: as_columns(chunk_envelope([]), block),
+        lambda payload: codec.job_chunk_from_wire(payload).records,
+    ),
+    "standalone": (
+        lambda rows: {"schema": codec.SCHEMA_VERSION, "kind": "clique-records", "records": rows},
+        lambda block: block,
+        codec.from_wire,
+    ),
+}
+
+
+def decoded_bits(payload: dict, decode) -> object:
+    """What wire bytes decode to, probabilities bit for bit, or ``None``.
+
+    ``json.dumps`` spells non-finite floats as the ``NaN`` / ``Infinity``
+    tokens, which ``codec.decode`` refuses, as a peer's bytes would be.
+    """
+    try:
+        records = decode(codec.decode(json.dumps(payload)))
+    except FormatError:
+        return None
+    return [(row[0], row[2], row[1].hex()) for row in summary(records)]
+
+
+class TestRowsAndColumnsAgree:
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_fuzzed_record_lists(self, carrier):
+        rows_envelope, columns_envelope, decode = CARRIERS[carrier]
+        refused = 0
+        for labels, probabilities in raw_record_lists(1500, seed=20):
+            rows = decoded_bits(rows_envelope(rows_of(labels, probabilities)), decode)
+            block = columns_of(labels, probabilities)
+            columns = decoded_bits(columns_envelope(block), decode)
+            assert columns == rows, (labels, probabilities)
+            refused += rows is None
+        # The fuzz exercises both outcomes.
+        assert 300 < refused < 1200
+
+    def test_an_integer_probability_is_the_one_spelling_difference(self):
+        rows = codec.records_from_wire(
+            {"schema": 1, "kind": "clique-records", "records": rows_of([[1]], [1])}
+        )
+        columns = codec.columns_from_wire(columns_of([[1]], [1]))
+        assert rows[0].probability == columns[0].probability == 1.0
+        assert type(rows[0].probability) is type(columns[0].probability) is float
+
+    def test_columns_encode_what_rows_encode(self):
+        for seed in range(20):
+            records = encodable_records(30, seed)
+            block = codec.columns_to_wire(records)
+            rows = [per_label_wire(record) for record in records]
+            assert block == columns_of(
+                [row["vertices"] for row in rows], [row["probability"] for row in rows]
+            )
+            decoded = codec.columns_from_wire(codec.decode(codec.encode(block)))
+            assert summary(decoded) == summary(records)
+
+    @pytest.mark.parametrize("bad", [(1, 2), None, True])
+    def test_unencodable_labels_raise_the_per_label_error(self, bad):
+        records = [CliqueRecord(frozenset({1, 2}), 0.5), CliqueRecord(frozenset({3, bad}), 0.5)]
+        with pytest.raises(FormatError) as caught:
+            codec.columns_to_wire(records)
+        assert str(caught.value) == (
+            f"vertex label {bad!r} is not wire-encodable "
+            f"(labels must be int, float or str)"
+        )
+
+    @pytest.mark.parametrize("probability", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probabilities_are_not_encoded(self, probability):
+        with pytest.raises(FormatError, match="finite"):
+            codec.columns_to_wire([CliqueRecord(frozenset({1}), probability)])
+
+
+def damaged(**fields) -> dict:
+    """A valid two-record block (sizes 2 and 1) with ``fields`` replaced."""
+    return dict(columns_of([[1, "a"], [2.5]], [0.5, 1.0]), **fields)
+
+
+def packed(*probabilities: float) -> str:
+    raw = struct.pack(f"<{len(probabilities)}d", *probabilities)
+    return base64.b64encode(raw).decode("ascii")
+
+
+MALFORMED_COLUMNS = {
+    "schema 1": (damaged(schema=1), "unsupported schema version"),
+    "schema true": (damaged(schema=True), "unsupported schema version"),
+    "schema 2.0": (damaged(schema=2.0), "unsupported schema version"),
+    "unknown key": (damaged(records=[]), "unknown keys"),
+    "missing key": (
+        {k: v for k, v in damaged().items() if k != "sizes"},
+        "missing keys",
+    ),
+    "vertices not a list": (damaged(vertices="1a"), "vertices must be list"),
+    "sizes not a list": (damaged(sizes=3), "sizes must be list"),
+    "probabilities not a string": (damaged(probabilities=[0.5, 1.0]), "must be str"),
+    "boolean label": (
+        damaged(vertices=[1, True, 2.5]),
+        "clique-columns: vertex label True must be int, float or str",
+    ),
+    "null label": (damaged(vertices=[1, None, 2.5]), "vertex label None"),
+    "list label": (damaged(vertices=[1, [2], 2.5]), "vertex label"),
+    "boolean size": (damaged(sizes=[True, 2], vertices=[1, "a", 2.5]), "sizes entries"),
+    "negative size": (damaged(sizes=[4, -1]), "sizes entries"),
+    "float size": (damaged(sizes=[2.0, 1]), "sizes entries"),
+    "string size": (damaged(sizes=["2", 1]), "sizes entries"),
+    "sizes short of the labels": (damaged(sizes=[1, 1]), "add up to 2 labels"),
+    "sizes beyond the labels": (damaged(sizes=[2, 2]), "add up to 4 labels"),
+    "not base64": (damaged(probabilities="not base64!"), "not base64"),
+    "unpadded base64": (damaged(probabilities=packed(0.5, 1.0).rstrip("=")), "not base64"),
+    "base64 with whitespace": (
+        damaged(probabilities=packed(0.5, 1.0)[:8] + " " + packed(0.5, 1.0)[8:]),
+        "not base64",
+    ),
+    "non-ASCII base64": (damaged(probabilities="\u00e9" * 4), "not base64"),
+    "too few bytes": (damaged(probabilities=packed(0.5)), "holds 8 bytes"),
+    "too many bytes": (damaged(probabilities=packed(0.5, 1.0, 0.25)), "holds 24 bytes"),
+    "a stray byte": (
+        damaged(probabilities=base64.b64encode(b"\0" * 17).decode("ascii")),
+        "holds 17 bytes",
+    ),
+    "NaN": (damaged(probabilities=packed(0.5, math.nan)), "must be finite"),
+    "infinity": (damaged(probabilities=packed(math.inf, 0.5)), "must be finite"),
+    "negative infinity": (damaged(probabilities=packed(0.5, -math.inf)), "must be finite"),
+    "repeated label": (damaged(vertices=[1, 1, 2.5]), "duplicate vertices"),
+    "1 and 1.0": (damaged(vertices=[1, 1.0, 2.5]), "duplicate vertices"),
+}
+
+
+class TestMalformedColumns:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COLUMNS))
+    def test_raises_format_error(self, case):
+        payload, message = MALFORMED_COLUMNS[case]
+        with pytest.raises(FormatError, match=re.escape(message)):
+            codec.columns_from_wire(payload)
+        for _, columns_envelope, decode in CARRIERS.values():
+            with pytest.raises(FormatError):
+                decode(columns_envelope(payload))
+
+    def test_valid_block_decodes(self):
+        records = codec.columns_from_wire(damaged())
+        assert [(r.vertices, r.probability) for r in records] == [
+            (frozenset({1, "a"}), 0.5),
+            (frozenset({2.5}), 1.0),
+        ]
+
+    def test_empty_records_decode(self):
+        block = columns_of([[], [3]], [1.0, 0.25])
+        assert [r.vertices for r in codec.columns_from_wire(block)] == [
+            frozenset(),
+            frozenset({3}),
+        ]

@@ -14,17 +14,21 @@ over actual sockets.  The headline assertions:
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import socket
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.api import EnumerationRequest, MiningSession
-from repro.errors import FormatError, ParameterError, ReproError, ServiceError
+from repro.errors import FormatError, JobError, ParameterError, ReproError, ServiceError
 from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.service import MiningServer, RemoteSession, codec
+from repro.service import server as server_module
 from repro.uncertain.graph import UncertainGraph
 
 SWEEP_ALPHAS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
@@ -298,3 +302,209 @@ class TestLifecycle:
         remote = RemoteSession(url, timeout=2)
         with pytest.raises(ServiceError):
             remote.health()
+
+
+def exchange(server, method: str, path: str, body: bytes | None = None):
+    """One request on a fresh connection: (status, raw body bytes)."""
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+REQUEST = EnumerationRequest(algorithm="mule", alpha=0.3)
+
+
+class TestRecordsParameter:
+    """``?records=columns`` asks the v2 record endpoints for columns."""
+
+    @pytest.fixture()
+    def ref(self, server):
+        return server.store.default_fingerprint
+
+    def enumerate_body(self, ref) -> bytes:
+        return codec.encode(codec.ref_request_to_wire(REQUEST, graph=ref))
+
+    def sweep_body(self, ref) -> bytes:
+        return codec.encode(codec.ref_sweep_to_wire(REQUEST, SWEEP_ALPHAS, graph=ref))
+
+    def test_enumerate_answers_columns_when_asked(self, server, ref, graph):
+        status, raw = exchange(
+            server, "POST", f"/v2/graphs/{ref}/enumerate?records=columns",
+            self.enumerate_body(ref),
+        )
+        assert status == 200
+        payload = codec.decode(raw)
+        assert payload["schema"] == codec.SCHEMA_VERSION_V2
+        assert payload["records"] == []
+        assert payload["columns"]["kind"] == "clique-columns"
+        outcome = codec.outcome_from_wire(payload)
+        outcome.assert_matches(MiningSession(graph).enumerate(REQUEST))
+
+    @pytest.mark.parametrize("query", ["", "?records=rows"])
+    def test_enumerate_answers_rows_otherwise(self, server, ref, query):
+        status, raw = exchange(
+            server, "POST", f"/v2/graphs/{ref}/enumerate{query}", self.enumerate_body(ref)
+        )
+        assert status == 200
+        payload = codec.decode(raw)
+        assert "columns" not in payload
+        assert payload["schema"] == codec.SCHEMA_VERSION
+        outcome = codec.outcome_from_wire(payload)
+        assert raw == codec.encode(codec.outcome_to_wire(outcome))
+
+    def test_sweep_answers_columns_when_asked(self, server, ref, graph):
+        status, raw = exchange(
+            server, "POST", f"/v2/graphs/{ref}/sweep?records=columns", self.sweep_body(ref)
+        )
+        assert status == 200
+        payload = codec.decode(raw)
+        assert all("columns" in outcome for outcome in payload["outcomes"])
+        local = MiningSession(graph).sweep(SWEEP_ALPHAS, algorithm="mule")
+        for ours, theirs in zip(codec.outcomes_from_wire(payload), local):
+            ours.assert_matches(theirs)
+        status, raw = exchange(server, "POST", f"/v2/graphs/{ref}/sweep", self.sweep_body(ref))
+        assert status == 200
+        assert not any("columns" in o for o in codec.decode(raw)["outcomes"])
+
+    @pytest.mark.parametrize(
+        "query", ["?records=column", "?records=", "?records", "?format=columns"]
+    )
+    def test_unknown_value_or_parameter_is_a_format_error(self, server, ref, query):
+        for path in (f"/v2/graphs/{ref}/enumerate", f"/v2/graphs/{ref}/sweep"):
+            body = self.enumerate_body(ref) if path.endswith("enumerate") else self.sweep_body(ref)
+            status, raw = exchange(server, "POST", path + query, body)
+            assert status == 400
+            assert codec.decode(raw)["type"] == "FormatError"
+
+    @pytest.mark.parametrize("path", ["/v1/enumerate", "/v1/sweep", "/v2/jobs"])
+    def test_other_posts_take_no_query(self, server, path):
+        body = codec.encode(codec.request_to_wire(REQUEST))
+        status, raw = exchange(server, "POST", path + "?records=columns", body)
+        assert status == 404
+        assert codec.decode(raw)["kind"] == "error"
+
+
+class TestKeepAlive:
+    def test_kept_alive_connection_answers_without_a_delayed_ack_stall(self, server):
+        """Headers and body leave in two writes; with Nagle's algorithm on,
+        every request after the first on one connection waited ~40 ms for
+        the client's delayed ACK."""
+        body = codec.encode(codec.request_to_wire(REQUEST))
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.request("GET", "/v1/health")  # connect outside the clock
+            connection.getresponse().read()
+            started = time.perf_counter()
+            for index in range(20):
+                if index == 10:
+                    connection.request("POST", "/v1/enumerate", body=body)
+                else:
+                    connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.5, elapsed
+
+
+class TestConnectionTimeout:
+    """A stalled or idle connection cannot hold a handler thread forever."""
+
+    @pytest.fixture()
+    def server(self, graph, monkeypatch):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.5)
+        with MiningServer(graph, port=0) as srv:
+            yield srv
+
+    def test_connections_time_out_by_default(self):
+        assert server_module.CONNECTION_TIMEOUT_SECONDS == 60.0
+        assert server_module._Handler.timeout == server_module.CONNECTION_TIMEOUT_SECONDS
+
+    @staticmethod
+    def read_until_closed(sock: socket.socket) -> bytes:
+        """Everything the server sends before it closes; the socket's own
+        timeout fails the test instead of hanging it."""
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+        return data
+
+    def test_stalled_headers_are_closed(self, server):
+        with socket.create_connection((server.host, server.port), timeout=3) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\n")
+            started = time.monotonic()
+            assert self.read_until_closed(sock) == b""
+            assert time.monotonic() - started < 3
+        assert RemoteSession(server.url).health()["status"] == "ok"
+
+    def test_idle_kept_alive_connection_is_closed(self, server):
+        with socket.create_connection((server.host, server.port), timeout=3) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: test\r\n\r\n")
+            answer = self.read_until_closed(sock)
+        assert answer.startswith(b"HTTP/1.1 200")
+
+    def test_short_body_gets_408(self, server):
+        body = codec.encode(codec.job_request_to_wire(REQUEST))
+        head = (
+            f"POST /v2/jobs HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection((server.host, server.port), timeout=3) as sock:
+            sock.sendall(head + body[:-10])
+            started = time.monotonic()
+            answer = self.read_until_closed(sock)
+            assert time.monotonic() - started < 3
+        assert answer == b"" or answer.startswith(b"HTTP/1.1 408")
+        if answer:
+            payload = codec.decode(answer.split(b"\r\n\r\n", 1)[1])
+            assert payload["kind"] == "error"
+            assert payload["type"] == "ServiceError"
+        assert server.scheduler.jobs.list() == []
+        assert RemoteSession(server.url).health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "error", [TimeoutError("timed out"), JobError("cursor 1 was released")]
+    )
+    def test_a_stream_error_closes_without_an_error_envelope(
+        self, server, monkeypatch, error
+    ):
+        """An error once a chunked stream has begun closes the connection:
+        a timed-out write is a disconnect, and no error response is written
+        into the stream for any error.  The page that was not delivered is
+        not released."""
+        remote = RemoteSession(server.url)
+        job = remote.submit(REQUEST, page_size=2)
+        deadline = time.monotonic() + 10
+        while job.status().state != "done":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        real = server_module._Handler._write_http_chunk
+        calls = []
+
+        def write_then_time_out(handler, data):
+            calls.append(data)
+            if len(calls) == 1:
+                raise error
+            real(handler, data)
+
+        monkeypatch.setattr(server_module._Handler, "_write_http_chunk", write_then_time_out)
+        with socket.create_connection((server.host, server.port), timeout=3) as sock:
+            sock.sendall(
+                f"GET /v2/jobs/{job.id}/results?cursor=0 HTTP/1.1\r\n"
+                f"Host: test\r\n\r\n".encode("ascii")
+            )
+            answer = self.read_until_closed(sock)
+        assert answer.startswith(b"HTTP/1.1 200")
+        assert answer.count(b"HTTP/1.1") == 1
+        assert b'"kind":"error"' not in answer
+        monkeypatch.setattr(server_module._Handler, "_write_http_chunk", real)
+        # Chunk 0 never left, so it was not released: a reconnect at
+        # cursor 0 still reads the whole result.
+        resumed = remote.job(job.id).wait()
+        resumed.assert_matches(MiningSession(server.graph).enumerate(REQUEST))
