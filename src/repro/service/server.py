@@ -3,46 +3,27 @@
 A deliberately dependency-free server (stdlib ``http.server`` only) that
 exposes one graph-agnostic
 :class:`~repro.service.scheduler.EnumerationScheduler` over a
-:class:`~repro.api.store.GraphStore` of named graphs:
+:class:`~repro.api.store.GraphStore` of named graphs.
 
-================================--  ================================================
-endpoint                            semantics
-================================--  ================================================
-``POST /v1/enumerate``              run against the *default* graph (v1, frozen)
-``POST /v1/sweep``                  sweep the default graph; one shared compilation
-``GET /v1/health``                  liveness + the default graph's shape/fingerprint
-``GET /v1/stats``                   cache, scheduler, HTTP and per-graph counters
-``GET /v1/metrics``                 this server's metrics registry — a ``metrics``
-                                    envelope, or Prometheus text with
-                                    ``?format=prometheus``
-``POST /v2/graphs``                 create a graph: upload an edge set, or build a
-                                    named dataset analog server-side
-``GET /v2/graphs``                  list resident graphs (``graph-list`` envelope)
-``GET /v2/graphs/{ref}``            one graph's ``graph-info``
-``DELETE /v2/graphs/{ref}``         unregister a graph (and its cached artifacts)
-``POST /v2/graphs/{ref}/enumerate`` run against the referenced graph
-                                    (``?records=columns``: records as
-                                    one ``clique-columns`` block)
-``POST /v2/graphs/{ref}/sweep``     sweep the referenced graph
-                                    (``?records=columns`` as above)
-``POST /v2/jobs``                   submit an enumeration asynchronously; returns
-                                    its ``job-status`` immediately
-``GET /v2/jobs``                    list registered jobs (``job-list`` envelope)
-``GET /v2/jobs/{id}``               one job's live ``job-status``
-``GET /v2/jobs/{id}/results``       stream result pages as NDJSON chunks
-                                    (``?cursor=N`` resumes mid-stream;
-                                    ``?records=columns`` as above)
-``DELETE /v2/jobs/{id}``            cancel a job; returns its post-cancel status
-================================--  ================================================
+Each endpoint is one entry of the route table :data:`_ROUTES`: its method,
+its path template, the query parameters it reads and its handler.  One
+matcher over that table drives dispatch, the metrics ``endpoint`` label and
+the query check.  ``docs/service.md`` documents the same routes (a test
+keeps the two in step), with the wire schema and curl-able examples.
 
-``{ref}`` is a registered name or a fingerprint (unambiguous prefixes of
-8+ characters accepted).  Library errors map to ``400`` with an ``error``
-envelope (the client re-raises the original exception type); unknown
-routes, unknown graph references *and* unknown job ids to ``404``; a
-draining server answers every POST with ``503``; a request body that
-stalls past :data:`CONNECTION_TIMEOUT_SECONDS` gets ``408``; anything
-unexpected maps to ``500``.  See ``docs/service.md`` for the wire schema
-and curl-able examples.
+Paths match exactly: ``{ref}`` (a registered name, or a fingerprint or an
+unambiguous prefix of it of 8+ characters) and ``{id}`` match one non-empty
+segment, and a trailing ``/`` matches nothing.  A path no route serves is
+``404``; a served path under another method is ``405`` with an ``Allow``
+header; a query parameter the route does not read is ``400``.  Library
+errors map to ``400`` with an ``error`` envelope (the client re-raises the
+original exception type); unknown graph references and unknown job ids to
+``404``; a draining server answers every POST route with ``503``; a body
+without a usable Content-Length gets ``411``, and one that stalls past
+:data:`CONNECTION_TIMEOUT_SECONDS` gets ``408``; anything unexpected maps
+to ``500``.  An error response closes the connection, after draining a
+declared request body the handler never read, so the client gets to read
+the status.
 
 Records answer as rows (one ``clique-record`` envelope each, the bytes v1
 and v2 have always answered) unless the request asks for
@@ -63,6 +44,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter
+from typing import Callable, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.cache import CacheInfo
@@ -89,6 +71,7 @@ DEFAULT_PORT = 8765
 #: Largest enumeration/sweep request body accepted, in bytes.  Those
 #: requests are tiny (an envelope of scalars); the cap exists so a
 #: misbehaving client cannot make a handler thread buffer arbitrary data.
+#: It also bounds how much of an unread body an error response drains.
 MAX_REQUEST_BYTES = 1 << 20
 
 #: Largest ``POST /v2/graphs`` body accepted — graph uploads legitimately
@@ -120,28 +103,55 @@ class _Handler(BaseHTTPRequestHandler):
     #: Status of the last response written on this connection; 0 means no
     #: response made it out (the socket died mid-handler).
     _response_status = 0
+    #: Whether the current request's body is still on the socket, unread.
+    _body_unread = False
 
     # ------------------------------------------------------------------ #
-    # Routing
+    # Dispatch
     # ------------------------------------------------------------------ #
-    def _handle(self, route) -> None:
-        """Run one route with the uniform error→status mapping.
+    def _handle(self) -> None:
+        """Answer one request through the route table.
 
-        Every request is counted once it is answered, by endpoint, method
-        and status, and timed; when the server was given a trace
+        A path no route matches is a 404, a matched path under a method it
+        does not serve a 405, and a POST route on a draining server a 503;
+        otherwise the route's query is checked and its handler runs, under
+        the uniform error→status mapping.  Every request is counted once
+        it is answered, by endpoint (its route template, or ``(unknown)``),
+        method and status, and timed; when the server was given a trace
         directory it also leaves a Chrome trace file behind.
         """
         service = self.server.service
-        endpoint = _endpoint_label(self.path)
+        try:
+            split = urlsplit(self.path)
+        except ValueError:  # an unbalanced "[" in a netloc: no route matches
+            split = urlsplit("")
+        endpoint, routes, segments = _match(split.path)
         started = perf_counter()
         self._response_status = 0
+        self._body_unread = True
         root = None
         try:
             with _obs_tracer().span(
                 "http.request", endpoint=endpoint, method=self.command
             ) as root:
+                route = routes.get(self.command)
                 try:
-                    route(service)
+                    if not routes:
+                        self._respond_error(
+                            404, ReproError(f"unknown endpoint {self.path}")
+                        )
+                    elif route is None:
+                        allow = ", ".join(routes)
+                        message = f"{endpoint} serves {allow}, not {self.command}"
+                        self._respond_error(405, ServiceError(message), Allow=allow)
+                    elif self.command == "POST" and service.draining:
+                        self._respond_error(
+                            503,
+                            ServiceError("server is draining; not accepting new work"),
+                        )
+                    else:
+                        query = _parse_query(split.query, route.query)
+                        route.handler(self, service, query, *segments)
                 except BaseException as exc:  # noqa: BLE001 — a handler must not die
                     if self._response_status:
                         # The response has begun (a chunked stream): an
@@ -149,26 +159,8 @@ class _Handler(BaseHTTPRequestHandler):
                         # connection just closes.
                         self.close_connection = True
                         self.log_error("response aborted: %r", exc)
-                    elif isinstance(exc, _RouteError):
-                        self._respond_error(404, ReproError(str(exc)))
-                    elif isinstance(exc, _ServerDraining):
-                        self._respond_error(
-                            503,
-                            ServiceError(
-                                "server is draining; not accepting new work"
-                            ),
-                        )
                     elif isinstance(exc, _LengthRequired):
-                        # The request body is still sitting unread on the
-                        # socket; keeping the connection would desync the
-                        # next request.  Drain it (bounded) after
-                        # responding: closing with unread bytes in the
-                        # receive buffer makes the kernel RST the
-                        # connection, which can discard the 411 response
-                        # before the client reads it.
-                        self.close_connection = True
                         self._respond_error(411, ServiceError(str(exc)))
-                        self._drain_request_body()
                     elif isinstance(exc, _RequestTimeout):
                         self._respond_error(408, ServiceError(str(exc)))
                     elif isinstance(exc, (GraphNotFoundError, JobNotFoundError)):
@@ -188,107 +180,95 @@ class _Handler(BaseHTTPRequestHandler):
                     '"%s" %d %.4fs', self.requestline, status, elapsed
                 )
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_get)
+    do_GET = do_POST = do_DELETE = _handle
 
-    def do_DELETE(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_delete)
+    # ------------------------------------------------------------------ #
+    # Handlers: one per route, each called with the service, the route's
+    # parsed query and the path's {ref}/{id} segment, if any
+    # ------------------------------------------------------------------ #
+    def _enumerate(self, service: MiningServer, query: dict) -> None:
+        request = codec.request_from_wire(codec.decode(self._read_body()))
+        self._respond(200, codec.outcome_to_wire(service.scheduler.run(request)))
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_post)
+    def _sweep(self, service: MiningServer, query: dict) -> None:
+        base, alphas = codec.sweep_from_wire(codec.decode(self._read_body()))
+        requests = [base.with_alpha(alpha) for alpha in alphas]
+        self._respond(200, codec.outcomes_to_wire(service.scheduler.batch(requests)))
 
-    def _route_get(self, service: "MiningServer") -> None:
-        split = urlsplit(self.path)
-        path = split.path
-        if path == "/v1/health":
-            self._respond(200, service.health_payload())
-        elif path == "/v1/stats":
-            self._respond(200, service.stats_payload())
-        elif path == "/v1/metrics":
-            if _metrics_format(split.query) == "prometheus":
-                self._respond_text(200, render_prometheus(service.scheduler.metrics))
-            else:
-                self._respond(200, service.metrics_payload())
-        elif path == "/v2/graphs":
-            self._respond(200, codec.graph_list_to_wire(service.store.list()))
-        elif path == "/v2/jobs":
-            statuses = [_job_status(job) for job in service.scheduler.jobs.list()]
-            self._respond(200, codec.job_list_to_wire(statuses))
+    def _health(self, service: MiningServer, query: dict) -> None:
+        self._respond(200, service.health_payload())
+
+    def _stats(self, service: MiningServer, query: dict) -> None:
+        self._respond(200, service.stats_payload())
+
+    def _metrics(self, service: MiningServer, query: dict) -> None:
+        if query["format"] == "prometheus":
+            self._respond_text(200, render_prometheus(service.scheduler.metrics))
         else:
-            ref = _graph_ref(path)
-            if ref is not None:
-                self._respond(200, codec.graph_info_to_wire(service.store.get(ref)))
-                return
-            target = _job_path(path)
-            if target is None:
-                raise _RouteError(f"unknown endpoint {self.path}")
-            job_id, results = target
-            job = service.scheduler.jobs.get(job_id)
-            if results:
-                params = _query_params(split.query, "cursor", "records")
-                columns = _records_param(params)
-                # Eager cursor validation happens here, *before* any
-                # response bytes — a bad cursor is still a clean 400.
-                self._stream_ndjson(job.stream_chunks(_cursor_param(params)), columns)
-            else:
-                self._respond(200, codec.job_status_to_wire(_job_status(job)))
+            self._respond(200, service.metrics_payload())
 
-    def _route_delete(self, service: "MiningServer") -> None:
-        target = _job_path(self.path)
-        if target is not None and not target[1]:
-            job = service.scheduler.jobs.get(target[0])
-            job.cancel()
-            self._respond(200, codec.job_status_to_wire(_job_status(job)))
-            return
-        ref = _graph_ref(self.path)
-        if ref is None:
-            raise _RouteError(f"unknown endpoint {self.path}")
+    def _create_graph(self, service: MiningServer, query: dict) -> None:
+        payload = codec.decode(self._read_body(limit=MAX_UPLOAD_BYTES))
+        info = service.create_graph(codec.upload_from_wire(payload))
+        self._respond(200, codec.graph_info_to_wire(info))
+
+    def _list_graphs(self, service: MiningServer, query: dict) -> None:
+        self._respond(200, codec.graph_list_to_wire(service.store.list()))
+
+    def _get_graph(self, service: MiningServer, query: dict, ref: str) -> None:
+        self._respond(200, codec.graph_info_to_wire(service.store.get(ref)))
+
+    def _delete_graph(self, service: MiningServer, query: dict, ref: str) -> None:
         self._respond(200, codec.graph_info_to_wire(service.store.remove(ref)))
 
-    def _route_post(self, service: "MiningServer") -> None:
-        if service.draining:
-            raise _ServerDraining
-        if self.path == "/v1/enumerate":
-            payload = codec.decode(self._read_body())
-            request = codec.request_from_wire(payload)
-            outcome = service.scheduler.run(request)
-            self._respond(200, codec.outcome_to_wire(outcome))
-        elif self.path == "/v1/sweep":
-            payload = codec.decode(self._read_body())
-            base, alphas = codec.sweep_from_wire(payload)
-            requests = [base.with_alpha(alpha) for alpha in alphas]
-            outcomes = service.scheduler.batch(requests)
-            self._respond(200, codec.outcomes_to_wire(outcomes))
-        elif self.path == "/v2/graphs":
-            payload = codec.decode(self._read_body(limit=MAX_UPLOAD_BYTES))
-            upload = codec.upload_from_wire(payload)
-            self._respond(200, codec.graph_info_to_wire(service.create_graph(upload)))
-        elif self.path == "/v2/jobs":
-            payload = codec.decode(self._read_body())
-            ref, request, page_size = codec.job_request_from_wire(payload)
-            job = service.scheduler.submit_job(request, ref=ref, page_size=page_size)
-            self._respond(200, codec.job_status_to_wire(_job_status(job)))
-        else:
-            # Only the graph actions take a query: the paths above are
-            # matched whole, so any of them with a query is unknown.
-            split = urlsplit(self.path)
-            target = _graph_action(split.path)
-            if target is None:
-                raise _RouteError(f"unknown endpoint {self.path}")
-            ref, action = target
-            payload = codec.decode(self._read_body())
-            columns = _records_param(_query_params(split.query, "records"))
-            if action == "enumerate":
-                body_ref, request = codec.ref_request_from_wire(payload)
-                _check_body_ref(service.store, ref, body_ref)
-                outcome = service.scheduler.run(request, ref=ref)
-                self._respond(200, codec.outcome_to_wire(outcome, columns=columns))
-            else:
-                body_ref, base, alphas = codec.ref_sweep_from_wire(payload)
-                _check_body_ref(service.store, ref, body_ref)
-                requests = [base.with_alpha(alpha) for alpha in alphas]
-                outcomes = service.scheduler.batch(requests, ref=ref)
-                self._respond(200, codec.outcomes_to_wire(outcomes, columns=columns))
+    def _enumerate_ref(self, service: MiningServer, query: dict, ref: str) -> None:
+        payload = codec.decode(self._read_body())
+        body_ref, request = codec.ref_request_from_wire(payload)
+        _check_body_ref(service.store, ref, body_ref)
+        outcome = service.scheduler.run(request, ref=ref)
+        columns = query["records"] == "columns"
+        self._respond(200, codec.outcome_to_wire(outcome, columns=columns))
+
+    def _sweep_ref(self, service: MiningServer, query: dict, ref: str) -> None:
+        payload = codec.decode(self._read_body())
+        body_ref, base, alphas = codec.ref_sweep_from_wire(payload)
+        _check_body_ref(service.store, ref, body_ref)
+        requests = [base.with_alpha(alpha) for alpha in alphas]
+        outcomes = service.scheduler.batch(requests, ref=ref)
+        columns = query["records"] == "columns"
+        self._respond(200, codec.outcomes_to_wire(outcomes, columns=columns))
+
+    def _submit_job(self, service: MiningServer, query: dict) -> None:
+        payload = codec.decode(self._read_body())
+        ref, request, page_size = codec.job_request_from_wire(payload)
+        job = service.scheduler.submit_job(request, ref=ref, page_size=page_size)
+        self._respond(200, codec.job_status_to_wire(_job_status(job)))
+
+    def _list_jobs(self, service: MiningServer, query: dict) -> None:
+        statuses = [_job_status(job) for job in service.scheduler.jobs.list()]
+        self._respond(200, codec.job_list_to_wire(statuses))
+
+    def _get_job(self, service: MiningServer, query: dict, job_id: str) -> None:
+        job = service.scheduler.jobs.get(job_id)
+        self._respond(200, codec.job_status_to_wire(_job_status(job)))
+
+    def _stream_job(self, service: MiningServer, query: dict, job_id: str) -> None:
+        job = service.scheduler.jobs.get(job_id)
+        try:
+            cursor = int(query.get("cursor", "0"))
+        except ValueError as exc:
+            raise FormatError(
+                f"cursor must be an integer, got {query['cursor']!r}"
+            ) from exc
+        columns = query["records"] == "columns"
+        # Eager cursor validation happens here, *before* any response
+        # bytes — a bad cursor is still a clean 400.
+        self._stream_ndjson(job.stream_chunks(cursor), columns)
+
+    def _cancel_job(self, service: MiningServer, query: dict, job_id: str) -> None:
+        job = service.scheduler.jobs.get(job_id)
+        job.cancel()
+        self._respond(200, codec.job_status_to_wire(_job_status(job)))
 
     # ------------------------------------------------------------------ #
     # I/O helpers
@@ -320,6 +300,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise FormatError(
                 f"request body of {length} bytes exceeds the {limit}-byte limit"
             )
+        self._body_unread = False
         try:
             return self.rfile.read(length)
         except TimeoutError as exc:
@@ -328,25 +309,37 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{length} bytes arrived"
             ) from exc
 
-    def _drain_request_body(self, *, limit: int = MAX_REQUEST_BYTES) -> None:
-        """Best-effort discard of an unread request body.
+    def _drain_request_body(self) -> None:
+        """Best-effort discard of a declared body the handler never read.
 
-        Bounded by ``limit`` and a short socket timeout so a client
-        streaming an unbounded body cannot pin the handler thread.
+        Closing a connection with unread bytes in its receive buffer makes
+        the kernel reset it, which can discard the response before the
+        client reads it.  At most the declared Content-Length is read (a
+        chunked body: whatever arrives), never more than
+        :data:`MAX_REQUEST_BYTES`, under a short socket timeout, so a
+        client streaming an unbounded body cannot pin the handler thread.
+        A request that declared no body is left alone.
         """
+        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
+            limit = MAX_REQUEST_BYTES
+        else:
+            try:
+                declared = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                return
+            limit = min(declared, MAX_REQUEST_BYTES)
         try:
             self.connection.settimeout(0.2)
             while limit > 0:
-                data = self.connection.recv(min(65536, limit))
+                data = self.rfile.read1(min(65536, limit))
                 if not data:
                     break
                 limit -= len(data)
         except OSError:
             pass
 
-    def _respond(self, status: int, payload: dict) -> None:
-        body = codec.encode(payload)
-        self._send_body(status, "application/json", body)
+    def _respond(self, status: int, payload: dict, **headers: str) -> None:
+        self._send_body(status, "application/json", codec.encode(payload), **headers)
 
     def _respond_text(self, status: int, text: str) -> None:
         """Plain-text response (the Prometheus exposition format)."""
@@ -354,10 +347,14 @@ class _Handler(BaseHTTPRequestHandler):
             status, "text/plain; version=0.0.4; charset=utf-8", text.encode("utf-8")
         )
 
-    def _send_body(self, status: int, content_type: str, body: bytes) -> None:
+    def _send_body(
+        self, status: int, content_type: str, body: bytes, **headers: str
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
@@ -394,13 +391,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
         self.wfile.flush()
 
-    def _respond_error(self, status: int, exc: BaseException) -> None:
+    def _respond_error(self, status: int, exc: BaseException, **headers: str) -> None:
         # An error may leave an unread (or unreadable) request body on the
         # socket; under HTTP/1.1 keep-alive those bytes would be parsed as
         # the next request line, desynchronising the connection.  Closing
-        # after an error response is always safe.
+        # after an error response is always safe, once the body is drained.
         self.close_connection = True
-        self._respond(status, codec.error_to_wire(exc))
+        self._respond(status, codec.error_to_wire(exc), **headers)
+        if self._body_unread:
+            self._drain_request_body()
 
     def send_response(self, code: int, message: "str | None" = None) -> None:
         self._response_status = int(code)
@@ -419,12 +418,88 @@ class _Handler(BaseHTTPRequestHandler):
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
 
-class _RouteError(Exception):
-    """Request for a path the service does not serve."""
+class _Route(NamedTuple):
+    """One endpoint: ``handler`` answers ``method`` on ``template``.
+
+    ``query`` names the query parameters the route reads; any other is a
+    400.  A ``{...}`` segment of the template matches one non-empty path
+    segment, which the handler receives after the parsed query.
+    """
+
+    method: str
+    template: str
+    query: tuple[str, ...]
+    handler: Callable[..., None]
 
 
-class _ServerDraining(Exception):
-    """Submission while the server is draining — mapped to HTTP 503."""
+#: Every endpoint the server answers; ``docs/service.md`` lists the same.
+_ROUTES = (
+    _Route("POST", "/v1/enumerate", (), _Handler._enumerate),
+    _Route("POST", "/v1/sweep", (), _Handler._sweep),
+    _Route("GET", "/v1/health", (), _Handler._health),
+    _Route("GET", "/v1/stats", (), _Handler._stats),
+    _Route("GET", "/v1/metrics", ("format",), _Handler._metrics),
+    _Route("POST", "/v2/graphs", (), _Handler._create_graph),
+    _Route("GET", "/v2/graphs", (), _Handler._list_graphs),
+    _Route("GET", "/v2/graphs/{ref}", (), _Handler._get_graph),
+    _Route("DELETE", "/v2/graphs/{ref}", (), _Handler._delete_graph),
+    _Route("POST", "/v2/graphs/{ref}/enumerate", ("records",), _Handler._enumerate_ref),
+    _Route("POST", "/v2/graphs/{ref}/sweep", ("records",), _Handler._sweep_ref),
+    _Route("POST", "/v2/jobs", (), _Handler._submit_job),
+    _Route("GET", "/v2/jobs", (), _Handler._list_jobs),
+    _Route("GET", "/v2/jobs/{id}", (), _Handler._get_job),
+    _Route("GET", "/v2/jobs/{id}/results", ("cursor", "records"), _Handler._stream_job),
+    _Route("DELETE", "/v2/jobs/{id}", (), _Handler._cancel_job),
+)
+
+#: The values a choice-valued query parameter accepts, its default first.
+_CHOICES = {"format": ("json", "prometheus"), "records": ("rows", "columns")}
+
+
+def _match(path: str) -> tuple[str, dict[str, _Route], list[str]]:
+    """Match a request path against the route table.
+
+    Returns the template it matches (``(unknown)`` for none, the metrics
+    label either way), the routes served there by method, and the path's
+    ``{...}`` segments.
+    """
+    parts = path.split("/")
+    for route in _ROUTES:
+        pattern = route.template.split("/")
+        if len(pattern) == len(parts) and all(
+            want == got or (want.startswith("{") and got)
+            for want, got in zip(pattern, parts)
+        ):
+            routes = {r.method: r for r in _ROUTES if r.template == route.template}
+            segments = [
+                got for want, got in zip(pattern, parts) if want.startswith("{")
+            ]
+            return route.template, routes, segments
+    return "(unknown)", {}, []
+
+
+def _parse_query(query: str, names: tuple[str, ...]) -> dict[str, str]:
+    """Each query parameter's last value, checked against the route's names.
+
+    A name not in ``names`` is a 400, and so is a value outside a choice
+    parameter's :data:`_CHOICES`; an absent choice parameter reads as its
+    default.
+    """
+    params = {
+        name: values[-1]
+        for name, values in parse_qs(query, keep_blank_values=True).items()
+    }
+    unknown = set(params) - set(names)
+    if unknown:
+        raise FormatError(f"unknown query parameters {sorted(unknown)}")
+    for name in names:
+        choices = _CHOICES.get(name)
+        if choices is not None and params.setdefault(name, choices[0]) not in choices:
+            raise FormatError(
+                f"unknown {name} {params[name]!r}; expected "
+                + " or ".join(repr(choice) for choice in choices)
+            )
+    return params
 
 
 class _RequestTimeout(Exception):
@@ -440,93 +515,6 @@ class _LengthRequired(Exception):
     keep-alive request).  Refusing with 411 up front turns that silent
     misread into an actionable client error.
     """
-
-
-def _job_path(path: str) -> "tuple[str, bool] | None":
-    """Parse ``/v2/jobs/{id}`` or ``/v2/jobs/{id}/results``.
-
-    Returns ``(job_id, wants_results)``, or ``None`` for non-job paths.
-    """
-    parts = path.strip("/").split("/")
-    if len(parts) < 3 or parts[0] != "v2" or parts[1] != "jobs" or not parts[2]:
-        return None
-    if len(parts) == 3:
-        return parts[2], False
-    if len(parts) == 4 and parts[3] == "results":
-        return parts[2], True
-    return None
-
-
-def _endpoint_label(path: str) -> str:
-    """Collapse a request path to its route template.
-
-    Metric labels must have bounded cardinality, so per-resource segments
-    (graph refs, job ids) are collapsed to placeholders and paths the
-    router does not serve collapse to one ``(unknown)`` bucket.
-    """
-    path = urlsplit(path).path
-    if path in _KNOWN_ENDPOINTS:
-        return path
-    action = _graph_action(path)
-    if action is not None:
-        return f"/v2/graphs/{{ref}}/{action[1]}"
-    if _graph_ref(path) is not None:
-        return "/v2/graphs/{ref}"
-    target = _job_path(path)
-    if target is not None:
-        return "/v2/jobs/{id}/results" if target[1] else "/v2/jobs/{id}"
-    return "(unknown)"
-
-
-_KNOWN_ENDPOINTS = frozenset(
-    {
-        "/v1/enumerate",
-        "/v1/sweep",
-        "/v1/health",
-        "/v1/stats",
-        "/v1/metrics",
-        "/v2/graphs",
-        "/v2/jobs",
-    }
-)
-
-
-def _query_params(query: str, *names: str) -> dict[str, str]:
-    """Each query parameter's last value; a name not in ``names`` is a 400."""
-    params = parse_qs(query, keep_blank_values=True)
-    unknown = set(params) - set(names)
-    if unknown:
-        raise FormatError(f"unknown query parameters {sorted(unknown)}")
-    return {name: values[-1] for name, values in params.items()}
-
-
-def _metrics_format(query: str) -> str:
-    """Parse ``?format=json|prometheus`` (default ``json``), strictly."""
-    chosen = _query_params(query, "format").get("format", "json")
-    if chosen not in ("json", "prometheus"):
-        raise FormatError(
-            f"unknown metrics format {chosen!r}; expected 'json' or 'prometheus'"
-        )
-    return chosen
-
-
-def _cursor_param(params: dict[str, str]) -> int:
-    """The ``?cursor=N`` resume position (default 0)."""
-    value = params.get("cursor", "0")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise FormatError(f"cursor must be an integer, got {value!r}") from exc
-
-
-def _records_param(params: dict[str, str]) -> bool:
-    """Whether ``?records=rows|columns`` (default ``rows``) asks for columns."""
-    chosen = params.get("records", "rows")
-    if chosen not in ("rows", "columns"):
-        raise FormatError(
-            f"unknown records format {chosen!r}; expected 'rows' or 'columns'"
-        )
-    return chosen == "columns"
 
 
 def _job_status(job: Job) -> codec.JobStatus:
@@ -548,28 +536,6 @@ def _job_status(job: Job) -> codec.JobStatus:
         records=job.records_total,
         error=job.error if state == JobState.FAILED else None,
     )
-
-
-def _graph_ref(path: str) -> str | None:
-    """Parse ``/v2/graphs/{ref}`` (no trailing action) or return ``None``."""
-    parts = path.strip("/").split("/")
-    if len(parts) == 3 and parts[0] == "v2" and parts[1] == "graphs" and parts[2]:
-        return parts[2]
-    return None
-
-
-def _graph_action(path: str) -> "tuple[str, str] | None":
-    """Parse ``/v2/graphs/{ref}/enumerate|sweep`` or return ``None``."""
-    parts = path.strip("/").split("/")
-    if (
-        len(parts) == 4
-        and parts[0] == "v2"
-        and parts[1] == "graphs"
-        and parts[2]
-        and parts[3] in ("enumerate", "sweep")
-    ):
-        return parts[2], parts[3]
-    return None
 
 
 def _check_body_ref(store: GraphStore, path_ref: str, body_ref: str | None) -> None:
@@ -833,12 +799,12 @@ class MiningServer:
     def drain(self) -> None:
         """Enter drain mode without stopping the HTTP loop.
 
-        New submissions (every POST) are refused with ``503``; queued jobs
-        settle as ``failed("server shutdown")``, and a synchronous request
-        waiting on one gets that ``ServiceError`` as a ``400``; producers
-        blocked on a full result buffer are woken to fail the same way.
-        Running jobs keep executing and status/result GETs keep working,
-        so attached consumers can finish their streams.
+        New submissions (every POST route) are refused with ``503``; queued
+        jobs settle as ``failed("server shutdown")``, and a synchronous
+        request waiting on one gets that ``ServiceError`` as a ``400``;
+        producers blocked on a full result buffer are woken to fail the
+        same way.  Running jobs keep executing and status/result GETs keep
+        working, so attached consumers can finish their streams.
         """
         self._draining = True
         self._scheduler.shutdown(wait=False, drain=True)

@@ -45,11 +45,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="run only this rule id (repeatable)",
     )
     parser.add_argument(
-        "--no-suppress",
-        action="store_true",
-        help="ignore '# repro: ignore[...]' markers (audit mode)",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -89,7 +84,6 @@ def run(args: argparse.Namespace, *, stdout: TextIO | None = None) -> int:
             [Path(p) for p in args.paths],
             root=args.root,
             rule_ids=args.select,
-            honor_suppressions=not args.no_suppress,
         )
     except KeyError as exc:  # unknown --select token
         print(f"error: {exc.args[0]}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Finding objects — the single currency every rule trades in.
 
-A rule never prints; it yields :class:`Finding` instances and the runner
-sorts, filters (suppressions) and renders them.  Keeping findings as
-plain data makes the checker testable: the test-suite asserts on finding
-tuples, not on captured stdout.
+A rule never prints; it yields :class:`Finding` instances, the runner
+sorts them and the CLI renders them.  Keeping findings as plain data
+makes the checker testable: the test-suite asserts on finding tuples,
+not on captured stdout.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ class ModuleUnit:
 class Rule:
     """Base class for every checker rule.
 
-    Subclasses set ``rule_id`` (the suppression token) and ``description``
-    and override :meth:`check_module`.
+    Subclasses set ``rule_id`` (the name findings and ``--select`` use)
+    and ``description`` and override :meth:`check_module`.
     """
 
     rule_id: str = ""

@@ -1,4 +1,4 @@
-"""Scan driver: collect files, parse, run rules, filter suppressions."""
+"""The scan: collect files, parse them, run the rules over them."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Iterable, Sequence
 
 from .findings import Finding
 from .registry import ModuleUnit, select_rules
-from . import suppress
 
 #: Directory names never descended into.
 _SKIP_DIRS = {
@@ -83,7 +82,6 @@ def scan(
     *,
     root: Path | None = None,
     rule_ids: Iterable[str] | None = None,
-    honor_suppressions: bool = True,
 ) -> list[Finding]:
     """Run the selected rules over ``paths`` and return sorted findings."""
     targets = [Path(p) for p in paths]
@@ -97,32 +95,14 @@ def scan(
 
     findings: list[Finding] = []
     units: list[ModuleUnit] = []
-    tables: dict[str, suppress.Suppressions] = {}
     for path in files:
         loaded = load_unit(path, root)
         if isinstance(loaded, Finding):
             findings.append(loaded)
             continue
         units.append(loaded)
-        tables[loaded.relpath] = suppress.collect(loaded.source)
 
     for rule in rules:
         for unit in units:
             findings.extend(rule.check_module(unit))
-
-    if honor_suppressions:
-        findings = [
-            finding
-            for finding in findings
-            if not _suppressed(finding, tables)
-        ]
     return sorted(findings)
-
-
-def _suppressed(
-    finding: Finding, tables: dict[str, suppress.Suppressions]
-) -> bool:
-    table = tables.get(finding.path)
-    return table is not None and table.is_suppressed(
-        finding.line, finding.rule_id
-    )

@@ -17,10 +17,12 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import re
 import socket
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,8 @@ from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.service import MiningServer, RemoteSession, codec
 from repro.service import server as server_module
 from repro.uncertain.graph import UncertainGraph
+
+from .test_metrics import settle
 
 SWEEP_ALPHAS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
 
@@ -384,8 +388,8 @@ class TestRecordsParameter:
     def test_other_posts_take_no_query(self, server, path):
         body = codec.encode(codec.request_to_wire(REQUEST))
         status, raw = exchange(server, "POST", path + "?records=columns", body)
-        assert status == 404
-        assert codec.decode(raw)["kind"] == "error"
+        assert status == 400
+        assert codec.decode(raw)["type"] == "FormatError"
 
 
 class TestKeepAlive:
@@ -508,3 +512,131 @@ class TestConnectionTimeout:
         # cursor 0 still reads the whole result.
         resumed = remote.job(job.id).wait()
         resumed.assert_matches(MiningSession(server.graph).enumerate(REQUEST))
+
+
+ROUTES = server_module._ROUTES
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "service.md"
+
+
+def answer(server, method: str, path: str, body: bytes | None = None):
+    """One request on a fresh connection: (status, Allow header, payload)."""
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        return response.status, response.getheader("Allow"), codec.decode(response.read())
+    finally:
+        connection.close()
+
+
+class TestRouteTable:
+    """One matcher over one table: every route answers an unknown query
+    parameter, another method and a trailing slash by the same rule."""
+
+    BODY = codec.encode(codec.request_to_wire(REQUEST))
+
+    @pytest.fixture()
+    def job_id(self, server):
+        job = RemoteSession(server.url).submit(REQUEST)
+        job.wait()
+        return job.id
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda r: f"{r.method} {r.template}")
+    def test_every_route_follows_the_same_rules(self, server, job_id, route):
+        ref = server.store.default_fingerprint
+        path = route.template.replace("{ref}", ref).replace("{id}", job_id)
+        body = self.BODY if route.method == "POST" else None
+
+        status, _, payload = answer(server, route.method, path + "?bogus=1", body)
+        assert (status, payload["type"]) == (400, "FormatError")
+        assert "bogus" in payload["message"]
+
+        served = {r.method for r in ROUTES if r.template == route.template}
+        for method in {"GET", "POST", "DELETE"} - served:
+            status, allow, payload = answer(server, method, path, self.BODY)
+            assert (status, payload["type"]) == (405, "ServiceError")
+            assert set(allow.split(", ")) == served
+
+        status, _, payload = answer(server, route.method, path + "/", body)
+        assert (status, payload["kind"]) == (404, "error")
+        # Nothing above reached a handler: the graph and the job are intact.
+        assert server.store.get(ref).default
+        assert server.scheduler.jobs.get(job_id).state == "done"
+
+    def test_delete_with_an_unknown_parameter_leaves_the_resource(self, server):
+        # 85 records at alpha=0.2: a page_size=1 job parks its producer
+        # when its 64-page buffer fills, still running and cancellable.
+        big = random_uncertain_graph(20, 0.5, rng=random.Random(7))
+        server.store.add(big, name="big")
+        remote = RemoteSession(server.url, graph="big")
+        job = remote.submit(EnumerationRequest(algorithm="mule", alpha=0.2), page_size=1)
+        deadline = time.monotonic() + 10
+        while job.status().records < 64:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+        for path in (f"/v2/jobs/{job.id}?bogus=1", "/v2/graphs/big?bogus=1"):
+            status, _, payload = answer(server, "DELETE", path)
+            assert (status, payload["type"]) == (400, "FormatError")
+        assert job.status().state == "running"
+        assert server.store.get("big").name == "big"
+
+    def test_draining_refuses_post_routes_only(self, server):
+        server.drain()
+        status, _, payload = answer(server, "POST", "/nope", self.BODY)
+        assert (status, payload["kind"]) == (404, "error")
+        status, _, payload = answer(server, "POST", "/v1/enumerate", self.BODY)
+        assert (status, payload["type"]) == (503, "ServiceError")
+        assert answer(server, "GET", "/v1/health")[0] == 200
+
+    def test_405s_count_under_their_template_and_404s_under_unknown(self, server):
+        answer(server, "DELETE", "/v1/health")
+        answer(server, "DELETE", "/v2/graphs/whatever/enumerate")
+        answer(server, "DELETE", "/v1/health/")
+        # A target urlsplit cannot parse is one more path no route serves.
+        assert answer(server, "DELETE", "//[")[0] == 404
+        settle(server, 4)
+        counters = server.metrics_payload()["counters"]
+        for endpoint, status, count in (
+            ("/v1/health", 405, 1),
+            ("/v2/graphs/{ref}/enumerate", 405, 1),
+            ("(unknown)", 404, 2),
+        ):
+            labels = f"endpoint={endpoint},method=DELETE,status={status}"
+            assert counters[f"http_requests_total{{{labels}}}"] == count
+
+    def test_docs_endpoint_tables_match_the_route_table(self):
+        rows = re.findall(
+            r"^\| `([A-Z]+) ([^`\[ ]+)((?:\[[?&][^\]]*\])*)` \|", DOCS.read_text(), re.M
+        )
+        documented = {
+            (method, template, frozenset(re.findall(r"\[[?&](\w+)=", query)))
+            for method, template, query in rows
+        }
+        assert documented == {
+            (route.method, route.template, frozenset(route.query)) for route in ROUTES
+        }
+        assert len(rows) == len(ROUTES)
+
+
+class TestUnreadBody:
+    """An error answered before the request body is read still reaches
+    the client: the server drains the declared body before it closes,
+    where closing on unread bytes would reset the connection."""
+
+    @pytest.mark.parametrize("path, status", [("/v2/graphz", 404), ("/v1/health", 405)])
+    def test_an_early_error_survives_a_large_body(self, server, path, status):
+        body = b"x" * (1 << 20)
+        for _ in range(5):
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                connection.connect()
+                # A small send buffer keeps the client sending until the
+                # server reads, as on a real network.
+                connection.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+                connection.request("POST", path, body=body)
+                response = connection.getresponse()
+                assert response.status == status
+                assert codec.decode(response.read())["kind"] == "error"
+            finally:
+                connection.close()

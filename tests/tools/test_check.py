@@ -3,7 +3,7 @@
 Every rule gets at least one true-positive fixture (the checker must
 find the planted violation) and one clean fixture (it must stay quiet),
 plus the self-lint test: the shipped ``src/repro`` tree carries zero
-findings even with suppressions disabled.
+findings.
 
 Fixture modules are materialised into ``tmp_path`` mini-trees because
 several rules are scoped by path shape (``service/``/``api/`` for the
@@ -433,56 +433,6 @@ class TestMetricsDiscipline:
 
 
 # --------------------------------------------------------------------- #
-# Suppressions
-# --------------------------------------------------------------------- #
-class TestSuppressions:
-    def test_line_suppression_names_the_rule(self, tmp_path):
-        source = BAD_LOCK.replace(
-            "return len(self._items)",
-            "return len(self._items)  # repro: ignore[lock-discipline]",
-        )
-        assert not scan_one(
-            tmp_path, "service/box.py", source, "lock-discipline"
-        )
-
-    def test_suppression_for_another_rule_does_not_apply(self, tmp_path):
-        source = BAD_LOCK.replace(
-            "return len(self._items)",
-            "return len(self._items)  # repro: ignore[kernel-determinism]",
-        )
-        findings = scan_one(
-            tmp_path, "service/box.py", source, "lock-discipline"
-        )
-        assert len(findings) == 1
-
-    def test_no_suppress_audits_markers(self, tmp_path):
-        source = BAD_LOCK.replace(
-            "return len(self._items)",
-            "return len(self._items)  # repro: ignore",
-        )
-        write(tmp_path, "service/box.py", source)
-        assert not scan(
-            [tmp_path], root=tmp_path, rule_ids=["lock-discipline"]
-        )
-        audited = scan(
-            [tmp_path],
-            root=tmp_path,
-            rule_ids=["lock-discipline"],
-            honor_suppressions=False,
-        )
-        assert len(audited) == 1
-
-    def test_file_wide_suppression_in_header(self, tmp_path):
-        source = "# repro: ignore-file[lock-discipline]\n" + textwrap.dedent(
-            BAD_LOCK
-        )
-        write(tmp_path, "service/box.py", source)
-        assert not scan(
-            [tmp_path], root=tmp_path, rule_ids=["lock-discipline"]
-        )
-
-
-# --------------------------------------------------------------------- #
 # CLI surface
 # --------------------------------------------------------------------- #
 class TestCli:
@@ -566,9 +516,7 @@ class TestCli:
 # --------------------------------------------------------------------- #
 class TestShippedTree:
     def test_src_repro_is_violation_free_without_suppressions(self):
-        findings = scan(
-            [SRC], root=REPO_ROOT, honor_suppressions=False
-        )
+        findings = scan([SRC], root=REPO_ROOT)
         assert findings == [], "\n" + "\n".join(
             finding.render() for finding in findings
         )
