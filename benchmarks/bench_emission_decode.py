@@ -1,14 +1,18 @@
-"""Micro-benchmark for the kernel's per-emission decode path.
+"""Micro-benchmark for the per-emission decode of ``MiningSession.stream``.
 
-Every clique the engine yields crosses :meth:`CompiledGraph.decode`, which
-translates integer vertex indices back to original labels.  The naive
-spelling — ``frozenset(labels[i] for i in indices)`` — allocates a
-generator frame per emission; the committed form —
+The kernels yield each clique as a tuple of vertex indices.
+:meth:`MiningSession.stream` (and so every ``iter_*`` caller and every
+shard run of the process pool) turns each one into a frozenset of labels
+through :meth:`CompiledGraph.decode`; the session's and the job
+pipeline's column blocks map labels in bulk, once per block, and build
+records only for readers that ask.  The naive spelling of the decode —
+``frozenset(labels[i] for i in indices)`` — allocates a generator frame
+per emission; the committed form —
 ``frozenset(map(labels.__getitem__, indices))`` — does not.  On small-α
-runs emitting hundreds of thousands of cliques the per-emission constant
-is the difference, so this benchmark pins it: both spellings are timed
-over the real emission workload of a Figure 1 cell (every clique MULE
-emits on ca-GrQc at α = 0.0005) and must agree exactly.
+streams of hundreds of thousands of cliques the per-emission constant is
+the difference, so this benchmark pins it: both spellings are timed over
+the real emission workload of a Figure 1 cell (every clique MULE emits on
+ca-GrQc at α = 0.0005, as the kernel yields it) and must agree exactly.
 
 The assertion is deliberately loose (``map`` must not be *slower* beyond
 noise) — the point is a recorded measurement, not a flaky gate.
@@ -30,14 +34,11 @@ _MIN_CALLS = 50_000
 
 
 def _emission_workload(dataset):
-    """Index tuples shaped like the kernel's real emissions."""
+    """The index tuples the kernel yields on one Figure 1 cell."""
     graph = dataset("ca-grqc")
     alpha = 0.0005
     compiled = compile_graph(graph, alpha=alpha)
-    cliques = [
-        tuple(sorted(compiled.index_of[v] for v in members))
-        for members, _ in run_search(compiled, alpha, MuleStrategy())
-    ]
+    cliques = [indices for indices, _ in run_search(compiled, alpha, MuleStrategy())]
     assert cliques, "workload cell emitted nothing; raise the scale"
     # Replay the emission stream until the call count drowns timer noise.
     workload = list(cliques)

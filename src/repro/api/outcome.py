@@ -13,16 +13,19 @@ always returned.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from ..core.engine.controls import RunReport, StopReason
-from ..core.result import CliqueRecord, EnumerationResult, SearchStatistics
+from ..core.result import (
+    CliqueColumns,
+    CliqueRecord,
+    EnumerationResult,
+    SearchStatistics,
+)
 from .request import EnumerationRequest
 
 __all__ = ["EnumerationOutcome"]
 
 
-@dataclass
 class EnumerationOutcome:
     """What one enumeration produced, uniformly across all algorithms.
 
@@ -35,10 +38,15 @@ class EnumerationOutcome:
         The effective threshold: the requested α, or — for a top-k
         threshold search — the final α the descent stopped at.
     records:
-        The emitted cliques.  Serial runs list them in depth-first
-        discovery order (so a truncated run's records are a DFS prefix);
-        parallel runs in shard-merge order; top-k runs list the ranked
-        top-``k`` (most probable first).
+        The emitted cliques as :class:`CliqueRecord` objects.  Serial runs
+        list them in depth-first discovery order (so a truncated run's
+        records are a DFS prefix); parallel runs in shard-merge order;
+        top-k runs list the ranked top-``k`` (most probable first).  The
+        constructor takes a list or a
+        :class:`~repro.core.result.CliqueColumns` block; from a block the
+        list is built on first read and kept.  ``records`` stays
+        assignable, and every later reader and encoder sees the assigned
+        list.
     statistics:
         Search-effort counters (summed across shards on the parallel path;
         the final pass's counters for a threshold search).
@@ -57,13 +65,49 @@ class EnumerationOutcome:
     (False, 0)
     """
 
-    algorithm: str
-    alpha: float
-    records: list[CliqueRecord] = field(default_factory=list)
-    statistics: SearchStatistics = field(default_factory=SearchStatistics)
-    report: RunReport = field(default_factory=RunReport)
-    elapsed_seconds: float = 0.0
-    request: EnumerationRequest | None = None
+    def __init__(
+        self,
+        algorithm: str,
+        alpha: float,
+        records: "list[CliqueRecord] | CliqueColumns | None" = None,
+        statistics: SearchStatistics | None = None,
+        report: RunReport | None = None,
+        elapsed_seconds: float = 0.0,
+        request: EnumerationRequest | None = None,
+    ) -> None:
+        self.algorithm = algorithm
+        self.alpha = alpha
+        self.records = [] if records is None else records
+        self.statistics = statistics if statistics is not None else SearchStatistics()
+        self.report = report if report is not None else RunReport()
+        self.elapsed_seconds = elapsed_seconds
+        self.request = request
+
+    @property
+    def records(self) -> list[CliqueRecord]:
+        """The emitted cliques as records, built from the block on first read."""
+        if self._records is None:
+            self._records = self._columns.records()
+        return self._records
+
+    @records.setter
+    def records(self, value: "list[CliqueRecord] | CliqueColumns") -> None:
+        if isinstance(value, CliqueColumns):
+            self._records, self._columns = None, value
+        else:
+            self._records, self._columns = value, None
+
+    @property
+    def clique_columns(self) -> CliqueColumns:
+        """The cliques as one column block, for encoders that pack columns.
+
+        The block the outcome was built from while ``records`` has not been
+        read; after that the list is the truth (a reader may have changed
+        it), and the block is rebuilt from it on every call.
+        """
+        if self._records is None:
+            return self._columns
+        return CliqueColumns.from_records(self._records)
 
     @property
     def stop_reason(self) -> str:
@@ -78,10 +122,12 @@ class EnumerationOutcome:
     @property
     def num_cliques(self) -> int:
         """Number of records (the paper's "output size")."""
-        return len(self.records)
+        return len(self)
 
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is None:
+            return len(self._columns)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[CliqueRecord]:
         return iter(self.records)
@@ -146,6 +192,30 @@ class EnumerationOutcome:
             raise AssertionError(
                 f"search counters differ: {self.statistics} != {other.statistics}"
             )
+
+    def _fields(self) -> tuple:
+        return (
+            self.algorithm,
+            self.alpha,
+            self.records,
+            self.statistics,
+            self.report,
+            self.elapsed_seconds,
+            self.request,
+        )
+
+    # Field by field, records included (so comparing builds them); an
+    # outcome is unhashable, as the dataclass it was.
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EnumerationOutcome) and other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"EnumerationOutcome(algorithm={self.algorithm!r}, alpha={self.alpha}, "
+            f"num_cliques={len(self)}, stop_reason={self.stop_reason!r})"
+        )
 
     def to_result(self) -> EnumerationResult:
         """Convert to the legacy :class:`~repro.core.result.EnumerationResult`.

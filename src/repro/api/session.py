@@ -39,11 +39,12 @@ shared cache holding its artifacts) is alive.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import replace
 from time import monotonic
 
-from ..core.engine.backends import run_kernel_search
+from ..core.engine.backends import resolve_kernel, run_kernel_search
 from ..core.engine.compiled import CompiledGraph
 from ..core.engine.controls import CancellationToken, RunControls, RunReport
 from ..core.engine.strategies import (
@@ -54,7 +55,13 @@ from ..core.engine.strategies import (
     TopKStrategy,
 )
 from ..core.pruning import PruningReport
-from ..core.result import CliqueRecord, SearchStatistics, Stopwatch, rank_by_probability
+from ..core.result import (
+    CliqueColumns,
+    CliqueRecord,
+    SearchStatistics,
+    Stopwatch,
+    rank_by_probability,
+)
 from ..errors import ParameterError
 from ..obs import registry as _obs_registry
 from ..uncertain.graph import UncertainGraph
@@ -258,6 +265,79 @@ class MiningSession:
         stats = statistics if statistics is not None else SearchStatistics()
         if self._graph.num_vertices == 0:
             return
+        compiled, found, _ = self._start(request, stats, report, cancel, pruning_report)
+        decode = compiled.decode
+        for indices, probability in found:
+            yield decode(indices), probability
+        # Reached only when the consumer drains the stream: abandoned
+        # generators (early close, cancellation mid-iteration) do not fold
+        # partial counters into the engine metrics.
+        _observe_engine_run(stats, report)
+
+    def _pages(
+        self,
+        request: EnumerationRequest,
+        statistics: SearchStatistics,
+        report: RunReport,
+        cancel: CancellationToken | None = None,
+        page_size: int | None = None,
+    ) -> Iterator[CliqueColumns]:
+        """Run a streamable request; yield its cliques as column blocks.
+
+        Each block holds ``page_size`` cliques, the last one fewer (and no
+        block is empty); ``page_size=None`` yields one block with every
+        clique, or none.  No :class:`CliqueRecord` or frozenset is built
+        per clique: the kernel's index tuples go into three columns, and
+        their labels are looked up once per block.  ``cancel`` is read
+        before each clique is kept, so a cancelled run stops at the next
+        clique, keeping those before it.
+        """
+        if self._graph.num_vertices == 0:
+            return
+        compiled, found, in_order = self._start(request, statistics, report, cancel)
+        label_of = compiled.labels.__getitem__
+        indices: list[int] = []
+        sizes: list[int] = []
+        probabilities = array("d")
+        add_size = sizes.append
+        add_probability = probabilities.append
+        try:
+            for clique, probability in found:
+                if cancel is not None and cancel.cancelled:
+                    break
+                indices += clique
+                add_size(len(clique))
+                add_probability(probability)
+                if len(sizes) == page_size:
+                    yield CliqueColumns(
+                        list(map(label_of, indices)), sizes, probabilities, in_order
+                    )
+                    indices, sizes, probabilities = [], [], array("d")
+                    add_size = sizes.append
+                    add_probability = probabilities.append
+            else:
+                _observe_engine_run(statistics, report)
+        finally:
+            found.close()
+        if sizes:
+            yield CliqueColumns(list(map(label_of, indices)), sizes, probabilities, in_order)
+
+    def _start(
+        self,
+        request: EnumerationRequest,
+        statistics: SearchStatistics,
+        report: RunReport | None,
+        cancel: CancellationToken | None,
+        pruning_report: PruningReport | None = None,
+    ) -> tuple[CompiledGraph, Iterator[tuple[tuple[int, ...], float]], bool]:
+        """Compile (or fetch) the artifact and start the kernel on it.
+
+        Returns the artifact, the kernel's ``(indices, probability)``
+        stream, and whether each clique's labels come out in
+        ``CliqueRecord.as_tuple()`` order: they do when the fused kernel
+        runs (it adds vertices in ascending index order) on labels that
+        sorted naturally.
+        """
         compiled = self.compiled(
             alpha=request.compile_alpha(),
             size_threshold=request.compile_size_threshold(),
@@ -267,20 +347,21 @@ class MiningSession:
             compiled = compiled.restrict_roots(
                 _root_shard_mask(compiled, request.root_shard)
             )
-        yield from run_kernel_search(
+        strategy = _strategy_for(request)
+        found = run_kernel_search(
             compiled,
             request.alpha,
-            _strategy_for(request),
+            strategy,
             kernel=request.kernel,
-            statistics=stats,
+            statistics=statistics,
             controls=request.controls,
             report=report,
             cancel=cancel,
         )
-        # Reached only when the consumer drains the stream: abandoned
-        # generators (early close, cancellation mid-iteration) do not fold
-        # partial counters into the engine metrics.
-        _observe_engine_run(stats, report)
+        in_order = compiled.labels_sorted and (
+            resolve_kernel(request.kernel, strategy) == "vector"
+        )
+        return compiled, found, in_order
 
     # ------------------------------------------------------------------ #
     # The single entry point
@@ -445,16 +526,12 @@ class MiningSession:
     def _enumerate_serial(self, request: EnumerationRequest) -> EnumerationOutcome:
         statistics = SearchStatistics()
         report = RunReport()
-        records: list[CliqueRecord] = []
         with Stopwatch() as timer:
-            for members, probability in self.stream(
-                request, statistics=statistics, report=report
-            ):
-                records.append(CliqueRecord(vertices=members, probability=probability))
+            cliques = CliqueColumns.concat(self._pages(request, statistics, report))
         return EnumerationOutcome(
             algorithm=request.label,
             alpha=request.alpha,
-            records=records,
+            records=cliques,
             statistics=statistics,
             report=report,
             elapsed_seconds=timer.elapsed,

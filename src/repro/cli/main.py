@@ -62,7 +62,7 @@ from ..distributed import DistributedSession, WorkerPool, WorkerState
 from ..extensions.uncertain_core import uncertain_core_decomposition
 from ..errors import DatasetError, ReproError
 from ..service.client import connect
-from ..service.server import DEFAULT_PORT, MiningServer
+from ..service.server import DEFAULT_PORT, MiningServer, describe_routes
 from ..tools.check import cli as check_cli
 from ..uncertain.graph import UncertainGraph
 from ..uncertain.io import read_edge_list, write_edge_list
@@ -838,13 +838,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     names = [info.name or info.fingerprint[:12] for info in store.list()]
     print(f"serving {len(names)} graph(s) at {server.url}: {', '.join(names)}")
     print(f"default graph (v1 surface): {names[0]}")
-    print(
-        "endpoints: POST /v1/enumerate|sweep  GET /v1/health|stats  "
-        "POST|GET /v2/graphs  GET|DELETE /v2/graphs/{ref}  "
-        "POST /v2/graphs/{ref}/enumerate|sweep  POST|GET /v2/jobs  "
-        "GET|DELETE /v2/jobs/{id}  GET /v2/jobs/{id}/results  "
-        "(Ctrl-C to stop)"
-    )
+    print(f"endpoints: {describe_routes()}  (Ctrl-C to stop)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

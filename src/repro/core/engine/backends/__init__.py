@@ -16,6 +16,18 @@ hot path:
     :class:`LargeCliqueStrategy`) and is bit-identical to the python
     kernel on them — cliques, probabilities, stop reasons and statistics.
 
+Both kernels yield one ``(indices, probability)`` pair per clique:
+``indices`` is a tuple of the clique's vertex indices in the order the
+search added them, never a set of labels.  Callers map indices to labels
+where they need them: :meth:`~repro.api.MiningSession.stream` through
+:meth:`CompiledGraph.decode` per clique, the session's and the job
+pipeline's column blocks (:class:`~repro.core.result.CliqueColumns`) in
+bulk through ``compiled.labels``.  The fused drivers add vertices in
+ascending index order, so on a graph whose labels sorted naturally
+(``CompiledGraph.labels_sorted``) their cliques come out in
+``CliqueRecord.as_tuple()`` order and a columns encoder need not sort
+them again.
+
 The kernel axis is deliberately independent of the parallel *execution*
 backend (``process``/``inline`` in :mod:`repro.parallel`): one picks how
 each shard's inner loop runs, the other picks where shards run, and the
@@ -30,7 +42,6 @@ probability, so the baseline always runs on the python kernel).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Any
 
 from ....errors import ParameterError
 from ...result import SearchStatistics
@@ -98,7 +109,7 @@ def run_kernel_search(
     controls: RunControls | None = None,
     report: RunReport | None = None,
     cancel: CancellationToken | None = None,
-) -> Iterator[tuple[frozenset[Any], float]]:
+) -> Iterator[tuple[tuple[int, ...], float]]:
     """Run one enumeration on the resolved kernel backend.
 
     The single front door of kernel selection: same contract as

@@ -25,9 +25,14 @@ masks and two lazy caches it keeps for this kernel:
 * **flat frames** — node state lives in locals, pushed as tuples only
   when a child actually has candidates.
 
-Parity is the contract, not an aspiration: emitted cliques,
-probabilities, stop reasons and **every** statistics counter are
-bit-identical to the python backend at every yield point — counter
+Each driver yields one ``(indices, probability)`` pair per clique, as
+:func:`~repro.core.engine.kernel.run_search` does: ``indices`` is the
+clique's vertex indices as a tuple, in the order the walk added them,
+which for these drivers is ascending.
+
+Parity is the contract, not an aspiration: emitted cliques (their index
+tuples included), probabilities, stop reasons and **every** statistics
+counter are bit-identical to the python backend at every yield point — counter
 deltas are flushed immediately before each emission, so streaming
 observers cannot tell the backends apart either.  The two drivers
 deliberately duplicate their scan code instead of sharing helpers: one
@@ -78,7 +83,7 @@ def run_vector_search(
     controls: RunControls | None = None,
     report: RunReport | None = None,
     cancel: CancellationToken | None = None,
-) -> Iterator[tuple[frozenset[Any], float]]:
+) -> Iterator[tuple[tuple[int, ...], float]]:
     """Run one enumeration on the vector backend; same contract as ``run_search``.
 
     Only the MULE strategy family is supported; pass anything else (or an
@@ -125,7 +130,7 @@ def _drive_mule(
     controls: RunControls,
     report: RunReport,
     cancel: CancellationToken | None = None,
-) -> Iterator[tuple[frozenset[Any], float]]:
+) -> Iterator[tuple[tuple[int, ...], float]]:
     """The fused MULE walk; ``emit_min`` is the TopK size floor (0 = MULE)."""
     report.stop_reason = StopReason.COMPLETED
     report.cliques_emitted = 0
@@ -146,7 +151,6 @@ def _drive_mule(
     adj_prob = compiled.adjacency_probability
     adj_mask = compiled.adjacency_mask
     higher = compiled.higher_masks
-    decode = compiled.decode
     root_mask = compiled.root_mask
     root_restricted = root_mask != compiled.all_mask
     max_cliques = controls.max_cliques
@@ -232,10 +236,9 @@ def _drive_mule(
                 if not excl_mask:
                     mx += 1
                     if emit_min <= 1:
-                        cappend(root)
                         flush()
                         rc = ce = pm = mx = 0
-                        yield decode(clique), 1.0
+                        yield (root,), 1.0
                         cliques_emitted += 1
                         if (
                             max_cliques is not None
@@ -243,7 +246,6 @@ def _drive_mule(
                         ):
                             report.stop_reason = StopReason.MAX_CLIQUES
                             return
-                        cpop()
                 continue
 
             cappend(root)
@@ -398,10 +400,9 @@ def _drive_mule(
                     if not x_alive:
                         mx += 1
                         if len(clique) + 1 >= emit_min:
-                            cappend(u)
                             flush()
                             rc = ce = pm = mx = 0
-                            yield decode(clique), q
+                            yield (*clique, u), q
                             cliques_emitted += 1
                             if (
                                 max_cliques is not None
@@ -409,7 +410,6 @@ def _drive_mule(
                             ):
                                 report.stop_reason = StopReason.MAX_CLIQUES
                                 return
-                            cpop()
                     excl_factor[u] = factors[index]
                     excl_mask |= 1 << u
                     index += 1
@@ -445,7 +445,7 @@ def _drive_large(
     controls: RunControls,
     report: RunReport,
     cancel: CancellationToken | None = None,
-) -> Iterator[tuple[frozenset[Any], float]]:
+) -> Iterator[tuple[tuple[int, ...], float]]:
     """The fused LARGE-MULE walk (Algorithms 5–6 size bound and pruning)."""
     report.stop_reason = StopReason.COMPLETED
     report.cliques_emitted = 0
@@ -466,7 +466,6 @@ def _drive_large(
     adj_prob = compiled.adjacency_probability
     adj_mask = compiled.adjacency_mask
     higher = compiled.higher_masks
-    decode = compiled.decode
     root_mask = compiled.root_mask
     root_restricted = root_mask != compiled.all_mask
     max_cliques = controls.max_cliques
@@ -718,10 +717,9 @@ def _drive_large(
                     if not x_alive:
                         mx += 1
                         if len(clique) + 1 >= size_threshold:
-                            cappend(u)
                             flush()
                             rc = ce = pm = mx = pb = 0
-                            yield decode(clique), q
+                            yield (*clique, u), q
                             cliques_emitted += 1
                             if (
                                 max_cliques is not None
@@ -729,7 +727,6 @@ def _drive_large(
                             ):
                                 report.stop_reason = StopReason.MAX_CLIQUES
                                 return
-                            cpop()
                     excl_factor[u] = factors[index]
                     excl_mask |= 1 << u
                     index += 1

@@ -124,6 +124,13 @@ class CompiledGraph:
     labels:
         ``labels[i]`` is the original label of vertex index ``i``; indices
         are assigned in sorted label order.
+    labels_sorted:
+        True when ``labels`` is in the labels' natural ``<`` order, that is
+        when ``sorted()`` accepted them; False when they fell back to the
+        ``(type name, repr)`` order (mixed ``int``/``str`` labels, say).
+        When it holds, ascending indices are ascending labels, so a clique
+        the fused kernel emits is already in ``CliqueRecord.as_tuple()``
+        order.
     index_of:
         Inverse mapping original label → index.
     adjacency_mask:
@@ -151,6 +158,7 @@ class CompiledGraph:
     __slots__ = (
         "n",
         "labels",
+        "labels_sorted",
         "index_of",
         "adjacency_mask",
         "adjacency_probability",
@@ -165,9 +173,11 @@ class CompiledGraph:
         labels: list[Vertex],
         adjacency_mask: list[int],
         adjacency_probability: list[dict[int, float]],
+        labels_sorted: bool,
     ) -> None:
         self.n = len(labels)
         self.labels = labels
+        self.labels_sorted = labels_sorted
         self.index_of = {v: i for i, v in enumerate(labels)}
         self.adjacency_mask = adjacency_mask
         self.adjacency_probability = adjacency_probability
@@ -199,10 +209,12 @@ class CompiledGraph:
         """
         try:
             ordered = sorted(graph.vertices())
+            labels_sorted = True
         except TypeError:
             ordered = sorted(
                 graph.vertices(), key=lambda v: (type(v).__name__, repr(v))
             )
+            labels_sorted = False
         index_of = {v: i for i, v in enumerate(ordered)}
         n = len(ordered)
         adjacency_mask = [0] * n
@@ -215,7 +227,7 @@ class CompiledGraph:
             adjacency_mask[iv] |= 1 << iu
             adjacency_probability[iu][iv] = p
             adjacency_probability[iv][iu] = p
-        return cls(ordered, adjacency_mask, adjacency_probability)
+        return cls(ordered, adjacency_mask, adjacency_probability, labels_sorted)
 
     def restrict_probability(self, min_probability: float) -> "CompiledGraph":
         """Return a new compiled graph without edges below ``min_probability``.
@@ -247,7 +259,7 @@ class CompiledGraph:
                 mask |= 1 << j
             masks.append(mask)
             probabilities.append(kept)
-        return CompiledGraph(self.labels, masks, probabilities)
+        return CompiledGraph(self.labels, masks, probabilities, self.labels_sorted)
 
     def restrict_roots(self, root_mask: int) -> "CompiledGraph":
         """Return a shallow shard view confined to ``root_mask`` first branches.
@@ -318,10 +330,10 @@ class CompiledGraph:
     def decode(self, indices: Iterable[int]) -> frozenset[Any]:
         """Translate vertex indices back to a frozenset of original labels.
 
-        This sits on the kernel's per-emission path, so it avoids the
-        generator-expression frame a naive ``frozenset(labels[i] for i in
-        indices)`` would allocate per call (``benchmarks/
-        bench_emission_decode.py`` measures the difference).
+        :meth:`MiningSession.stream` calls this once per clique the kernel
+        emits, so it avoids the generator-expression frame a naive
+        ``frozenset(labels[i] for i in indices)`` would allocate per call
+        (``benchmarks/bench_emission_decode.py`` measures the difference).
         """
         return frozenset(map(self.labels.__getitem__, indices))
 

@@ -7,9 +7,12 @@ enumeration algorithm in the repository.  Compared to the recursive
 * **never recurses** — search depth is bounded by memory, not by the
   interpreter's recursion limit, so no enumerator mutates
   ``sys.setrecursionlimit`` anymore and 10⁵-vertex clique chains are fine;
-* **streams** — it is a generator yielding ``(clique, probability)`` pairs
-  in depth-first discovery order; callers can pause, interleave, or abandon
-  the search at any point;
+* **streams** — it is a generator yielding one ``(indices, probability)``
+  pair per clique in depth-first discovery order, ``indices`` being the
+  clique's vertex indices in the order the search added them; callers can
+  pause, interleave, or abandon the search at any point, and map indices
+  to labels themselves (:meth:`CompiledGraph.decode`, or in bulk through
+  ``compiled.labels``);
 * **honours run controls** — ``max_cliques`` and ``time_budget_seconds``
   stop the walk early with the reason recorded on a
   :class:`~repro.core.engine.controls.RunReport`.
@@ -52,7 +55,7 @@ def run_search(
     controls: RunControls | None = None,
     report: RunReport | None = None,
     cancel: CancellationToken | None = None,
-) -> Iterator[tuple[frozenset[Any], float]]:
+) -> Iterator[tuple[tuple[int, ...], float]]:
     """Run one iterative depth-first enumeration and yield its emissions.
 
     Parameters
@@ -78,9 +81,9 @@ def run_search(
 
     Yields
     ------
-    tuple(frozenset, float)
-        Each emitted clique (original vertex labels) with its probability,
-        in depth-first discovery order.
+    tuple(tuple[int, ...], float)
+        Each emitted clique as its vertex indices, in the order the search
+        added them, with its probability, in depth-first discovery order.
     """
     statistics = statistics if statistics is not None else SearchStatistics()
     report = report if report is not None else RunReport()
@@ -95,7 +98,6 @@ def run_search(
     if compiled.n == 0:
         return
 
-    decode = compiled.decode
     # Shard restriction (CompiledGraph.restrict_roots): first-level branches
     # outside root_mask are skipped without calling the strategy — but still
     # retired into the exclusion side below — so *every* strategy honours
@@ -121,7 +123,7 @@ def run_search(
     candidates, probability = expand(root, clique)
     report.frames_expanded += 1
     if probability is not None:
-        yield decode(clique), probability
+        yield tuple(clique), probability
         report.cliques_emitted += 1
         if max_cliques is not None and report.cliques_emitted >= max_cliques:
             report.stop_reason = StopReason.MAX_CLIQUES
@@ -182,7 +184,7 @@ def run_search(
         child_candidates, probability = expand(child, clique)
         report.frames_expanded += 1
         if probability is not None:
-            yield decode(clique), probability
+            yield tuple(clique), probability
             report.cliques_emitted += 1
             if max_cliques is not None and report.cliques_emitted >= max_cliques:
                 report.stop_reason = StopReason.MAX_CLIQUES

@@ -11,14 +11,17 @@ than DFS-NOIP") reproducible without relying solely on noisy timings.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import Counter
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from ..uncertain.graph import UncertainGraph
 
 __all__ = [
+    "CliqueColumns",
     "CliqueRecord",
     "EnumerationResult",
     "SearchStatistics",
@@ -115,16 +118,144 @@ class CliqueRecord:
             return tuple(sorted(self.vertices, key=repr))
 
 
+class CliqueColumns:
+    """Cliques as three columns: their labels, their sizes, their probabilities.
+
+    ``vertices`` holds every clique's labels, clique after clique;
+    ``sizes`` one label count per clique; ``probabilities`` one probability
+    per clique (an ``array('d')`` when a kernel run filled the block).
+    This is how a run's cliques travel from the kernel to the wire:
+    :class:`CliqueRecord` objects are built only for readers that iterate
+    the block or call :meth:`records`.
+
+    The block owns one decision, ``canonical``: whether each clique's
+    labels already stand in :meth:`CliqueRecord.as_tuple` order.  A columns
+    encoder writes ``vertices`` as they are when it holds, and sorts each
+    clique's labels as ``as_tuple`` does otherwise (:meth:`sorted_vertices`).
+    A block is never changed once built.
+
+    >>> block = CliqueColumns.from_records(
+    ...     [CliqueRecord(frozenset({2, 1}), 0.5), CliqueRecord(frozenset({3}), 1.0)])
+    >>> block.vertices, block.sizes, len(block)
+    ([1, 2, 3], [2, 1], 2)
+    >>> [sorted(record.vertices) for record in block]
+    [[1, 2], [3]]
+    """
+
+    def __init__(
+        self,
+        vertices: list[Any],
+        sizes: list[int],
+        probabilities: Sequence[float],
+        canonical: bool,
+    ) -> None:
+        self.vertices = vertices
+        self.sizes = sizes
+        self.probabilities = probabilities
+        self.canonical = canonical
+
+    @classmethod
+    def from_records(cls, records: Iterable[CliqueRecord]) -> "CliqueColumns":
+        """The one way records become a block: each clique's labels in ``as_tuple`` order.
+
+        The probabilities are kept as the records hold them, unchecked, so
+        an encoder reports a bad one as it would from the records.
+        """
+        vertices: list[Any] = []
+        sizes: list[int] = []
+        probabilities: list[float] = []
+        for record in records:
+            labels = record.as_tuple()
+            vertices += labels
+            sizes.append(len(labels))
+            probabilities.append(record.probability)
+        return cls(vertices, sizes, probabilities, True)
+
+    @classmethod
+    def concat(cls, blocks: Iterable["CliqueColumns"]) -> "CliqueColumns":
+        """One block holding ``blocks``' cliques in order (a lone block as is)."""
+        blocks = list(blocks)
+        if len(blocks) == 1:
+            return blocks[0]
+        vertices: list[Any] = []
+        sizes: list[int] = []
+        probabilities = array("d")
+        for block in blocks:
+            vertices += block.vertices
+            sizes += block.sizes
+            probabilities.extend(block.probabilities)
+        return cls(vertices, sizes, probabilities, all(b.canonical for b in blocks))
+
+    def split(self, size: int) -> list["CliqueColumns"]:
+        """This block's cliques as consecutive blocks of at most ``size`` cliques."""
+        blocks = []
+        start = 0
+        for first in range(0, len(self.sizes), size):
+            sizes = self.sizes[first : first + size]
+            stop = start + sum(sizes)
+            blocks.append(
+                CliqueColumns(
+                    self.vertices[start:stop],
+                    sizes,
+                    self.probabilities[first : first + size],
+                    self.canonical,
+                )
+            )
+            start = stop
+        return blocks
+
+    def sorted_vertices(self) -> list[Any]:
+        """``vertices`` with each clique's labels in ``as_tuple`` order."""
+        if self.canonical:
+            return self.vertices
+        labels = iter(self.vertices)
+        vertices: list[Any] = []
+        for size in self.sizes:
+            members = list(islice(labels, size))
+            try:
+                members.sort()
+            except TypeError:
+                members.sort(key=repr)
+            vertices += members
+        return vertices
+
+    def records(self) -> list[CliqueRecord]:
+        """Build one :class:`CliqueRecord` per clique, in order."""
+        labels = iter(self.vertices)
+        return [
+            CliqueRecord(frozenset(islice(labels, size)), probability)
+            for size, probability in zip(self.sizes, self.probabilities)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self) -> Iterator[CliqueRecord]:
+        return iter(self.records())
+
+    def __repr__(self) -> str:
+        return f"CliqueColumns({len(self.sizes)} cliques, canonical={self.canonical})"
+
+
 def rank_by_probability(records: Iterable[CliqueRecord], k: int) -> list[CliqueRecord]:
     """Return the ``k`` records of highest clique probability.
 
     Ties break by larger size, then lexicographically by vertex tuple, so
-    the ranking is deterministic.  This is the one ranking used everywhere
-    top-k order matters (:meth:`EnumerationResult.top_k_by_probability` and
-    the session API's ``top_k`` dispatch), keeping their outputs identical
-    by construction.
+    the ranking is deterministic.  Where two tied cliques' labels do not
+    order against each other (ints and strs, say), every tie breaks on the
+    ``repr`` of the members instead, sorted.  This is the one ranking used
+    everywhere top-k order matters
+    (:meth:`EnumerationResult.top_k_by_probability` and the session API's
+    ``top_k`` dispatch), keeping their outputs identical by construction.
     """
-    ranked = sorted(records, key=lambda r: (-r.probability, -r.size, r.as_tuple()))
+    records = list(records)
+    try:
+        ranked = sorted(records, key=lambda r: (-r.probability, -r.size, r.as_tuple()))
+    except TypeError:
+        ranked = sorted(
+            records,
+            key=lambda r: (-r.probability, -r.size, tuple(map(repr, r.sort_key[1]))),
+        )
     return ranked[:k]
 
 

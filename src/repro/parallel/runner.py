@@ -108,8 +108,10 @@ def _enumerate_shard(
     statistics = SearchStatistics()
     report = RunReport()
     restricted = compiled.restrict_roots(shard.root_mask)
-    pairs = list(
-        run_kernel_search(
+    decode = restricted.decode
+    pairs = [
+        (decode(indices), probability)
+        for indices, probability in run_kernel_search(
             restricted,
             alpha,
             MuleStrategy(),
@@ -118,7 +120,7 @@ def _enumerate_shard(
             controls=controls,
             report=report,
         )
-    )
+    ]
     return ShardOutcome(shard, pairs, statistics, report)
 
 

@@ -66,7 +66,7 @@ from ..api.outcome import EnumerationOutcome
 from ..api.request import EnumerationRequest
 from ..api.store import GraphInfo
 from ..core.engine.controls import RunControls, RunReport, StopReason
-from ..core.result import CliqueRecord, SearchStatistics
+from ..core.result import CliqueColumns, CliqueRecord, SearchStatistics
 from .. import errors as _errors
 from ..errors import FormatError, ReproError
 from ..uncertain.graph import UncertainGraph
@@ -382,8 +382,9 @@ class _Kind(Generic[T]):
     value's attributes of the same names; an additive key the value has
     no attribute for is at its default).  :meth:`encode` takes fields
     already in wire form by keyword, and these replace what ``parts``
-    gives: that is how a caller picks the form of a field the value does
-    not hold, as ``columns`` is to an outcome.  ``source`` is the type
+    gives (the value's attribute is then not read): that is how a caller
+    picks the form of a field the value does not hold, as ``columns`` is
+    to an outcome.  ``source`` is the type
     :func:`to_wire` encodes as this kind, or for a list kind the type of
     its items.  A kind with a hand-written body passes it as ``encoder``
     and ``decoder``, and takes its key set from here; its ``build``
@@ -421,15 +422,18 @@ class _Kind(Generic[T]):
         self.decode: Callable[[object], T] = decoder or self._decode
 
     def _encode(self, value: Any, **wire: Any) -> dict[str, Any]:
+        fields = dict(wire)
         if self.parts is None:
-            values: Sequence[Any] = [
-                getattr(value, f.name) if f.since is None else getattr(value, f.name, f.default)
-                for f in self.fields
-            ]
+            for f in self.fields:
+                if f.name not in fields:
+                    fields[f.name] = (
+                        getattr(value, f.name)
+                        if f.since is None
+                        else getattr(value, f.name, f.default)
+                    )
         else:
-            values = self.parts(value)
-        fields = dict(zip(self._names, values))
-        fields.update(wire)
+            for name, item in zip(self._names, self.parts(value)):
+                fields.setdefault(name, item)
         if self._check is not None:
             self._check(fields)
         payload: dict[str, Any] = {"schema": self.since, "kind": self.name}
@@ -666,17 +670,20 @@ def columns_to_wire(records: Iterable[CliqueRecord]) -> dict[str, Any]:
     base64 (RFC 4648 section 4) of the probabilities as little-endian
     IEEE 754 binary64, 8 bytes per record.  Labels must be wire-encodable
     and probabilities finite, as in rows.
+
+    A :class:`~repro.core.result.CliqueColumns` block is packed as it is,
+    with no record built; any other record list becomes one through
+    :meth:`CliqueColumns.from_records` first.
     """
-    vertices: list[int | float | str] = []
-    sizes: list[int] = []
-    probabilities: list[float] = []
-    for record in records:
-        labels = record.as_tuple()
-        vertices += labels
-        sizes.append(len(labels))
-        probabilities.append(record.probability)
+    block = (
+        records
+        if isinstance(records, CliqueColumns)
+        else CliqueColumns.from_records(records)
+    )
+    vertices: list[Any] = block.sorted_vertices()
     if not _LABEL_TYPES.issuperset(map(type, vertices)):
         vertices = [_vertex_to_wire(v) for v in vertices]
+    probabilities = block.probabilities
     try:
         packed = struct.pack(f"<{len(probabilities)}d", *probabilities)
     except struct.error as exc:
@@ -687,7 +694,7 @@ def columns_to_wire(records: Iterable[CliqueRecord]) -> dict[str, Any]:
         "clique-columns",
         {
             "vertices": vertices,
-            "sizes": sizes,
+            "sizes": block.sizes,
             "probabilities": base64.b64encode(packed).decode("ascii"),
         },
         version=SCHEMA_VERSION_V2,
@@ -1148,12 +1155,15 @@ class JobChunk(NamedTuple):
     one of ``summary`` (an :class:`EnumerationOutcome` without records —
     the job reached ``done`` or ``cancelled``) or ``error`` (the job
     failed).  ``seq`` is the chunk's cursor position: re-requesting the
-    stream with ``cursor=seq`` re-reads from this chunk.
+    stream with ``cursor=seq`` re-reads from this chunk.  A job's chunks
+    hold its pages as :class:`~repro.core.result.CliqueColumns` blocks,
+    which the columns encoder packs as they are; a decoded chunk holds a
+    tuple of records.
     """
 
     job: str
     seq: int
-    records: "tuple[CliqueRecord, ...]"
+    records: "Iterable[CliqueRecord]"
     final: bool
     summary: "EnumerationOutcome | None" = None
     error: "BaseException | None" = None
@@ -1431,7 +1441,9 @@ def outcome_to_wire(
     the envelope stamped ``schema: 2``.
     """
     if columns:
-        return _OUTCOME.encode(outcome, records=[], columns=columns_to_wire(outcome.records))
+        return _OUTCOME.encode(
+            outcome, records=[], columns=columns_to_wire(outcome.clique_columns)
+        )
     return _OUTCOME.encode(outcome)
 
 

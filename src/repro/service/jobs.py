@@ -9,21 +9,27 @@ runs as a :class:`Job`:
   guarantees the job ends ``cancelled``, returning ``False`` guarantees the
   already-reached terminal state is untouched, so a cancel racing
   completion always settles deterministically);
-* a **bounded page buffer with backpressure** — the producer thread flushes
-  records into fixed-size pages and blocks once ``max_pending_pages`` pages
-  are waiting, so a slow streaming consumer pauses the kernel instead of
-  letting the server buffer an unbounded outcome.  Synchronous jobs use an
-  unbounded buffer (their consumer is ``wait()``, which needs every page);
+* a **bounded page buffer with backpressure** — the producer thread fills
+  fixed-size pages, each one :class:`~repro.core.result.CliqueColumns`
+  block, outside the job's lock, hands each over under the lock, and
+  blocks once ``max_pending_pages`` pages are waiting, so a slow streaming
+  consumer pauses the kernel instead of letting the server buffer an
+  unbounded outcome.  Synchronous jobs use an unbounded buffer (their
+  consumer is ``wait()``, which needs every page).  No
+  :class:`~repro.core.result.CliqueRecord` is built on the server unless
+  a reader asks for rows, so the finished jobs a registry retains keep
+  columns, not one object per clique;
 * a **live progress view** — the kernel mutates the job's
   :class:`~repro.core.engine.controls.RunReport` in place and only ever
   increments it, so :meth:`Job.progress` snapshots are monotonically
   non-decreasing without any extra synchronisation in the hot loop;
 * **cooperative cancellation** — the job owns a
   :class:`~repro.core.engine.controls.CancellationToken` checked by the
-  kernel on the run-controls cadence and by the buffer on every append, so
-  cancelling a backpressure-blocked producer takes effect immediately and
-  truncates at a deterministic record count (``acked + max_pending_pages``
-  pages, for page_size-1 buffers).
+  kernel on the run-controls cadence, by the producer before each clique
+  it keeps and by a producer blocked on a full buffer, so cancelling takes
+  effect at the next clique, a backpressure-blocked producer wakes
+  immediately, and the truncation is at a deterministic record count
+  (``acked + max_pending_pages`` pages, for page_size-1 buffers).
 
 :class:`JobRegistry` owns the id space, the retention policy and every
 job count: terminal jobs stay fetchable (status and un-streamed results)
@@ -47,7 +53,7 @@ from ..core.engine.controls import (
     RunReport,
     StopReason,
 )
-from ..core.result import CliqueRecord, SearchStatistics
+from ..core.result import CliqueColumns, SearchStatistics
 from ..errors import JobError, JobNotFoundError, ParameterError, ServiceError
 from ..obs import MetricsRegistry
 from .codec import JobChunk
@@ -85,7 +91,7 @@ class JobState:
 
 
 class JobCancelled(Exception):
-    """Internal signal: the producer observed a cancelled token mid-append.
+    """Internal signal: a producer blocked on a full buffer was cancelled.
 
     Never escapes the scheduler's job runner — it only unwinds the
     enumeration loop so the job can settle into its ``cancelled`` state.
@@ -127,8 +133,7 @@ class Job:
         self._error: BaseException | None = None
         self._page_size = page_size
         self._max_pending = max_pending_pages
-        self._pages: "OrderedDict[int, list[CliqueRecord]]" = OrderedDict()
-        self._current: list[CliqueRecord] = []
+        self._pages: "OrderedDict[int, CliqueColumns]" = OrderedDict()
         self._next_seq = 0
         self._released = 0  # all pages below this seq have been streamed out
         self._records_total = 0
@@ -154,7 +159,7 @@ class Job:
 
     @property
     def records_total(self) -> int:
-        """Records produced so far (buffer-side truth, ahead of the report)."""
+        """Records in the pages handed over so far (whole pages mid-run)."""
         with self._cond:
             return self._records_total
 
@@ -262,7 +267,7 @@ class Job:
                     error=error,
                 )
                 return
-            yield JobChunk(job=self.id, seq=seq, records=tuple(page), final=False)
+            yield JobChunk(job=self.id, seq=seq, records=page, final=False)
             # Resumed: the previous chunk was fully delivered — ack it.
             self._release(seq)
             seq += 1
@@ -279,44 +284,41 @@ class Job:
             self._enter_locked(JobState.RUNNING)
         return True
 
-    def _append(self, record: CliqueRecord) -> None:
-        """Buffer one record, flushing pages and honouring backpressure.
+    def _hand_over(self, page: CliqueColumns) -> None:
+        """Buffer one filled page, honouring backpressure.
 
-        Raises :class:`JobCancelled` the moment the token is cancelled —
-        including while blocked on a full buffer — and
-        :class:`~repro.errors.ServiceError` when the server drains under a
-        blocked producer (the job then settles as ``failed``).
+        The producer fills each page outside the lock (reading the token
+        before each clique it keeps) and hands it over here, under the
+        lock once per page.  Raises :class:`JobCancelled` when the token
+        is cancelled while the buffer is full — at once, or while blocked
+        on it — and :class:`~repro.errors.ServiceError` when the server
+        drains under a blocked producer (the job then settles as
+        ``failed``).  The page itself is kept either way.
         """
         with self._cond:
-            if self._token.cancelled:
-                raise JobCancelled
-            self._current.append(record)
-            self._records_total += 1
-            if len(self._current) >= self._page_size:
-                self._flush_locked()
-                parked_at: "float | None" = None
-                try:
-                    while (
-                        self._max_pending is not None
-                        and len(self._pages) >= self._max_pending
-                    ):
-                        if self._token.cancelled:
-                            raise JobCancelled
-                        if self._draining:
-                            raise ServiceError("server shutdown")
-                        if parked_at is None:
-                            parked_at = perf_counter()
-                        self._cond.wait()
-                finally:
-                    if parked_at is not None:
-                        self._registry._park_seconds.observe(
-                            perf_counter() - parked_at
-                        )
+            self._flush_locked(page)
+            parked_at: "float | None" = None
+            try:
+                while (
+                    self._max_pending is not None
+                    and len(self._pages) >= self._max_pending
+                ):
+                    if self._token.cancelled:
+                        raise JobCancelled
+                    if self._draining:
+                        raise ServiceError("server shutdown")
+                    if parked_at is None:
+                        parked_at = perf_counter()
+                    self._cond.wait()
+            finally:
+                if parked_at is not None:
+                    self._registry._park_seconds.observe(
+                        perf_counter() - parked_at
+                    )
 
     def _finish(self) -> None:
         """running → done (or cancelled, when the token was accepted)."""
         with self._cond:
-            self._flush_locked()
             if self._started_at is not None:
                 self._elapsed = perf_counter() - self._started_at
             # Reconcile the counter lag of an abandoned generator: kernels
@@ -333,16 +335,13 @@ class Job:
         """Finish a buffered (non-streamable) run from its whole outcome.
 
         Used for ``top_k`` (ranked output ≠ stream order) and parallel
-        requests: the materialised records are paged for streaming
+        requests: the outcome's column block is paged for streaming
         consumers and the outcome's own counters/labels become the job's.
         """
+        pages = outcome.clique_columns.split(self._page_size)
         with self._cond:
-            for record in outcome.records:
-                self._current.append(record)
-                self._records_total += 1
-                if len(self._current) >= self._page_size:
-                    self._flush_locked()
-            self._flush_locked()
+            for page in pages:
+                self._flush_locked(page)
             self.statistics = outcome.statistics
             self.report = outcome.report
             self._algorithm = outcome.algorithm
@@ -359,7 +358,6 @@ class Job:
         with self._cond:
             if self._state in JobState.TERMINAL:
                 return False
-            self._flush_locked()
             if self._started_at is not None:
                 self._elapsed = perf_counter() - self._started_at
             self._error = error
@@ -394,16 +392,15 @@ class Job:
         self._registry._note(source, state)
         self._cond.notify_all()
 
-    def _flush_locked(self) -> None:
-        if self._current:
-            if self._next_seq == 0 and self._started_at is not None:
-                self._registry._first_result_seconds.observe(
-                    perf_counter() - self._started_at
-                )
-            self._pages[self._next_seq] = self._current
-            self._next_seq += 1
-            self._current = []
-            self._cond.notify_all()
+    def _flush_locked(self, page: CliqueColumns) -> None:
+        if self._next_seq == 0 and self._started_at is not None:
+            self._registry._first_result_seconds.observe(
+                perf_counter() - self._started_at
+            )
+        self._pages[self._next_seq] = page
+        self._next_seq += 1
+        self._records_total += len(page)
+        self._cond.notify_all()
 
     def _release(self, seq: int) -> None:
         with self._cond:
@@ -439,11 +436,8 @@ class Job:
                 f"{self._released} page(s); reassemble from the stream "
                 f"instead of wait()"
             )
-        records: list[CliqueRecord] = []
-        for page in self._pages.values():
-            records.extend(page)
         outcome = self._summary_locked()
-        outcome.records = records
+        outcome.records = CliqueColumns.concat(self._pages.values())
         return outcome
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

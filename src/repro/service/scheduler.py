@@ -36,7 +36,6 @@ from ..api.outcome import EnumerationOutcome
 from ..api.request import EnumerationRequest
 from ..api.session import MiningSession
 from ..api.store import GraphStore
-from ..core.result import CliqueRecord
 from ..errors import ParameterError, ServiceError
 from ..obs import MetricsRegistry, registry as _obs_registry
 from ..uncertain.graph import UncertainGraph
@@ -313,30 +312,25 @@ class EnumerationScheduler:
     def _execute(self, session: MiningSession, job: Job) -> None:
         """Drive one running job to a terminal state.
 
-        Streamable requests (serial, unranked) feed the kernel's lazy
-        stream straight into the job's page buffer, with the job's token
-        checked both in the kernel (run-controls cadence) and on every
-        append — so cancellation also reaches a producer blocked on a full
-        buffer.  Ranked/parallel requests materialise through
+        Streamable requests (serial, unranked) fill the job's pages as
+        column blocks straight from the kernel, with the job's token
+        checked in the kernel (run-controls cadence), before each clique
+        is kept and while a producer is blocked on a full buffer.
+        Ranked/parallel requests materialise through
         :meth:`MiningSession.enumerate` and adopt the outcome whole.
         """
         request = job.request
         if self._streamable(request):
-            stream = session.stream(
-                request,
-                statistics=job.statistics,
-                report=job.report,
-                cancel=job.token,
+            pages = session._pages(
+                request, job.statistics, job.report, job.token, job._page_size
             )
             try:
-                for members, probability in stream:
-                    job._append(
-                        CliqueRecord(vertices=members, probability=probability)
-                    )
+                for page in pages:
+                    job._hand_over(page)
             except JobCancelled:
                 pass
             finally:
-                stream.close()
+                pages.close()
             job._finish()
         elif job.token.cancelled:
             job._finish()  # cancelled before the buffered run started

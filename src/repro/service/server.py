@@ -219,7 +219,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(200, codec.graph_info_to_wire(service.store.get(ref)))
 
     def _delete_graph(self, service: MiningServer, query: dict, ref: str) -> None:
-        self._respond(200, codec.graph_info_to_wire(service.store.remove(ref)))
+        store = service.store
+        # The default graph backs /v1, so the server never deletes it, not
+        # even as the last graph (which the store alone would allow).
+        if store.resolve(ref) == store.default_fingerprint:
+            raise StoreError("cannot remove the default graph: it serves /v1")
+        self._respond(200, codec.graph_info_to_wire(store.remove(ref)))
 
     def _enumerate_ref(self, service: MiningServer, query: dict, ref: str) -> None:
         payload = codec.decode(self._read_body())
@@ -451,6 +456,20 @@ _ROUTES = (
     _Route("GET", "/v2/jobs/{id}/results", ("cursor", "records"), _Handler._stream_job),
     _Route("DELETE", "/v2/jobs/{id}", (), _Handler._cancel_job),
 )
+
+def describe_routes() -> str:
+    """The route table on one line, as ``repro-mule serve`` prints it.
+
+    One entry per route, in table order: ``METHOD /template``, then each
+    query parameter the route reads as ``[?name=]`` (``[&name=]`` after
+    the first).
+    """
+    return "  ".join(
+        f"{route.method} {route.template}"
+        + "".join(f"[{'&' if i else '?'}{name}=]" for i, name in enumerate(route.query))
+        for route in _ROUTES
+    )
+
 
 #: The values a choice-valued query parameter accepts, its default first.
 _CHOICES = {"format": ("json", "prometheus"), "records": ("rows", "columns")}

@@ -430,6 +430,32 @@ class TestServeCommand:
         assert "serving 1 graph(s)" in out
         assert "/v1/enumerate" in out
 
+    def test_serve_names_every_route_in_the_table(self, graph_file, monkeypatch, capsys):
+        # The banner is read from the route table, so it names every route
+        # with the query parameters it reads, as docs/service.md does.
+        import importlib
+        import re
+
+        from repro.service import server as server_module
+
+        cli_main = importlib.import_module("repro.cli.main")
+        monkeypatch.setattr(cli_main.MiningServer, "serve_forever", lambda server: None)
+        assert main(["serve", "--input", str(graph_file), "--port", "0", "--quiet"]) == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("endpoints: ")
+        ]
+        entries = line.removeprefix("endpoints: ").removesuffix("  (Ctrl-C to stop)")
+        entries = entries.split("  ")
+        routes = server_module._ROUTES
+        assert len(entries) == len(routes) == 16
+        for entry, route in zip(entries, routes):
+            head, _, query = entry.partition("[")
+            assert head == f"{route.method} {route.template}"
+            assert re.findall(r"[?&](\w+)=", query) == list(route.query)
+        assert "GET /v1/metrics[?format=]" in entries
+
 
 class TestMultiGraphServe:
     def test_serve_two_datasets_one_process(self, monkeypatch, capsys):

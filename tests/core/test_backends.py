@@ -275,9 +275,10 @@ class TestParity:
             pairs, _, _ = _assert_bit_identical(shard, 0.1, MuleStrategy)
             merged.extend(pairs)
         reference = list(run_search(compiled, 0.1, MuleStrategy()))
+        decode = compiled.decode
         assert sorted(
-            (tuple(sorted(c, key=repr)), p) for c, p in merged
-        ) == sorted((tuple(sorted(c, key=repr)), p) for c, p in reference)
+            (tuple(sorted(decode(c), key=repr)), p) for c, p in merged
+        ) == sorted((tuple(sorted(decode(c), key=repr)), p) for c, p in reference)
 
     def test_empty_graph(self):
         compiled = compile_graph(UncertainGraph(), alpha=0.5)

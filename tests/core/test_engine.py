@@ -198,11 +198,16 @@ class TestTimeBudget:
 
 class TestStreaming:
     def test_kernel_is_lazy(self, two_cliques):
-        iterator = run_search(
-            compile_graph(two_cliques, alpha=0.5), 0.5, MuleStrategy()
-        )
+        compiled = compile_graph(two_cliques, alpha=0.5)
+        iterator = run_search(compiled, 0.5, MuleStrategy())
         first_clique, first_probability = next(iterator)
-        assert isinstance(first_clique, frozenset)
+        # The kernel yields vertex indices; decode maps them to labels.
+        assert isinstance(first_clique, tuple)
+        assert all(type(index) is int for index in first_clique)
+        assert compiled.decode(first_clique) in {
+            frozenset({1, 2, 3}),
+            frozenset({4, 5, 6}),
+        }
         assert 0.0 < first_probability <= 1.0
         # Abandoning the iterator mid-run must be safe (pause/early stop).
         iterator.close()
@@ -211,11 +216,10 @@ class TestStreaming:
         g = UncertainGraph(
             vertices=[3], edges=[(1, 2, 0.9), (4, 5, 0.9)]
         )
+        compiled = compile_graph(g, alpha=0.5)
         emitted = [
-            sorted(c)
-            for c, _ in run_search(
-                compile_graph(g, alpha=0.5), 0.5, MuleStrategy()
-            )
+            sorted(compiled.decode(c))
+            for c, _ in run_search(compiled, 0.5, MuleStrategy())
         ]
         assert emitted == [[1, 2], [3], [4, 5]]
 
@@ -271,13 +275,10 @@ class TestStrategyPluggability:
                     return candidates, None
                 return candidates, probability
 
+        compiled = compile_graph(two_cliques, alpha=0.5)
         emitted = {
-            c
-            for c, _ in run_search(
-                compile_graph(two_cliques, alpha=0.5),
-                0.5,
-                EvenSizeStrategy(),
-            )
+            compiled.decode(c)
+            for c, _ in run_search(compiled, 0.5, EvenSizeStrategy())
         }
         full = mule(two_cliques, 0.5).vertex_sets()
         assert emitted == {c for c in full if len(c) % 2 == 0}
@@ -401,8 +402,9 @@ class TestRootMaskRestriction:
     def test_shard_union_equals_full_search(self, random_graph_factory):
         graph = random_graph_factory(14, density=0.5, seed=23)
         compiled = compile_graph(graph, alpha=0.1)
+        decode = compiled.decode
         full = {
-            members: probability
+            decode(members): probability
             for members, probability in run_search(compiled, 0.1, MuleStrategy())
         }
         merged: dict = {}
@@ -412,8 +414,8 @@ class TestRootMaskRestriction:
             for members, probability in run_search(
                 compiled.restrict_roots(mask), 0.1, MuleStrategy()
             ):
-                assert members not in merged, "shards emitted a duplicate"
-                merged[members] = probability
+                assert decode(members) not in merged, "shards emitted a duplicate"
+                merged[decode(members)] = probability
         assert merged == full
 
     def test_empty_root_mask_emits_nothing(self, two_cliques):

@@ -278,15 +278,16 @@ class TestShardingIsStrategyAgnostic:
 
         graph = random_graph_factory(14, density=0.5, seed=31)
         compiled = compile_graph(graph, alpha=0.1)
-        full = {m: p for m, p in run_search(compiled, 0.1, PlainStrategy())}
+        decode = compiled.decode
+        full = {decode(m): p for m, p in run_search(compiled, 0.1, PlainStrategy())}
         merged = {}
         half = (1 << (compiled.n // 2)) - 1
         for mask in (half, compiled.all_mask ^ half):
             for members, probability in kernel_run(
                 compiled.restrict_roots(mask), 0.1, PlainStrategy()
             ):
-                assert members not in merged
-                merged[members] = probability
+                assert decode(members) not in merged
+                merged[decode(members)] = probability
         assert merged == full
 
 

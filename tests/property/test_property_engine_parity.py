@@ -38,9 +38,12 @@ RELAXED = settings(
 
 
 def _run(graph, alpha, strategy, **compile_kwargs):
-    """Run the kernel directly and return {clique: probability}."""
+    """Run the kernel directly and return {clique labels: probability}."""
     compiled = compile_graph(graph, alpha=alpha, **compile_kwargs)
-    return dict(run_search(compiled, alpha, strategy))
+    return {
+        compiled.decode(indices): probability
+        for indices, probability in run_search(compiled, alpha, strategy)
+    }
 
 
 class TestStrategyParity:

@@ -31,6 +31,7 @@ from repro.errors import JobError, JobNotFoundError, ParameterError, ServiceErro
 from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.service import EnumerationScheduler, JobState, codec
 from repro.service.jobs import JobRegistry
+from repro.uncertain.graph import UncertainGraph
 
 REQUEST = EnumerationRequest(algorithm="mule", alpha=0.3)
 #: Sentinel alpha the ``failing_compile`` fixture booby-traps.
@@ -224,6 +225,45 @@ class TestCancellation:
         ]
         assert [(r.vertices, r.probability) for r in records] == expected
         assert final.summary.report.cliques_emitted == len(records)
+
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    def test_cancel_mid_page_stops_the_producer_at_the_next_clique(
+        self, monkeypatch, kernel
+    ):
+        # The producer fills a page outside the job's lock, but it still
+        # reads the token before each clique it keeps: a cancel that lands
+        # mid-page keeps the cliques before it, refuses the next one and
+        # asks the kernel for no other.
+        import repro.api.session as session_module
+
+        graph = UncertainGraph(edges=[(2 * i, 2 * i + 1, 0.9) for i in range(15)])
+        request = EnumerationRequest(algorithm="mule", alpha=0.5, kernel=kernel)
+        kept = 5
+        expected = MiningSession(graph).enumerate(request).records[:kept]
+        drawn = []
+        search = session_module.run_kernel_search
+
+        def cancel_after_kept(*args, **kwargs):
+            for index, item in enumerate(search(*args, **kwargs)):
+                if index == kept:
+                    # Cancel only after the kernel has produced the next
+                    # clique, so its own cadence check cannot stop it first.
+                    kwargs["cancel"].cancel()
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(session_module, "run_kernel_search", cancel_after_kept)
+        with EnumerationScheduler(graph) as scheduler:
+            job = scheduler.submit_job(request, page_size=1000)
+            outcome = job.wait(timeout=DEADLINE)
+        assert job.state == JobState.CANCELLED
+        assert outcome.stop_reason == StopReason.CANCELLED
+        assert len(drawn) == kept + 1
+        assert job.records_total == outcome.num_cliques == kept
+        assert outcome.report.cliques_emitted == kept
+        assert [(r.vertices, r.probability) for r in outcome.records] == [
+            (r.vertices, r.probability) for r in expected
+        ]
 
 
 class TestBackpressure:

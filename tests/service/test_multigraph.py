@@ -183,6 +183,26 @@ class TestResourceEndpoints:
         with pytest.raises(StoreError, match="default"):
             remote.remove(default)
 
+    def test_default_graph_delete_rejected_on_a_one_graph_server(self):
+        # The store alone lets its last graph go; the server keeps the
+        # graph that backs /v1 and answers 400, leaving the store as it was.
+        graph = UncertainGraph(edges=[(1, 2, 0.9), (2, 3, 0.8), (1, 3, 0.7)])
+        store = GraphStore()
+        info = store.add(graph, name="only")
+        with MiningServer(store, port=0) as server:
+            remote = connect(server.url)
+            for ref in ("only", info.fingerprint):
+                with pytest.raises(StoreError, match="default graph"):
+                    remote.remove(ref)
+            assert remote.get("only") == info
+            assert remote.health()["graph"] is not None
+            outcome = RemoteSession(server.url).enumerate(
+                EnumerationRequest(algorithm="mule", alpha=0.5)
+            )
+        outcome.assert_matches(
+            MiningSession(graph).enumerate(EnumerationRequest(algorithm="mule", alpha=0.5))
+        )
+
     def test_per_graph_stats_sections(self, remote, graphs):
         name = list(graphs)[0]
         remote.session(name).sweep(SWEEP_ALPHAS)

@@ -14,6 +14,12 @@ decodes from columns exactly when it decodes from rows, to equal records
 in the same order with bit-identical probabilities; a second seeded fuzz
 checks this on the wire bytes, and fixed cases check every malformed
 block raises only ``FormatError``.
+
+On the server a run's cliques never become records unless a reader asks:
+the kernel's index tuples fill column blocks, which the columns encoder
+packs as they are.  A hypothesis property checks, on both kernels and on
+top-k, that those blocks hold exactly the cliques ``stream()`` yields and
+pack to the bytes the records would, rows and pages included.
 """
 
 from __future__ import annotations
@@ -26,11 +32,15 @@ import re
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.api import EnumerationOutcome
-from repro.core.result import CliqueRecord
+from repro.api import EnumerationOutcome, EnumerationRequest, GraphStore, MiningSession
+from repro.core.engine import RunControls, RunReport
+from repro.core.result import CliqueRecord, SearchStatistics, rank_by_probability
 from repro.errors import FormatError
-from repro.service import codec
+from repro.service import EnumerationScheduler, codec
+from repro.uncertain.graph import UncertainGraph
 
 #: Distinct labels of every wire type; no two are ``==``.
 LABELS = [0, 1, 2, 7, -3, 2.5, -0.25, "a", "b", "1", ""]
@@ -482,3 +492,118 @@ class TestMalformedColumns:
             frozenset(),
             frozenset({3}),
         ]
+
+
+# --------------------------------------------------------------------- #
+# Column blocks from the kernel: the same cliques and bytes as records
+# --------------------------------------------------------------------- #
+#: Vertex labellings: orderable ints and strs, whose compile order is the
+#: ``as_tuple`` order, and mixed ints and strs, whose compile order is not.
+LABELLINGS = {
+    "int": lambda i: i,
+    "str": lambda i: f"v{i}",
+    "mixed": lambda i: i if i % 2 else f"v{i}",
+}
+
+
+@pytest.fixture(scope="module")
+def block_scheduler():
+    with EnumerationScheduler(GraphStore()) as scheduler:
+        yield scheduler
+
+
+@st.composite
+def block_cases(draw):
+    """A graph of at most 10 vertices and a request over it.
+
+    α sits exactly at the probability of one of the graph's α-maximal
+    cliques at a lower threshold, or one ulp above it, so the ``>= α``
+    comparisons are exercised at their edge.
+    """
+    label = LABELLINGS[draw(st.sampled_from(sorted(LABELLINGS)))]
+    n = draw(st.integers(min_value=1, max_value=10))
+    graph = UncertainGraph(vertices=[label(i) for i in range(n)])
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.floats(min_value=0.0, max_value=1.0)) < density:
+                graph.add_edge(label(u), label(v), draw(st.floats(min_value=0.05, max_value=1.0)))
+    low = draw(st.floats(min_value=0.001, max_value=1.0))
+    found = MiningSession(graph).enumerate(EnumerationRequest(algorithm="mule", alpha=low))
+    alpha = draw(st.sampled_from([r.probability for r in found.records]))
+    if draw(st.booleans()):
+        alpha = min(1.0, math.nextafter(alpha, 2.0))
+    algorithm = draw(st.sampled_from(["mule", "top_k"]))
+    options = {"kernel": draw(st.sampled_from(["python", "vector"]))}
+    if algorithm == "top_k":
+        options["k"] = draw(st.integers(min_value=1, max_value=6))
+        options["min_size"] = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        options["controls"] = RunControls(max_cliques=draw(st.integers(1, 5)))
+    return graph, EnumerationRequest(algorithm=algorithm, alpha=alpha, **options)
+
+
+def _bits(records) -> list:
+    return [(record.vertices, record.probability.hex()) for record in records]
+
+
+def _packed(records) -> bytes:
+    return codec.encode(codec.columns_to_wire(records))
+
+
+class TestBlocksFromTheKernel:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=block_cases())
+    def test_blocks_carry_the_streamed_cliques(self, block_scheduler, case):
+        graph, request = case
+        session = MiningSession(graph)
+        statistics, report = SearchStatistics(), RunReport()
+        streamed = [
+            CliqueRecord(vertices, probability)
+            for vertices, probability in session.stream(
+                request, statistics=statistics, report=report
+            )
+        ]
+        expected = streamed
+        if request.algorithm == "top_k":
+            expected = rank_by_probability(streamed, request.k)
+
+        # In process: the outcome's block, before anything reads records.
+        outcome = session.enumerate(request)
+        block = outcome.clique_columns
+        assert _bits(block.records()) == _bits(expected)
+        assert _packed(block) == _packed(expected)
+        assert outcome.statistics == statistics
+        assert outcome.stop_reason == report.stop_reason
+        assert _bits(outcome.records) == _bits(expected)
+
+        # On the server: a synchronous run, and a job paged three by three.
+        served = block_scheduler.run(request, graph=graph)
+        assert codec.encode(codec.outcome_to_wire(served, columns=True)["columns"]) == (
+            _packed(expected)
+        )
+        assert served.statistics == statistics
+        assert served.stop_reason == report.stop_reason
+        job = block_scheduler.submit_job(request, graph=graph, page_size=3)
+        *pages, final = job.stream_chunks()
+        assert [len(page.records) for page in pages] == [
+            min(3, len(expected) - 3 * i) for i in range(len(pages))
+        ]
+        for page in pages:
+            rows = codec.JobChunk(
+                job=job.id,
+                seq=page.seq,
+                records=tuple(expected[3 * page.seq : 3 * page.seq + 3]),
+                final=False,
+            )
+            for columns in (True, False):
+                assert codec.encode(codec.job_chunk_to_wire(page, columns=columns)) == (
+                    codec.encode(codec.job_chunk_to_wire(rows, columns=columns))
+                )
+        assert sum(map(len, (page.records for page in pages))) == len(expected)
+        assert final.summary.statistics == statistics
+        assert final.summary.stop_reason == report.stop_reason

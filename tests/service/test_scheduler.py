@@ -24,11 +24,13 @@ import random
 import sys
 import threading
 import time
+import types
 import weakref
 
 import pytest
 
 from repro.api import EnumerationRequest, MiningSession
+from repro.core.result import CliqueRecord
 from repro.errors import ParameterError, ServiceError
 from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.service import EnumerationScheduler
@@ -248,12 +250,35 @@ class TestBookkeeping:
                 assert time.monotonic() < deadline, "the job never finished"
                 time.sleep(0.001)
             chunks = list(job.stream_chunks())
-            first = weakref.ref(chunks[0].records[0])
+            # A chunk carries its page, one column block, as it is.
+            first = weakref.ref(chunks[0].records)
             assert chunks[-1].final and chunks[-1].summary.num_cliques == 0
             del chunks
             gc.collect()
             assert scheduler.jobs.get(job.id) is job
             assert first() is None
+
+    def test_retained_jobs_hold_no_records(self, graph):
+        # Finished synchronous jobs stay in the registry with their pages.
+        # The pages are column blocks, so the registry keeps no
+        # CliqueRecord (nor its frozenset) for the collector to walk.
+        with EnumerationScheduler(graph) as scheduler:
+            for _ in range(300):
+                scheduler.run(REQUEST)
+            retained = scheduler.jobs.list()
+            assert len(retained) == 256
+            assert all(job.records_total > 0 for job in retained)
+            seen = set()
+            pending = list(retained)
+            while pending:
+                item = pending.pop()
+                if id(item) in seen or isinstance(
+                    item, (type, types.ModuleType, types.FunctionType, types.MethodType)
+                ):
+                    continue
+                seen.add(id(item))
+                assert not isinstance(item, CliqueRecord), "a retained job holds a record"
+                pending.extend(gc.get_referents(item))
 
     def test_invalid_max_workers_rejected(self, graph):
         with pytest.raises(ParameterError):
