@@ -12,7 +12,7 @@ runtimes, their ratio, and the (deterministic) probability-multiplication
 counts, which show the same effect independent of machine noise.
 
 ``bench_fig1_kernel_backends`` reruns the same grid once more, MULE only,
-timing the python kernel against the fused vector kernel
+timing the python kernel against the native vector kernel
 (:mod:`repro.core.engine.backends`) on identical compiled graphs.  It
 asserts bit-identical outputs per cell and writes a machine-readable
 summary to ``BENCH_kernel.json`` at the repository root: per-cell wall

@@ -118,10 +118,10 @@ class EnumerationRequest:
     kernel:
         Engine kernel backend running the enumeration hot path:
         ``"python"`` (the reference strategy-protocol kernel),
-        ``"vector"`` (the fused kernel that inlines the MULE-family
-        strategy hooks into one loop; MULE family only), or
-        ``"auto"`` (vector where supported, python otherwise — the
-        default).  Independent of ``backend``, which picks where parallel
+        ``"vector"`` (the native C kernel that inlines the MULE-family
+        strategy hooks into one walk; MULE family only), or
+        ``"auto"`` (vector where supported and available, python
+        otherwise — the default).  Independent of ``backend``, which picks where parallel
         shards *run*; this picks how each shard's inner loop runs.  Both
         kernels are bit-identical, so the choice never changes results.
     """

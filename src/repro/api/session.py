@@ -334,7 +334,7 @@ class MiningSession:
 
         Returns the artifact, the kernel's ``(indices, probability)``
         stream, and whether each clique's labels come out in
-        ``CliqueRecord.as_tuple()`` order: they do when the fused kernel
+        ``CliqueRecord.as_tuple()`` order: they do when the vector kernel
         runs (it adds vertices in ascending index order) on labels that
         sorted naturally.
         """

@@ -356,7 +356,7 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
         choices=KERNELS,
         default="auto",
         help=(
-            "engine kernel backend: vector (fused MULE-family kernel), "
+            "engine kernel backend: vector (native MULE-family kernel), "
             "python (reference kernel), or auto (vector where supported; "
             "default).  Results are bit-identical either way."
         ),

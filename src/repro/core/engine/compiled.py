@@ -18,9 +18,10 @@ artifact:
 
 A compiled graph is immutable by convention: strategies read it, never
 write it, so one compilation can back many searches (and, later, many
-parallel shards).  The only state it gains after construction is two lazy
-caches of the fused kernel (:meth:`CompiledGraph.higher_neighbors` and
-:meth:`CompiledGraph.root_plan`), both pure functions of the artifact.
+parallel shards).  The only state it gains after construction is the
+vector kernel's native form of it (sorted neighbour rows and adjacency
+bitsets, :mod:`repro.core.engine.backends.native`), a pure function of the
+artifact built on its first run.
 """
 
 from __future__ import annotations
@@ -32,86 +33,23 @@ from ...uncertain.graph import UncertainGraph
 from ...uncertain.operations import prune_edges_below_alpha
 from ..pruning import PruningReport, shared_neighborhood_filter
 
-__all__ = ["CompiledGraph", "RootPlan", "compile_graph"]
+__all__ = ["CompiledGraph", "compile_graph"]
 
 Vertex = Hashable
 
-#: Bound on cached per-α root plans per artifact (sweeps touch a handful of
-#: thresholds; an unbounded cache would pin one plan per α of a 500-point
-#: sweep).
-_MAX_ROOT_PLANS = 8
-
-
-class RootPlan:
-    """Precompiled depth-1 frames of one (artifact, α) pair.
-
-    At the root ``q = 1`` and every candidate factor is ``1``, so the
-    ``GenerateI``/``GenerateX`` survivor test collapses to ``p(e) ≥ α``
-    (bit-exactly: multiplying by 1.0 is the identity on floats).  With the
-    Observation 3 compile-time filter active every edge passes; without it
-    (``prune_edges=False``) the plan applies the same filter the python
-    kernel would.
-
-    For every root branch ``u`` the plan holds the child node the python
-    kernel would build: ``cand[u]`` / ``factors[u]`` are the surviving
-    higher candidates with their factors (shared, never mutated),
-    ``cand_mask[u]`` the matching bitmask, ``x_factor[u]`` / ``x_mask[u]``
-    the surviving exclusion side (the dictionary is copied per visit —
-    retirements mutate it), and ``cand_dict[u]`` a candidate→factor lookup
-    table the fused kernel memoises lazily.
-    """
-
-    __slots__ = ("cand", "factors", "cand_mask", "cand_dict", "x_factor", "x_mask")
-
-    def __init__(self, compiled: "CompiledGraph", alpha: float) -> None:
-        cand: list[Any] = []
-        factors: list[Any] = []
-        cand_mask: list[int] = []
-        x_factor: list[Any] = []
-        x_mask: list[int] = []
-        rows = zip(compiled.adjacency_probability, compiled.higher_neighbors())
-        for u, (row, higher) in enumerate(rows):
-            cc: list[int] = []
-            nf: list[float] = []
-            cm = 0
-            for w, p in higher:
-                if p >= alpha:
-                    cc.append(w)
-                    nf.append(p)
-                    cm |= 1 << w
-            xf: dict[int, float] = {}
-            xm = 0
-            for w, p in row.items():
-                if w < u and p >= alpha:
-                    xf[w] = p
-                    xm |= 1 << w
-            cand.append(cc)
-            factors.append(nf)
-            cand_mask.append(cm)
-            x_factor.append(xf)
-            x_mask.append(xm)
-        self.cand = cand
-        self.factors = factors
-        self.cand_mask = cand_mask
-        self.cand_dict: list[Any] = [None] * len(cand)
-        self.x_factor = x_factor
-        self.x_mask = x_mask
-
-
 class _KernelCaches:
-    """The lazily built structures the fused kernel reads.
+    """The vector kernel's native form of the artifact, built on its first run.
 
     One instance is shared by an artifact and every :meth:`CompiledGraph.
     restrict_roots` view of it, so whichever view runs first builds for all
-    of them.  There is no lock: both caches are pure functions of the
-    artifact (and α), so a race only builds the same value twice.
+    of them.  There is no lock: the form is a pure function of the
+    artifact, so a race only builds the same value twice.
     """
 
-    __slots__ = ("higher_neighbors", "root_plans")
+    __slots__ = ("native",)
 
     def __init__(self) -> None:
-        self.higher_neighbors: list[list[tuple[int, float]]] | None = None
-        self.root_plans: dict[float, RootPlan] = {}
+        self.native: object | None = None
 
 
 class CompiledGraph:
@@ -129,7 +67,7 @@ class CompiledGraph:
         when ``sorted()`` accepted them; False when they fell back to the
         ``(type name, repr)`` order (mixed ``int``/``str`` labels, say).
         When it holds, ascending indices are ascending labels, so a clique
-        the fused kernel emits is already in ``CliqueRecord.as_tuple()``
+        the vector kernel emits is already in ``CliqueRecord.as_tuple()``
         order.
     index_of:
         Inverse mapping original label → index.
@@ -186,9 +124,9 @@ class CompiledGraph:
             self.all_mask ^ ((1 << (i + 1)) - 1) for i in range(self.n)
         ]
         self.root_mask = self.all_mask
-        # The fused kernel's scan lists and root plans.  restrict_roots hands
-        # the same container to its views, so shards of one artifact build
-        # them once; restrict_probability artifacts start with an empty one.
+        # The vector kernel's native form.  restrict_roots hands the same
+        # container to its views, so shards of one artifact build it once;
+        # restrict_probability artifacts start with an empty one.
         self._kernel_caches = _KernelCaches()
 
     @classmethod
@@ -265,7 +203,7 @@ class CompiledGraph:
         """Return a shallow shard view confined to ``root_mask`` first branches.
 
         The view shares every array with ``self`` (compilation is never
-        repeated), and the fused kernel's lazy caches with it, differing
+        repeated), and the vector kernel's native form with it, differing
         only in :attr:`root_mask`.  The search kernel descends only into
         root-level branches whose bit is set (strategies
         never see the others); all other root candidates are still retired
@@ -285,44 +223,6 @@ class CompiledGraph:
             setattr(view, slot, getattr(self, slot))
         view.root_mask = root_mask & self.all_mask
         return view
-
-    # ------------------------------------------------------------------ #
-    # Lazy caches of the fused kernel (repro.core.engine.backends)
-    # ------------------------------------------------------------------ #
-    def higher_neighbors(self) -> list[list[tuple[int, float]]]:
-        """Per-vertex ``(neighbor, probability)`` scan lists, built once.
-
-        ``higher_neighbors()[u]`` holds the neighbors ``w > u`` in ascending
-        order: the only vertices ``GenerateI`` can keep after adding ``u``.
-
-        >>> g = UncertainGraph(edges=[(1, 2, 0.5), (1, 3, 0.25)])
-        >>> CompiledGraph.from_graph(g).higher_neighbors()
-        [[(1, 0.5), (2, 0.25)], [], []]
-        """
-        caches = self._kernel_caches
-        lists = caches.higher_neighbors
-        if lists is None:
-            lists = [
-                sorted((w, p) for w, p in row.items() if w > u)
-                for u, row in enumerate(self.adjacency_probability)
-            ]
-            caches.higher_neighbors = lists
-        return lists
-
-    def root_plan(self, alpha: float) -> RootPlan:
-        """Return the depth-1 frame plan for threshold ``alpha``, cached.
-
-        At most ``_MAX_ROOT_PLANS`` plans are kept per artifact (shared with
-        its :meth:`restrict_roots` views); the cache is emptied when full.
-        """
-        plans = self._kernel_caches.root_plans
-        plan = plans.get(alpha)
-        if plan is None:
-            plan = RootPlan(self, alpha)
-            if len(plans) >= _MAX_ROOT_PLANS:
-                plans.clear()
-            plans[alpha] = plan
-        return plan
 
     # ------------------------------------------------------------------ #
     # Queries used by strategies and tests

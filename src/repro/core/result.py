@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Real
 from typing import Any
 
 from ..uncertain.graph import UncertainGraph
@@ -51,6 +52,21 @@ class _SortKey:
         return key
 
 
+def _total_key(record: "CliqueRecord") -> tuple[int, tuple[tuple[str, Any], ...]]:
+    """``sort_key`` with each member led by its type group: a total order.
+
+    Real numbers (``int``, ``float``, ``bool``, ``Fraction``) share one
+    group, so they compare by value as in ``sort_key``; any other label
+    meets labels of its own type only, and labels of different types order
+    by type name.
+    """
+    size, members = record.sort_key
+    return size, tuple(
+        ("" if isinstance(member, Real) else type(member).__name__, member)
+        for member in members
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CliqueRecord:
     """One emitted α-maximal clique with its exact clique probability.
@@ -58,7 +74,10 @@ class CliqueRecord:
     Ordering is by (size, members sorted by ``repr``) so result listings
     are stable; equality and hashing use the same key, so they ignore the
     probability.  The key is computed on first comparison, not when the
-    record is built.
+    record is built.  Where two records' members do not order against each
+    other (an int and a str, say), each member is led by its type's name,
+    numbers sharing one group, so mixed labels still sort deterministically
+    and every comparison that succeeds on the plain key keeps its result.
 
     >>> records = [CliqueRecord(frozenset({9, 30}), 0.5),
     ...            CliqueRecord(frozenset({10, 20}), 0.5),
@@ -87,22 +106,34 @@ class CliqueRecord:
 
     def __lt__(self, other: Any) -> bool:
         if other.__class__ is self.__class__:
-            return self.sort_key < other.sort_key
+            try:
+                return self.sort_key < other.sort_key
+            except TypeError:
+                return _total_key(self) < _total_key(other)
         return NotImplemented
 
     def __le__(self, other: Any) -> bool:
         if other.__class__ is self.__class__:
-            return self.sort_key <= other.sort_key
+            try:
+                return self.sort_key <= other.sort_key
+            except TypeError:
+                return _total_key(self) <= _total_key(other)
         return NotImplemented
 
     def __gt__(self, other: Any) -> bool:
         if other.__class__ is self.__class__:
-            return self.sort_key > other.sort_key
+            try:
+                return self.sort_key > other.sort_key
+            except TypeError:
+                return _total_key(self) > _total_key(other)
         return NotImplemented
 
     def __ge__(self, other: Any) -> bool:
         if other.__class__ is self.__class__:
-            return self.sort_key >= other.sort_key
+            try:
+                return self.sort_key >= other.sort_key
+            except TypeError:
+                return _total_key(self) >= _total_key(other)
         return NotImplemented
 
     @property

@@ -38,7 +38,7 @@ from multiprocessing import get_all_start_methods, get_context
 from time import monotonic
 from typing import NamedTuple, Sequence
 
-from ..core.engine.backends import run_kernel_search
+from ..core.engine.backends import resolve_kernel, run_kernel_search
 from ..core.engine.compiled import CompiledGraph
 from ..core.engine.controls import RunControls, RunReport, StopReason
 from ..core.engine.strategies import MuleStrategy
@@ -229,6 +229,10 @@ def run_shards(
             for shard in shards
         ]
 
+    # Resolve the kernel before forking, so the children inherit the
+    # decided (and loaded) native kernel rather than a build lock another
+    # thread may hold at the fork.
+    kernel = resolve_kernel(kernel, MuleStrategy())
     context = get_context("fork")
     tasks = [(shard, max_cliques, deadline) for shard in shards]
     with ProcessPoolExecutor(

@@ -43,10 +43,10 @@ from .jobs import DEFAULT_MAX_PENDING_PAGES, Job, JobCancelled, JobRegistry, Job
 
 __all__ = ["EnumerationScheduler", "SchedulerStats"]
 
-#: Default size of the request thread pool.  Enumeration is CPU-bound pure
-#: Python, so the pool exists for scheduling fairness (and for requests
-#: that fan out to worker *processes* via ``workers > 1``), not speed-up;
-#: a small pool keeps queueing behaviour predictable.
+#: Default size of the request thread pool.  The vector kernel releases the
+#: GIL while it walks, so two jobs' kernels overlap on two cores; the rest
+#: of a job (collection, encoding) is Python and holds it.  A small pool
+#: keeps queueing behaviour predictable.
 DEFAULT_MAX_WORKERS = 4
 
 

@@ -1,4 +1,4 @@
-"""The kernel backend layer: dispatch, shared kernel caches, parity.
+"""The kernel backend layer: dispatch, the shared native form, parity.
 
 The vector backend's contract is *bit-identical observability*: for every
 algorithm it supports, ``run_vector_search`` must emit the same cliques in
@@ -6,7 +6,8 @@ the same order with the same float probabilities, the same
 :class:`SearchStatistics` counters and the same :class:`RunReport` as the
 reference python kernel.  These tests pin that on fixed graphs (the
 property suite covers random ones), plus the plumbing around it: kernel
-resolution and the lazy caches shard views share on the compiled graph.
+resolution and the native form shard views share on the compiled graph.
+The build, the fallback and the cache live in ``test_native.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.core.engine import (
     run_search,
     run_vector_search,
 )
-from repro.core.engine.strategies import bit_list
 from repro.core.result import SearchStatistics
 from repro.errors import ParameterError
 from repro.uncertain.graph import UncertainGraph
@@ -120,64 +120,86 @@ class TestResolution:
 
 
 class TestKernelCaches:
+    """The native form (sorted CSR rows and adjacency bitsets) the vector
+    kernel keeps on the compiled graph's ``_kernel_caches``."""
+
     def test_caches_live_on_compiled(self, triangle):
         compiled = compile_graph(triangle, alpha=0.5)
-        assert compiled.higher_neighbors() is compiled.higher_neighbors()
-        assert compiled.root_plan(0.5) is compiled.root_plan(0.5)
+        assert compiled._kernel_caches.native is None
+        list(run_vector_search(compiled, 0.5, MuleStrategy()))
+        native = compiled._kernel_caches.native
+        assert native is not None
+        list(run_vector_search(compiled, 0.5, MuleStrategy()))
+        assert compiled._kernel_caches.native is native
 
-    def test_scan_lists_roundtrip_adjacency(self, medium_graph):
+    def test_native_rows_roundtrip_adjacency(self, medium_graph):
         compiled = compile_graph(medium_graph, alpha=0.1)
-        for u, higher in enumerate(compiled.higher_neighbors()):
-            mask = 0
-            for w, p in higher:
-                mask |= 1 << w
-                assert p == compiled.adjacency_probability[u][w]
-            assert [w for w, _ in higher] == bit_list(mask)
-            assert mask == compiled.adjacency_mask[u] & compiled.higher_masks[u]
+        list(run_vector_search(compiled, 0.1, MuleStrategy()))
+        native = compiled._kernel_caches.native
+        assert native.maxdeg == max(
+            len(row) for row in compiled.adjacency_probability
+        )
+        for u, row in enumerate(compiled.adjacency_probability):
+            start, end = native.offsets[u], native.offsets[u + 1]
+            neighbours = list(native.nbrs[start:end])
+            assert neighbours == sorted(row)
+            assert list(native.probs[start:end]) == [row[w] for w in neighbours]
+            bits = bytes(native.bits[u * native.rowbytes : (u + 1) * native.rowbytes])
+            assert int.from_bytes(bits, "little") == compiled.adjacency_mask[u]
 
     def test_shards_inherit_caches(self, medium_graph):
         compiled = compile_graph(medium_graph, alpha=0.1)
-        plan = compiled.root_plan(0.1)
+        list(run_vector_search(compiled, 0.1, MuleStrategy()))
         shard = compiled.restrict_roots(0b1111)
-        assert shard.root_plan(0.1) is plan
+        assert shard._kernel_caches is compiled._kernel_caches
+        native = compiled._kernel_caches.native
+        list(run_vector_search(shard, 0.1, MuleStrategy()))
+        assert shard._kernel_caches.native is native
 
     def test_shard_views_made_before_a_run_share_caches(self, medium_graph):
         # A fleet worker cuts one view of its cached base artifact per shard
         # job, and the base itself never runs the kernel.  The first shard's
-        # run must build the scan lists and the plan for every view.
+        # run must build the native form for every view.
         compiled = compile_graph(medium_graph, alpha=0.1)
         first = compiled.restrict_roots(compiled.all_mask & 0x3FF)
         second = compiled.restrict_roots(compiled.all_mask & ~0x3FF)
         list(run_vector_search(first, 0.1, MuleStrategy()))
         caches = compiled._kernel_caches
-        plan = caches.root_plans[0.1]
-        scan_lists = caches.higher_neighbors
-        assert second.root_plan(0.1) is plan
+        native = caches.native
+        assert native is not None
         list(run_vector_search(second, 0.1, MuleStrategy()))
-        assert second.higher_neighbors() is scan_lists
-        assert caches.root_plans == {0.1: plan}
+        assert second._kernel_caches.native is native
 
     def test_restricted_probability_starts_with_empty_caches(self, medium_graph):
         compiled = compile_graph(medium_graph, alpha=0.1)
         list(run_vector_search(compiled, 0.1, MuleStrategy()))
         caches = compiled.restrict_probability(0.5)._kernel_caches
         assert caches is not compiled._kernel_caches
-        assert caches.higher_neighbors is None
-        assert caches.root_plans == {}
+        assert caches.native is None
 
     def test_restricted_probability_builds_from_its_own_edges(self, medium_graph):
         compiled = compile_graph(medium_graph, alpha=0.1)
         list(run_vector_search(compiled, 0.1, MuleStrategy()))
         derived = compiled.restrict_probability(0.5)
-        assert all(
-            p >= 0.5 for higher in derived.higher_neighbors() for _, p in higher
-        )
         _assert_bit_identical(derived, 0.5, MuleStrategy)
+        native = derived._kernel_caches.native
+        assert native is not compiled._kernel_caches.native
+        assert all(p >= 0.5 for p in native.probs)
+
+    def test_one_native_form_serves_every_alpha(self, medium_graph):
+        # The form holds the artifact's edges, not an α: one build serves
+        # every threshold the artifact is searched at.
+        compiled = compile_graph(medium_graph, alpha=None)
+        list(run_vector_search(compiled, 0.9, MuleStrategy()))
+        native = compiled._kernel_caches.native
+        for alpha in (0.5, 0.1, 0.01):
+            _assert_bit_identical(compiled, alpha, MuleStrategy)
+        assert compiled._kernel_caches.native is native
 
     def test_concurrent_first_runs_share_caches_safely(self, medium_graph):
         # Shard jobs of one graph may start on several scheduler threads at
-        # once.  The caches take no lock, so each thread may build them; every
-        # run must still match the python kernel on its shard.
+        # once.  The cache takes no lock, so each thread may build the form;
+        # every run must still match the python kernel on its shard.
         masks = [((1 << 12) - 1) << (12 * k) for k in range(6)]
         reference = compile_graph(medium_graph, alpha=0.1)
         expected = [
@@ -205,12 +227,7 @@ class TestKernelCaches:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         assert results == expected
-
-    def test_root_plan_cache_is_bounded(self, triangle):
-        compiled = compile_graph(triangle, alpha=0.01)
-        for k in range(1, 20):
-            compiled.root_plan(k / 40.0)
-        assert len(compiled._kernel_caches.root_plans) <= 8
+        assert compiled._kernel_caches.native is not None
 
 
 class TestParity:

@@ -5,15 +5,21 @@ The engine carries the candidate set ``I`` and the exclusion set ``X`` in
 cand_factors, excl_mask, excl_factors]``; :meth:`MuleStrategy.descend`
 is one ``GenerateI`` plus one ``GenerateX`` step and
 :meth:`MuleStrategy.retire` moves a finished candidate into ``X``.  The
-fused kernel reads the depth-1 result of the same steps from
-:meth:`CompiledGraph.root_plan`, so the plan is checked against them here.
+vector kernel builds the depth-1 result of the same steps straight from
+each root's neighbours, so its root frames are checked against them here.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import MuleStrategy, compile_graph
+from repro.core.engine import (
+    MuleStrategy,
+    RunReport,
+    compile_graph,
+    run_search,
+    run_vector_search,
+)
 from repro.core.engine.strategies import bit_list
 from repro.core.result import SearchStatistics
 from repro.uncertain.graph import UncertainGraph
@@ -173,20 +179,26 @@ class TestGenerateX:
         assert bit_list(level1[3]) == [search.index(3)]
 
 
-class TestRootPlan:
+class TestRootFrames:
     @pytest.mark.parametrize("alpha", [0.01, 0.6, 0.9])
-    def test_plan_holds_the_python_kernel_children(self, diamond, alpha):
+    def test_native_root_frames_match_the_python_kernel(self, diamond, alpha):
         # The root frame retires every vertex below u before branching on
-        # u, so the plan's depth-1 frame for u is that descend's result.
-        search = _Search(diamond, alpha)
-        plan = search.compiled.root_plan(alpha)
-        for u, label in enumerate(search.compiled.labels):
-            root = search.root(*search.compiled.labels[:u])
-            _, cand_mask, cand_factor, excl_mask, excl_factor = search.descend(
-                root, label
-            )
-            assert plan.cand[u] == sorted(cand_factor)
-            assert plan.factors[u] == [cand_factor[w] for w in plan.cand[u]]
-            assert plan.cand_mask[u] == cand_mask
-            assert plan.x_factor[u] == excl_factor
-            assert plan.x_mask[u] == excl_mask
+        # u, so the depth-1 frame the native walk builds from u's higher and
+        # lower neighbours must be that descend's result.  One root shard
+        # per u isolates each frame; the graph is compiled without the
+        # Observation 3 filter, so the frames' own p >= alpha test decides.
+        compiled = compile_graph(diamond)
+        for u in range(compiled.n):
+            shard = compiled.restrict_roots(1 << u)
+            runs = []
+            for runner in (run_search, run_vector_search):
+                statistics = SearchStatistics()
+                report = RunReport()
+                found = list(
+                    runner(
+                        shard, alpha, MuleStrategy(),
+                        statistics=statistics, report=report,
+                    )
+                )
+                runs.append((found, statistics, report.frames_expanded))
+            assert runs[1] == runs[0]

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.mule import mule
@@ -114,6 +116,61 @@ class TestCliqueRecord:
         assert calls == []
         assert [r.size for r in sorted(records)] == [1, 2]
         assert sorted(calls) == [1, 2, 3]
+
+
+class TestMixedLabels:
+    """Records whose labels do not order against each other (ints and strs)."""
+
+    def test_mule_on_a_mixed_label_graph(self):
+        result = repro.mule(UncertainGraph(vertices=[0, "v1"]), 0.5)
+        assert [sorted(r.vertices, key=repr) for r in result.cliques] == [[0], ["v1"]]
+
+    def test_parallel_max_cliques_trim_on_mixed_labels(self):
+        from repro.core.engine import RunControls
+        from repro.parallel import parallel_mule
+
+        graph = UncertainGraph(vertices=[0, "v1", 2, "v3", 4.5, "v5"])
+        graph.add_edge(0, "v1", 0.9)
+        capped = parallel_mule(
+            graph, 0.5, workers=2, backend="inline", controls=RunControls(max_cliques=3)
+        )
+        assert capped.num_cliques == 3
+        assert capped.truncated
+
+    def test_numbers_still_compare_by_value(self):
+        assert CliqueRecord(frozenset({1}), 1.0) < CliqueRecord(frozenset({2.5}), 1.0)
+        assert CliqueRecord(frozenset({2.5}), 1.0) < CliqueRecord(frozenset({3}), 1.0)
+        assert CliqueRecord(frozenset({3}), 1.0) < CliqueRecord(frozenset({"a"}), 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(
+                st.one_of(st.integers(-5, 5), st.sampled_from("abcde")),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_a_total_order_that_keeps_every_plain_comparison(self, member_sets, rng):
+        records = [CliqueRecord(members, 0.5) for members in member_sets]
+        ordered = sorted(records)
+        shuffled = records[:]
+        rng.shuffle(shuffled)
+        assert [r.vertices for r in sorted(shuffled)] == [r.vertices for r in ordered]
+        for a, b in zip(ordered, ordered[1:]):
+            assert a < b and b > a and a <= b and not b <= a
+        for a in records:
+            for b in records:
+                try:
+                    plain = a.sort_key < b.sort_key
+                except TypeError:
+                    continue
+                assert (a < b) == plain
 
 
 class TestSearchStatistics:
