@@ -4,13 +4,14 @@ The instrumentation contract (`docs/observability.md`) is that metrics
 *observe* the pipeline without perturbing it: enumeration output is
 bit-identical with the registry on or off, and the wall-time cost of the
 instrument branches is small.  This benchmark makes both claims
-measurable: it reruns the Figure 1 MULE grid twice through the full
+measurable: it runs each cell of the Figure 1 MULE grid through the full
 session layer (cache lookups, engine counter fold-in — the instrumented
-hot path), once with the global registry and tracer enabled and once
-disabled (the same switch ``REPRO_DISABLE_METRICS=1`` throws at process
-start), asserts per-cell output identity, and writes a machine-readable
-summary to ``BENCH_obs.json`` at the repository root: per-cell wall
-times, the per-cell geometric-mean overhead ratio, dataset scale/seed.
+hot path) in enabled/disabled pairs, with the global registry and tracer
+switched on and off (the same switch ``REPRO_DISABLE_METRICS=1`` throws
+at process start), asserts per-cell output identity, and writes a
+machine-readable summary to ``BENCH_obs.json`` at the repository root:
+per-cell wall times, the per-cell geometric-mean overhead ratio,
+dataset scale/seed.
 
 Setting ``REPRO_BENCH_ASSERT_OBS_OVERHEAD`` turns the geomean ratio into
 a hard assertion (bar: 1.05, or ``REPRO_BENCH_OBS_OVERHEAD_MAX``) — what
@@ -34,16 +35,23 @@ FIGURE1_ALPHAS = [0.9, 0.8, 0.0005, 0.0001]
 FIGURE1_GRAPHS = ["wiki-vote", "ba5000", "ca-grqc", "ppi"]
 
 
-def _best_of(func, reps: int):
-    """Minimum wall time over ``reps`` runs, plus the last run's outcome."""
-    best = math.inf
-    outcome = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        outcome = func()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, outcome
+def _interleaved(run, reps: int, instrument):
+    """Best wall time and last outcome per side over ``reps`` pairs.
+
+    Each pair runs the enabled and the disabled side back to back,
+    alternating which goes first, so a slow stretch of the machine lands
+    on both sides alike instead of on whichever side ran during it.
+    Returns ``{enabled: (seconds, outcome)}``.
+    """
+    best = {True: (math.inf, None), False: (math.inf, None)}
+    for rep in range(reps):
+        for enabled in (True, False) if rep % 2 == 0 else (False, True):
+            instrument(enabled)
+            start = time.perf_counter()
+            outcome = run()
+            elapsed = time.perf_counter() - start
+            best[enabled] = (min(best[enabled][0], elapsed), outcome)
+    return best
 
 
 def bench_obs_overhead(dataset, run_once, record_rows, bench_scale, bench_seed):
@@ -51,14 +59,19 @@ def bench_obs_overhead(dataset, run_once, record_rows, bench_scale, bench_seed):
 
     Each cell builds a fresh :class:`MiningSession` per run so every run
     pays the same compile + cache work; the enabled/disabled pair differ
-    only in the instrument branches.  Wall times are best-of-N
-    (``REPRO_BENCH_OBS_REPS``, default 3) — enumeration is deterministic,
-    so the minimum is the least-noisy estimator.
+    only in the instrument branches.  Each side's wall time is its
+    minimum over N interleaved pairs (``REPRO_BENCH_OBS_REPS``, default
+    9) — enumeration is deterministic, so the minimum is the least-noisy
+    estimator, and interleaving keeps machine drift off the ratio.
     """
-    reps = int(os.environ.get("REPRO_BENCH_OBS_REPS", "3"))
+    reps = int(os.environ.get("REPRO_BENCH_OBS_REPS", "9"))
     registry = obs_registry()
     tracer = obs_tracer()
     cells = []
+
+    def instrument(enabled):
+        registry.set_enabled(enabled)
+        tracer.set_enabled(enabled)
 
     def run_grid():
         for graph_name in FIGURE1_GRAPHS:
@@ -69,18 +82,12 @@ def bench_obs_overhead(dataset, run_once, record_rows, bench_scale, bench_seed):
                 def run():
                     return MiningSession(graph).enumerate(request)
 
-                registry.set_enabled(True)
-                tracer.set_enabled(True)
                 try:
-                    enabled_s, enabled_outcome = _best_of(run, reps)
+                    best = _interleaved(run, reps, instrument)
                 finally:
-                    registry.set_enabled(False)
-                    tracer.set_enabled(False)
-                try:
-                    disabled_s, disabled_outcome = _best_of(run, reps)
-                finally:
-                    registry.set_enabled(True)
-                    tracer.set_enabled(True)
+                    instrument(True)
+                enabled_s, enabled_outcome = best[True]
+                disabled_s, disabled_outcome = best[False]
                 disabled_outcome.assert_matches(enabled_outcome)
                 cells.append(
                     {

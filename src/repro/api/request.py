@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.engine import KERNELS
-from ..core.engine.controls import RunControls
+from ..core.engine.controls import RunControls, check_integer
 from ..errors import ParameterError
 from ..uncertain.graph import validate_probability
 
@@ -155,6 +155,12 @@ class EnumerationRequest:
             )
         if canonical != "top_k" and self.alpha is None:
             raise ParameterError(f"algorithm {canonical!r} requires alpha")
+
+        check_integer("min_size", self.min_size)
+        for name in ("k", "size_threshold", "workers", "num_shards"):
+            value = getattr(self, name)
+            if value is not None:
+                check_integer(name, value)
 
         if canonical == "top_k":
             if self.k is None:

@@ -78,6 +78,16 @@ class ProgressSnapshot:
     elapsed_seconds: float = 0.0
 
 
+def check_integer(name: str, value: object) -> None:
+    """Refuse anything but an ``int`` (``bool`` too) for an integer parameter.
+
+    A float would run on the python kernel but not reach the native one,
+    so it is refused here, before either kernel, as the wire codec does.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunControls:
     """Declarative limits on a single enumeration run.
@@ -105,6 +115,9 @@ class RunControls:
     check_every_frames: int = 256
 
     def __post_init__(self) -> None:
+        if self.max_cliques is not None:
+            check_integer("max_cliques", self.max_cliques)
+        check_integer("check_every_frames", self.check_every_frames)
         if self.max_cliques is not None and self.max_cliques < 1:
             raise ParameterError(
                 f"max_cliques must be positive, got {self.max_cliques}"

@@ -12,7 +12,7 @@ Metrics live in two kinds of registry:
 * :func:`registry` — the process-wide :class:`MetricsRegistry`, for what
   library code records with no server in sight (``engine_*``,
   ``cache_compile_seconds``, ``dist_*``).  Modules register these **once
-  at module scope** (the ``metrics-discipline`` check rule enforces it).
+  at module scope** (``tests/obs/test_metric_names.py`` checks it).
 * ``EnumerationScheduler.metrics`` — one registry per scheduler (so per
   server), layered over the process registry.  Its ``sched_*``,
   ``jobs_*``, ``cache_lookups_total`` and ``http_*`` series read the

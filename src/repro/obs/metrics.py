@@ -20,9 +20,9 @@ series report either way.
 
 :func:`registry` is the process-wide registry; each
 :class:`~repro.service.scheduler.EnumerationScheduler` layers its own
-over it.  Metric names follow the ``metrics-discipline`` check rule:
-``snake_case`` with a layer prefix (``engine_``, ``cache_``, ``sched_``,
-``jobs_``, ``http_``, ``dist_``).
+over it.  Metric names are ``snake_case`` (registration refuses anything
+else) with a layer prefix (``engine_``, ``cache_``, ``sched_``, ``jobs_``,
+``http_``, ``dist_``), as ``tests/obs/test_metric_names.py`` checks.
 """
 
 from __future__ import annotations

@@ -412,7 +412,8 @@ def parallel_mule(
 #: is the full cap-bounded set; ``completed`` only survives when every
 #: shard completed.  Listing every member keeps the merge total — a new
 #: StopReason cannot silently collapse to ``completed``
-#: (``repro-mule check`` pins this against the StopReason vocabulary).
+#: (``tests/parallel/test_runner.py::TestStopReasonPrecedence`` pins this
+#: against the StopReason vocabulary).
 _STOP_PRECEDENCE = (
     StopReason.CANCELLED,
     StopReason.TIME_BUDGET,

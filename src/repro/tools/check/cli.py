@@ -1,7 +1,8 @@
 """Command-line front end: ``repro-mule check`` / ``python -m repro.tools.check``.
 
 Exit codes follow lint convention: 0 = clean, 1 = findings, 2 = usage
-error.  ``--format json`` emits one object per finding for tooling.
+error (an unknown rule id, a path that does not exist, or no ``.py``
+file to check).
 
 The argument surface is defined once in :func:`add_arguments` so the
 standalone module entry point and the ``repro-mule check`` subcommand
@@ -11,7 +12,6 @@ cannot drift apart.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -45,12 +45,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="run only this rule id (repeatable)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -62,8 +56,7 @@ def build_parser(prog: str = "repro-mule check") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "Static analysis for repo-specific invariants: lock discipline, "
-            "kernel determinism, wire-schema freeze, error taxonomy and "
-            "exhaustive state dispatch."
+            "kernel determinism and the error taxonomy."
         ),
     )
     add_arguments(parser)
@@ -85,26 +78,18 @@ def run(args: argparse.Namespace, *, stdout: TextIO | None = None) -> int:
             root=args.root,
             rule_ids=args.select,
         )
-    except KeyError as exc:  # unknown --select token
+    except (KeyError, FileNotFoundError) as exc:  # bad --select, nothing to scan
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        for finding in findings:
-            print(json.dumps(finding.to_json(), sort_keys=True), file=out)
-    else:
-        for finding in findings:
-            print(finding.render(), file=out)
-        if findings:
-            plural = "" if len(findings) == 1 else "s"
-            print(f"{len(findings)} finding{plural}", file=out)
+    for finding in findings:
+        print(finding.render(), file=out)
+    if findings:
+        plural = "" if len(findings) == 1 else "s"
+        print(f"{len(findings)} finding{plural}", file=out)
     return 1 if findings else 0
 
 
 def main(argv: Sequence[str] | None = None, *, stdout: TextIO | None = None) -> int:
     parser = build_parser()
     return run(parser.parse_args(argv), stdout=stdout)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

@@ -32,13 +32,3 @@ class Finding:
         if self.hint:
             text += f"\n    hint: {self.hint}"
         return text
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "message": self.message,
-            "hint": self.hint,
-        }

@@ -1,11 +1,9 @@
-"""Built-in rule catalog.  Importing this package registers every rule."""
+"""Built-in rule catalog: one instance of each rule, sorted by id."""
 
 from __future__ import annotations
 
-from . import (  # noqa: F401
-    error_taxonomy,
-    kernel_determinism,
-    lock_discipline,
-    metrics_discipline,
-    stopreason,
-)
+from .error_taxonomy import ErrorTaxonomyRule
+from .kernel_determinism import KernelDeterminismRule
+from .lock_discipline import LockDisciplineRule
+
+RULES = (ErrorTaxonomyRule(), KernelDeterminismRule(), LockDisciplineRule())

@@ -26,7 +26,7 @@ import builtins
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import ModuleUnit, Rule, dotted_name, register
+from ..registry import ModuleUnit, Rule, dotted_name
 
 
 def _taxonomy_names() -> frozenset[str]:
@@ -87,7 +87,6 @@ def _local_exception_classes(tree: ast.Module) -> set[str]:
     return local
 
 
-@register
 class ErrorTaxonomyRule(Rule):
     rule_id = "error-taxonomy"
     description = (

@@ -23,7 +23,7 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import ModuleUnit, Rule, dotted_name, register
+from ..registry import ModuleUnit, Rule, dotted_name
 
 #: Modules whose import into the engine is itself a finding.
 _BANNED_MODULES = {"random", "uuid", "secrets"}
@@ -55,7 +55,6 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-@register
 class KernelDeterminismRule(Rule):
     rule_id = "kernel-determinism"
     description = (

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import ModuleUnit, Rule, dotted_name, register
+from ..registry import ModuleUnit, Rule, dotted_name
 
 #: Constructors whose result makes the assigned attribute a lock guard.
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
@@ -255,7 +255,6 @@ class _ClassAnalyzer:
             self._visit(child, context)
 
 
-@register
 class LockDisciplineRule(Rule):
     rule_id = "lock-discipline"
     description = (

@@ -38,15 +38,24 @@ def find_project_root(start: Path) -> Path:
 
 
 def collect_files(paths: Sequence[Path]) -> list[Path]:
-    """Expand the given paths to a sorted, de-duplicated ``.py`` file list."""
+    """Expand the given paths to a sorted, de-duplicated ``.py`` file list.
+
+    A path that does not exist, or paths that hold no ``.py`` file at all,
+    raise :class:`FileNotFoundError`: a scan of nothing must not pass.
+    """
     files: set[Path] = set()
     for path in paths:
+        if not path.exists():
+            raise FileNotFoundError(f"no such file or directory: {path}")
         if path.is_dir():
             for candidate in sorted(path.rglob("*.py")):
                 if not _SKIP_DIRS.intersection(candidate.parts):
                     files.add(candidate.resolve())
         elif path.suffix == ".py":
             files.add(path.resolve())
+    if not files:
+        shown = ", ".join(str(path) for path in paths)
+        raise FileNotFoundError(f"no python file to check in: {shown}")
     return sorted(files)
 
 
@@ -67,7 +76,7 @@ def load_unit(path: Path, root: Path) -> ModuleUnit | Finding:
             "parse-error",
             f"syntax error: {exc.msg}",
         )
-    return ModuleUnit(path=path, relpath=relpath, source=source, tree=tree)
+    return ModuleUnit(relpath=relpath, tree=tree)
 
 
 def _relpath(path: Path, root: Path) -> str:
@@ -90,7 +99,7 @@ def scan(
         # Anchor on what the caller pointed at, not the first file found:
         # for a loose directory with no repo markers the fallback root is
         # then the directory itself, keeping path-scoped rules in scope.
-        root = find_project_root(targets[0] if targets else Path.cwd())
+        root = find_project_root(targets[0])
     rules = select_rules(rule_ids)
 
     findings: list[Finding] = []

@@ -9,6 +9,15 @@ import pytest
 from repro.api import EnumerationRequest
 from repro.errors import ParameterError, ProbabilityError
 
+#: Each integer field, with a request it is valid on.
+INTEGER_FIELDS = {
+    "k": {"algorithm": "top_k"},
+    "min_size": {"algorithm": "top_k", "k": 3},
+    "size_threshold": {"algorithm": "large", "alpha": 0.5},
+    "workers": {"algorithm": "mule", "alpha": 0.5},
+    "num_shards": {"algorithm": "mule", "alpha": 0.5},
+}
+
 
 class TestNormalisation:
     @pytest.mark.parametrize(
@@ -93,6 +102,15 @@ class TestValidation:
     def test_workers_must_be_positive(self):
         with pytest.raises(ParameterError):
             EnumerationRequest(algorithm="mule", alpha=0.5, workers=0)
+
+    # A float would run on the python kernel but not reach the native one
+    # (or fail deep inside the run), and bool is an int subclass the wire
+    # codec refuses too.
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_integer_field_rejects_non_integers(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            EnumerationRequest(**INTEGER_FIELDS[field], **{field: value})
 
     def test_parallel_only_for_mule_family(self):
         with pytest.raises(ParameterError):

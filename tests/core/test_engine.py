@@ -105,6 +105,20 @@ class TestRunControls:
         with pytest.raises(ParameterError):
             RunControls(check_every_frames=0)
 
+    # A float would run on the python kernel but not reach the native one,
+    # and bool is an int subclass the wire codec refuses too.
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_rejects_non_integer_max_cliques(self, value):
+        with pytest.raises(ParameterError, match="max_cliques must be an integer"):
+            RunControls(max_cliques=value)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_rejects_non_integer_check_interval(self, value):
+        with pytest.raises(
+            ParameterError, match="check_every_frames must be an integer"
+        ):
+            RunControls(check_every_frames=value)
+
     def test_unlimited(self):
         assert RunControls().unlimited
         assert not RunControls(max_cliques=5).unlimited

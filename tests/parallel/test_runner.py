@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.api import EnumerationRequest, MiningSession
@@ -10,8 +12,18 @@ from repro.core.mule import mule
 from repro.errors import ParameterError
 from repro.generators import erdos_renyi_uncertain
 from repro.parallel import ShardPlanner, parallel_mule, run_shards
-from repro.parallel.runner import _merge_stop_reasons, _process_backend_available
+from repro.parallel.runner import (
+    _STOP_PRECEDENCE,
+    _merge_stop_reasons,
+    _process_backend_available,
+    _strongest,
+)
 from repro.uncertain.graph import UncertainGraph
+
+#: Every StopReason member, read from the class so a new one is included.
+STOP_REASONS = tuple(
+    value for name, value in vars(StopReason).items() if not name.startswith("_")
+)
 
 
 def records_by_vertices(result):
@@ -232,8 +244,6 @@ class TestMergeStopReasons:
         )
 
     def test_cap_trim_does_not_mask_cancellation(self):
-        from repro.parallel.runner import _strongest
-
         assert (
             _strongest(StopReason.CANCELLED, StopReason.MAX_CLIQUES)
             == StopReason.CANCELLED
@@ -244,6 +254,19 @@ class TestMergeStopReasons:
 
 
 class TestStopReasonPrecedence:
+    def test_precedence_lists_every_stop_reason(self):
+        # A member left out would rank above every listed one (unknown
+        # reasons are never downgraded), so a new StopReason must be
+        # placed in the precedence explicitly.
+        assert set(_STOP_PRECEDENCE) == set(STOP_REASONS)
+
+    @pytest.mark.parametrize(
+        "first, second", list(itertools.product(STOP_REASONS, repeat=2))
+    )
+    def test_strongest_is_the_reason_listed_first(self, first, second):
+        expected = min(first, second, key=_STOP_PRECEDENCE.index)
+        assert _strongest(first, second) == expected
+
     def test_time_budget_survives_merged_cap_trim(self, random_graph_factory):
         # A run that hit the time budget must not be relabelled max-cliques
         # by the merged-output trim: its output is not the cap-bounded set.

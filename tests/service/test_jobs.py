@@ -13,6 +13,9 @@ the service endpoints build on:
   slow stream consumer caps server memory instead of growing it;
 * streamed pages reassemble into the exact records of a synchronous run,
   and mid-stream cancellation truncates to a deterministic prefix;
+* a drain acts on each job by its state: a queued job fails, a running
+  one is left to finish (a producer blocked on a full buffer fails), a
+  terminal one stands, and a waiter parked on the job wakes in every state;
 * scheduler stats and the wire codec stay in lockstep with the job
   vocabulary (the ``JOB_STATES`` drift test lives here).
 """
@@ -22,15 +25,18 @@ from __future__ import annotations
 import random
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.api import EnumerationRequest, MiningSession
 from repro.core.engine import RunControls, StopReason
+from repro.core.result import CliqueColumns
 from repro.errors import JobError, JobNotFoundError, ParameterError, ServiceError
 from repro.generators.erdos_renyi import random_uncertain_graph
+from repro.obs import MetricsRegistry
 from repro.service import EnumerationScheduler, JobState, codec
-from repro.service.jobs import JobRegistry
+from repro.service.jobs import Job, JobRegistry
 from repro.uncertain.graph import UncertainGraph
 
 REQUEST = EnumerationRequest(algorithm="mule", alpha=0.3)
@@ -400,3 +406,121 @@ class TestRegistryAndStats:
         scheduler.shutdown(wait=True)
         with pytest.raises(ServiceError):
             scheduler.submit_job(REQUEST)
+
+
+# --------------------------------------------------------------------- #
+# Job._shutdown, the drain sweep's step for one job, state by state
+# --------------------------------------------------------------------- #
+#: Bound on every wait below, so a regression fails in seconds, not hangs.
+SHUTDOWN_DEADLINE = 5.0
+
+
+@contextmanager
+def parked_consumer(job):
+    """A thread parked on ``job``'s condition; yields an event set on wake-up."""
+    parked, woke = threading.Event(), threading.Event()
+
+    def park():
+        with job._cond:
+            # Set under the condition, so whoever waits for ``parked`` and
+            # then takes the condition finds this thread inside wait().
+            parked.set()
+            if job._cond.wait(SHUTDOWN_DEADLINE):
+                woke.set()
+
+    thread = threading.Thread(target=park, daemon=True)
+    thread.start()
+    try:
+        assert parked.wait(SHUTDOWN_DEADLINE)
+        yield woke
+    finally:
+        thread.join(SHUTDOWN_DEADLINE)
+
+
+@contextmanager
+def parked_producer(job):
+    """A producer blocked on ``job``'s full buffer; yields what it raised."""
+    raised = []
+
+    def produce():
+        try:
+            job._hand_over(CliqueColumns([1, 2], [2], [0.5], True))
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=produce, daemon=True)
+    thread.start()
+    try:
+        # The page is counted and the producer parks in one lock hold.
+        wait_until(lambda: job.records_total == 1, "the producer to park")
+        yield raised
+        thread.join(SHUTDOWN_DEADLINE)
+        assert not thread.is_alive(), "the parked producer stayed blocked"
+    finally:
+        if thread.is_alive():
+            job.cancel()  # unblock it: no thread outlives the test
+            thread.join(SHUTDOWN_DEADLINE)
+
+
+def shut_down(job):
+    """Run ``job._shutdown()``; a consumer parked on the job must wake."""
+    with parked_consumer(job) as woke:
+        job._shutdown()
+        assert woke.wait(SHUTDOWN_DEADLINE), "a parked consumer was not woken"
+
+
+def queued_job_fails(job):
+    shut_down(job)
+    assert job.state == JobState.FAILED
+    with pytest.raises(ServiceError, match="server shutdown"):
+        job.wait(timeout=0)
+
+
+def running_job_is_left_to_finish(job):
+    with parked_producer(job) as raised:
+        shut_down(job)
+    assert [type(exc) for exc in raised] == [ServiceError]
+    assert str(raised[0]) == "server shutdown"
+    assert job.state == JobState.RUNNING and job.error is None
+    job._finish()
+    assert job.state == JobState.DONE
+
+
+def terminal_job_stands(job):
+    before = (job.state, job.error, job.report.stop_reason, job.records_total)
+    shut_down(job)
+    assert (job.state, job.error, job.report.stop_reason, job.records_total) == before
+
+
+def finished(job):
+    job._begin()
+    job._finish()
+
+
+def failed(job):
+    job._begin()
+    job._fail(ParameterError("injected"))
+
+
+#: Per state: how a queued job gets there, and what its shutdown must do.
+SHUTDOWN_EXPECTATIONS = {
+    JobState.QUEUED: (lambda job: None, queued_job_fails),
+    JobState.RUNNING: (Job._begin, running_job_is_left_to_finish),
+    JobState.DONE: (finished, terminal_job_stands),
+    JobState.FAILED: (failed, terminal_job_stands),
+    JobState.CANCELLED: (Job.cancel, terminal_job_stands),
+}
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("state", JobState.ALL)
+    def test_shutdown_in_every_state(self, state):
+        # A new state fails here until its shutdown behaviour is written.
+        assert SHUTDOWN_EXPECTATIONS.keys() == set(JobState.ALL)
+        reach, expect = SHUTDOWN_EXPECTATIONS[state]
+        job = JobRegistry(MetricsRegistry()).create(
+            REQUEST, page_size=1, max_pending_pages=1
+        )
+        reach(job)
+        assert job.state == state
+        expect(job)

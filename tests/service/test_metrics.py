@@ -24,7 +24,7 @@ from repro.errors import FormatError
 from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.obs import registry as obs_registry
 from repro.service import MiningServer, RemoteSession, RemoteStore, codec
-from repro.tools.check.rules.metrics_discipline import _LAYER_PREFIXES, _NAME_RE
+from tests.obs.test_metric_names import LAYER_PREFIXES
 
 REQUEST = EnumerationRequest(algorithm="mule", alpha=0.5)
 
@@ -283,14 +283,15 @@ class TestServerScope:
 
     def test_every_series_has_a_layer_prefix(self, server, remote):
         remote.enumerate(REQUEST)
-        # Every registered name, including series with no values yet.
+        # Every registered name, including series with no values yet
+        # (MetricsRegistry refuses a name that is not snake_case).
         names = {
             instrument.name for instrument in server.scheduler.metrics.instruments()
         }
         assert {"sched_queue_depth", "jobs_transitions_total"} <= names
         assert {"http_requests_total", "engine_runs_total"} <= names
         for name in names:
-            assert name.startswith(_LAYER_PREFIXES) and _NAME_RE.match(name), name
+            assert name.startswith(LAYER_PREFIXES), name
 
 
 class TestStatsTearResistance:
