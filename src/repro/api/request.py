@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.engine import KERNELS
-from ..core.engine.controls import RunControls, check_integer
+from ..core.engine.controls import RunControls, check_integer, check_real
 from ..errors import ParameterError
 from ..uncertain.graph import validate_probability
 
@@ -150,6 +150,7 @@ class EnumerationRequest:
         object.__setattr__(self, "algorithm", canonical)
 
         if self.alpha is not None:
+            check_real("alpha", self.alpha)
             object.__setattr__(
                 self, "alpha", validate_probability(self.alpha, what="alpha")
             )

@@ -37,6 +37,15 @@ __all__ = ["CompiledGraph", "compile_graph"]
 
 Vertex = Hashable
 
+
+def _mask_of(indices: Iterable[int]) -> int:
+    """The bitmask with exactly the bits ``indices`` set."""
+    mask = 0
+    for j in indices:
+        mask |= 1 << j
+    return mask
+
+
 class _KernelCaches:
     """The vector kernel's native form of the artifact, built on its first run.
 
@@ -135,10 +144,11 @@ class CompiledGraph:
     ) -> "CompiledGraph":
         """Compile ``graph`` into the bitmask representation.
 
-        When ``min_probability`` is given, edges with ``p(e)`` below it are
-        dropped during compilation — the Observation 3 preprocessing fused
-        into the single compile pass (vertices are always kept, so singleton
-        α-maximal cliques survive).
+        Row ``i`` is built from ``graph.adjacency(labels[i])``.  When
+        ``min_probability`` is given, each row keeps only the edges with
+        ``p(e) >= min_probability``, as :meth:`restrict_probability` does —
+        the Observation 3 preprocessing fused into the compile pass
+        (vertices are always kept, so singleton α-maximal cliques survive).
 
         >>> g = UncertainGraph(edges=[(2, 1, 0.5)])
         >>> cg = CompiledGraph.from_graph(g)
@@ -154,17 +164,15 @@ class CompiledGraph:
             )
             labels_sorted = False
         index_of = {v: i for i, v in enumerate(ordered)}
-        n = len(ordered)
-        adjacency_mask = [0] * n
-        adjacency_probability: list[dict[int, float]] = [dict() for _ in range(n)]
-        for u, v, p in graph.edges():
-            if min_probability is not None and p < min_probability:
-                continue
-            iu, iv = index_of[u], index_of[v]
-            adjacency_mask[iu] |= 1 << iv
-            adjacency_mask[iv] |= 1 << iu
-            adjacency_probability[iu][iv] = p
-            adjacency_probability[iv][iu] = p
+        # Every stored probability lies in (0, 1], so a floor of 0 keeps all.
+        floor = 0.0 if min_probability is None else min_probability
+        adjacency_mask: list[int] = []
+        adjacency_probability: list[dict[int, float]] = []
+        for label in ordered:
+            row = graph.adjacency(label)
+            kept = {index_of[v]: p for v, p in row.items() if p >= floor}
+            adjacency_mask.append(_mask_of(kept))
+            adjacency_probability.append(kept)
         return cls(ordered, adjacency_mask, adjacency_probability, labels_sorted)
 
     def restrict_probability(self, min_probability: float) -> "CompiledGraph":
@@ -192,10 +200,7 @@ class CompiledGraph:
         probabilities: list[dict[int, float]] = []
         for row in self.adjacency_probability:
             kept = {j: p for j, p in row.items() if p >= min_probability}
-            mask = 0
-            for j in kept:
-                mask |= 1 << j
-            masks.append(mask)
+            masks.append(_mask_of(kept))
             probabilities.append(kept)
         return CompiledGraph(self.labels, masks, probabilities, self.labels_sorted)
 

@@ -10,6 +10,7 @@ always distinguishable from complete output.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -88,6 +89,16 @@ def check_integer(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value: object) -> None:
+    """Refuse a ``bool`` or a value that is not a real number.
+
+    ``float()`` would take ``True`` as 1.0 and ``"0.5"`` as 0.5; the wire
+    codec refuses both, and so do the constructors.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunControls:
     """Declarative limits on a single enumeration run.
@@ -117,6 +128,8 @@ class RunControls:
     def __post_init__(self) -> None:
         if self.max_cliques is not None:
             check_integer("max_cliques", self.max_cliques)
+        if self.time_budget_seconds is not None:
+            check_real("time_budget_seconds", self.time_budget_seconds)
         check_integer("check_every_frames", self.check_every_frames)
         if self.max_cliques is not None and self.max_cliques < 1:
             raise ParameterError(

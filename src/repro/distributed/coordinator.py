@@ -14,11 +14,11 @@ The pipeline per :meth:`DistributedSession.enumerate` call:
    degree-weighted :class:`~repro.parallel.planner.ShardPlanner` — the
    same partition primitive the in-process parallel path uses, so shard
    union = serial output holds by construction;
-2. serialise the graph once per session and send those bytes
-   concurrently to the workers the first round-robin pass gives shards
-   to, and to no idle worker (``POST /v2/graphs`` is content-keyed and
-   idempotent by fingerprint, so re-runs and shared workers cost one
-   upload each);
+2. pack the graph once per session (a ``graph-columns`` upload) and send
+   those bytes concurrently to the workers the first round-robin pass
+   gives shards to, and to no idle worker (``POST /v2/graphs`` is
+   content-keyed and idempotent by fingerprint, so re-runs and shared
+   workers cost one upload each);
 3. submit every shard as an asynchronous job (``POST /v2/jobs``) whose
    request carries the shard's root vertices in the additive v2
    ``root_shard`` field, round-robin over the usable workers;
@@ -385,10 +385,10 @@ class DistributedSession:
         return min(self._backoff_cap, self._backoff * (2 ** (attempt - 1)))
 
     def _upload_body(self) -> bytes:
-        """The graph's ``POST /v2/graphs`` body, serialised once per session."""
+        """The graph's ``POST /v2/graphs`` body, packed once per session."""
         if self._body is None:
             upload = codec.GraphUpload(graph=self._graph)
-            self._body = codec.encode(codec.upload_to_wire(upload))
+            self._body = codec.encode(codec.upload_to_wire(upload, columns=True))
         return self._body
 
     def _ensure_uploaded(self, url: str) -> str:

@@ -566,16 +566,20 @@ class RemoteStore(_HttpClient):
     # The GraphStore-shaped surface
     # ------------------------------------------------------------------ #
     def add(self, graph: UncertainGraph, *, name: str | None = None) -> GraphInfo:
-        """Upload a graph (lossless edge-set transfer) and register it."""
+        """Upload a graph (lossless edge-set transfer) and register it.
+
+        The graph travels as packed ``graph-columns``.
+        """
         upload = codec.GraphUpload(graph=graph, name=name)
-        return self.add_encoded(codec.encode(codec.upload_to_wire(upload)))
+        return self.add_encoded(codec.encode(codec.upload_to_wire(upload, columns=True)))
 
     def add_encoded(self, body: bytes) -> GraphInfo:
         """Register a graph from an already serialised upload body.
 
-        ``body`` is ``codec.encode(codec.upload_to_wire(upload))``.  A
-        caller that ships one graph to several servers serialises it once
-        and posts the same bytes to each.
+        ``body`` is ``codec.encode(codec.upload_to_wire(upload, columns=True))``
+        (or without ``columns``: the server decodes both forms).  A caller
+        that ships one graph to several servers serialises it once and
+        posts the same bytes to each.
         """
         return codec.graph_info_from_wire(self._post_body("/v2/graphs", body))
 

@@ -12,8 +12,8 @@ Each wire kind is described once, as a table of fields (:class:`_Kind`);
 one generic encoder and one generic decoder walk that table, so the two
 directions agree by construction.  The kinds whose per-record, per-edge
 and per-histogram work is hot or irregular (``clique-record``,
-``clique-columns``, ``graph``, ``metrics``) keep hand-written bodies and
-take their key sets from the table.
+``clique-columns``, ``graph``, ``graph-columns``, ``metrics``) keep
+hand-written bodies and take their key sets from the table.
 
 Records travel in one of two forms.  Rows are one ``clique-record``
 envelope per record, the v1 form every envelope that carries records
@@ -22,7 +22,11 @@ defaults to.  Columns are one ``clique-columns`` block per record list
 as little-endian float64); ``enumeration-outcome`` and
 ``job-result-chunk`` carry it in their additive ``columns`` key when the
 encoder is asked with ``columns=True``.  Both forms decode everywhere,
-to the same records.
+to the same records.  Graphs likewise: ``graph-upload`` carries a
+literal graph as a ``graph`` envelope (JSON edge triples) or, when its
+encoder is asked with ``columns=True``, as one ``graph-columns`` envelope
+(the endpoints as packed int32 positions, the probabilities as packed
+float64).
 
 Design rules — these are the compatibility contract the conformance corpus
 (``tests/service/fixtures``) pins down:
@@ -101,6 +105,8 @@ __all__ = [
     "error_from_wire",
     "graph_to_wire",
     "graph_from_wire",
+    "graph_columns_to_wire",
+    "graph_columns_from_wire",
     "graph_info_to_wire",
     "graph_info_from_wire",
     "graph_list_to_wire",
@@ -533,21 +539,10 @@ _list_field = _typed(list)
 _HAND = _Type(_raw)
 
 
-def _nested(kind: _Kind[Any], *, before_check: bool = False) -> _Type:
-    """A field holding one envelope of ``kind``.
-
-    It decodes after its kind's cross-field check, unless ``before_check``
-    is set: ``graph-upload`` decodes its graph first, as it always has,
-    so a malformed graph is reported before the source rule.
-    """
-    if not before_check:
-        return _Type(_raw, kind.encode, kind.decode)
-
-    def check(payload: dict[str, Any], envelope: str, key: str, nullable: bool) -> Any:
-        raw = payload[key]
-        return None if raw is None and nullable else kind.decode(raw)
-
-    return _Type(check, kind.encode)
+def _nested(kind: _Kind[Any]) -> _Type:
+    """A field holding one envelope of ``kind``, decoded after its kind's
+    cross-field check."""
+    return _Type(_raw, kind.encode, kind.decode)
 
 
 def _list_of(kind: _Kind[Any]) -> _Type:
@@ -661,6 +656,14 @@ _RECORDS = _Type(
 _SIZE_TYPES = frozenset({int})
 
 
+def _unbase64(packed: str, kind: str, key: str) -> bytes:
+    """The bytes of a packed field: strict standard base64 (RFC 4648 §4)."""
+    try:
+        return base64.b64decode(packed, validate=True)
+    except ValueError as exc:
+        raise FormatError(f"{kind}.{key} is not base64: {exc}") from exc
+
+
 def columns_to_wire(records: Iterable[CliqueRecord]) -> dict[str, Any]:
     """Encode a record list as one ``clique-columns`` block (schema v2).
 
@@ -727,10 +730,7 @@ def columns_from_wire(payload: object) -> list[CliqueRecord]:
             f"{kind}: the sizes add up to {sum(sizes)} labels, "
             f"but vertices holds {len(vertices)}"
         )
-    try:
-        raw = base64.b64decode(packed, validate=True)
-    except ValueError as exc:
-        raise FormatError(f"{kind}.probabilities is not base64: {exc}") from exc
+    raw = _unbase64(packed, kind, "probabilities")
     if len(raw) != 8 * len(sizes):
         raise FormatError(
             f"{kind}.probabilities holds {len(raw)} bytes, "
@@ -872,6 +872,144 @@ _GRAPH: _Kind[UncertainGraph] = _Kind(
     encoder=lambda graph: graph_to_wire(graph),
     decoder=lambda payload: graph_from_wire(payload),
 )
+
+
+# ---------------------------------------------------------------------- #
+# UncertainGraph as packed columns (hand-written: one pass per column)
+# ---------------------------------------------------------------------- #
+def graph_columns_to_wire(graph: UncertainGraph) -> dict[str, Any]:
+    """Encode an uncertain graph as packed columns (kind ``graph-columns``, v2).
+
+    ``vertices`` holds the labels in :func:`graph_to_wire`'s order.
+    ``edges`` is the standard base64 (RFC 4648 section 4) of one
+    little-endian int32 pair ``(a, b)`` per edge: the positions of its
+    endpoints in ``vertices``, ``a < b``, the pairs ascending (the order
+    ``graph`` writes its edges in).  ``probabilities`` is the standard
+    base64 of the edge probabilities as little-endian IEEE 754 binary64,
+    one per pair.  Vertex labels must be ``int``/``float``/``str`` and
+    probabilities finite.
+
+    Endpoints travel as positions, so an adjacency entry's own label
+    (``1.0`` stored for vertex ``1``) does not: the decoded graph stores
+    the vertex's label, and is ``==`` to this one.
+    """
+    labels: list[Any] = list(graph.vertices())
+    if not _LABEL_TYPES.issuperset(map(type, labels)):
+        labels = [_vertex_to_wire(v) for v in labels]
+    vertices = sorted(labels, key=_vertex_sort_key)
+    rank = {vertex: index for index, vertex in enumerate(vertices)}
+    pairs: list[int] = []
+    probabilities: list[float] = []
+    # Rows in rank order, each row's later neighbours sorted: the pairs
+    # come out ascending with no global sort.
+    for a, u in enumerate(vertices):
+        later = sorted(
+            [(b, p) for v, p in graph.adjacency(u).items() if (b := rank[v]) > a]
+        )
+        for b, p in later:
+            pairs += (a, b)
+            probabilities.append(p)
+    if not all(map(math.isfinite, probabilities)):
+        raise FormatError("graph-columns: probabilities must be finite")
+    packed_pairs = struct.pack(f"<{len(pairs)}i", *pairs)
+    packed_probabilities = struct.pack(f"<{len(probabilities)}d", *probabilities)
+    return _envelope(
+        "graph-columns",
+        {
+            "vertices": vertices,
+            "edges": base64.b64encode(packed_pairs).decode("ascii"),
+            "probabilities": base64.b64encode(packed_probabilities).decode("ascii"),
+        },
+        version=SCHEMA_VERSION_V2,
+    )
+
+
+def graph_columns_from_wire(payload: object) -> UncertainGraph:
+    """Rebuild an :class:`UncertainGraph` from a ``graph-columns`` envelope.
+
+    It accepts exactly the graphs :func:`graph_from_wire` accepts and
+    raises the same type for the same defect.  Whole columns are checked
+    first, raising :class:`~repro.errors.FormatError`: labels that are
+    not ``int``/``float``/``str`` (``bool`` included), a repeated vertex,
+    columns that are not strict base64 or disagree in length, a
+    non-finite probability, a position outside ``vertices``.  Then each
+    edge in order: a pair with ``a > b`` or not after the one before it
+    (a repeated edge among them) raises ``FormatError``; a self-loop
+    (``a == b``) and a probability outside ``(0, 1]`` raise what local
+    construction raises.  The adjacency is filled directly and handed to
+    :meth:`UncertainGraph.from_adjacency`, as :func:`graph_from_wire`
+    does.
+    """
+    kind = "graph-columns"
+    payload = _open_envelope(
+        payload, kind, _GRAPH_COLUMNS.keys, min_version=SCHEMA_VERSION_V2
+    )
+    vertices = _field(payload, kind, "vertices", list)
+    packed_pairs = _field(payload, kind, "edges", str)
+    packed_probabilities = _field(payload, kind, "probabilities", str)
+    if not _LABEL_TYPES.issuperset(map(type, vertices)):
+        for value in vertices:
+            _vertex_from_wire(value, kind)
+    adjacency: dict[Hashable, dict[Hashable, float]] = {v: {} for v in vertices}
+    if len(adjacency) != len(vertices):
+        raise FormatError(f"{kind}: duplicate vertices")
+    raw_pairs = _unbase64(packed_pairs, kind, "edges")
+    raw_probabilities = _unbase64(packed_probabilities, kind, "probabilities")
+    m, remainder = divmod(len(raw_probabilities), 8)
+    if remainder or len(raw_pairs) != 8 * m:
+        raise FormatError(
+            f"{kind}: edges holds {len(raw_pairs)} bytes and probabilities "
+            f"{len(raw_probabilities)}, but each edge takes 8 bytes in both"
+        )
+    probabilities = struct.unpack(f"<{m}d", raw_probabilities)
+    if not all(map(math.isfinite, probabilities)):
+        raise FormatError(f"{kind}.probabilities must be finite")
+    ends = struct.unpack(f"<{2 * m}i", raw_pairs)
+    n = len(vertices)
+    if ends and not 0 <= min(ends) <= max(ends) < n:
+        raise FormatError(f"{kind}.edges: a position lies outside [0, {n})")
+    rows = list(adjacency.values())
+    last = -1
+    for a, b, p in zip(ends[0::2], ends[1::2], probabilities):
+        key = a * n + b  # ascending keys are ascending (a, b) pairs
+        if not (a < b and last < key and 0.0 < p <= 1.0):
+            if a != b and (a > b or key <= last):
+                raise FormatError(
+                    f"{kind}.edges: pair ({a}, {b}) breaks the order "
+                    f"(a < b, pairs strictly ascending)"
+                )
+            # A self-loop, or a probability outside (0, 1]: adding the edge
+            # to an empty graph raises what local construction raises.
+            UncertainGraph().add_edge(vertices[a], vertices[b], p)
+        last = key
+        rows[a][vertices[b]] = p
+        rows[b][vertices[a]] = p
+    return UncertainGraph.from_adjacency(adjacency)
+
+
+_GRAPH_COLUMNS: _Kind[UncertainGraph] = _Kind(
+    "graph-columns", SCHEMA_VERSION_V2,
+    _Field("vertices", _HAND),
+    _Field("edges", _HAND),
+    _Field("probabilities", _HAND),
+    build=UncertainGraph,
+    encoder=lambda graph: graph_columns_to_wire(graph),
+    decoder=lambda payload: graph_columns_from_wire(payload),
+)
+
+
+def _upload_graph(payload: dict[str, Any], kind: str, key: str, nullable: bool) -> Any:
+    """``graph-upload.graph``: a ``graph`` or ``graph-columns`` envelope.
+
+    It decodes by its own kind, before the upload's source rule, so a
+    malformed graph is reported first.
+    """
+    raw = payload[key]
+    if raw is None and nullable:
+        return None
+    if isinstance(raw, dict) and raw.get("kind") == "graph-columns":
+        return graph_columns_from_wire(raw)
+    return graph_from_wire(raw)
 
 
 # ---------------------------------------------------------------------- #
@@ -1288,7 +1426,7 @@ _GRAPH_LIST: _Kind[list[GraphInfo]] = _Kind(
 
 _UPLOAD: _Kind[GraphUpload] = _Kind(
     "graph-upload", SCHEMA_VERSION_V2,
-    _Field("graph", _nested(_GRAPH, before_check=True), nullable=True),
+    _Field("graph", _Type(_upload_graph, _GRAPH.encode), nullable=True),
     _Field("dataset", _STR, nullable=True),
     _Field("scale", _NUMBER, nullable=True),
     _Field("seed", _INT, nullable=True),
@@ -1373,6 +1511,7 @@ _KINDS: tuple[_Kind[Any], ...] = (
     _OUTCOME, _SWEEP, _OUTCOME_LIST, _ERROR, _GRAPH, _GRAPH_INFO,
     _GRAPH_LIST, _UPLOAD, _REF_REQUEST, _REF_SWEEP, _JOB_REQUEST,
     _JOB_STATUS, _JOB_SUMMARY, _JOB_CHUNK, _JOB_LIST, _METRICS, _COLUMNS,
+    _GRAPH_COLUMNS,
 )
 
 
@@ -1477,8 +1616,16 @@ def graph_list_to_wire(infos: Iterable[GraphInfo]) -> dict[str, Any]:
     return _GRAPH_LIST.encode(infos)
 
 
-def upload_to_wire(upload: GraphUpload) -> dict[str, Any]:
-    """Encode a graph-creation request (``POST /v2/graphs``)."""
+def upload_to_wire(upload: GraphUpload, *, columns: bool = False) -> dict[str, Any]:
+    """Encode a graph-creation request (``POST /v2/graphs``).
+
+    A literal graph rides as a ``graph`` envelope by default;
+    ``columns=True`` packs it as one ``graph-columns`` envelope instead.
+    Both decode to equal graphs.  A dataset upload encodes the same
+    either way.
+    """
+    if columns and upload.graph is not None:
+        return _UPLOAD.encode(upload, graph=graph_columns_to_wire(upload.graph))
     return _UPLOAD.encode(upload)
 
 

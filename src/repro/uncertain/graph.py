@@ -31,6 +31,10 @@ from ..errors import EdgeError, ProbabilityError, VertexError
 
 __all__ = ["UncertainGraph", "validate_probability"]
 
+#: Lines per digest update in :meth:`UncertainGraph.fingerprint`: a few
+#: updates per graph, and memory that stays bounded however large it is.
+_FINGERPRINT_BLOCK = 4096
+
 Vertex = Hashable
 Edge = tuple[Any, Any]
 
@@ -434,11 +438,11 @@ class UncertainGraph:
             # positions regardless of their concrete type.
             ordered = sorted(self._adj, key=_canonical_label)
         index_of = {v: i for i, v in enumerate(ordered)}
-        digest = hashlib.sha256()
-        digest.update(b"V")
-        for v in ordered:
-            digest.update(_canonical_label(v).encode("utf-8", "backslashreplace"))
-            digest.update(b"\n")
+        digest = hashlib.sha256(b"V")
+        for start in range(0, len(ordered), _FINGERPRINT_BLOCK):
+            block = ordered[start : start + _FINGERPRINT_BLOCK]
+            labels = "".join([f"{_canonical_label(v)}\n" for v in block])
+            digest.update(labels.encode("utf-8", "backslashreplace"))
         digest.update(b"E")
         edges: list[tuple[int, int, float]] = []
         for u, nbrs in self._adj.items():
@@ -448,8 +452,10 @@ class UncertainGraph:
                 if iu < iv:
                     edges.append((iu, iv, p))
         edges.sort()
-        for iu, iv, p in edges:
-            digest.update(f"{iu} {iv} {float(p).hex()}\n".encode("ascii"))
+        for start in range(0, len(edges), _FINGERPRINT_BLOCK):
+            block = edges[start : start + _FINGERPRINT_BLOCK]
+            lines = "".join([f"{iu} {iv} {float(p).hex()}\n" for iu, iv, p in block])
+            digest.update(lines.encode("ascii"))
         return digest.hexdigest()
 
     # ------------------------------------------------------------------ #

@@ -44,8 +44,8 @@ class TestNormalisation:
         assert EnumerationRequest(algorithm=alias, **kwargs).algorithm == canonical
 
     def test_alpha_is_validated_and_coerced(self):
-        request = EnumerationRequest(algorithm="mule", alpha="0.5")
-        assert request.alpha == 0.5
+        request = EnumerationRequest(algorithm="mule", alpha=1)
+        assert request.alpha == 1.0
         assert isinstance(request.alpha, float)
 
     def test_labels(self):
@@ -71,6 +71,13 @@ class TestValidation:
     def test_invalid_alpha(self):
         with pytest.raises(ProbabilityError):
             EnumerationRequest(algorithm="mule", alpha=1.5)
+
+    # ``True`` was taken as 1.0 and ``"0.5"`` as 0.5; the wire codec
+    # refuses both.
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_alpha_rejects_non_real_values(self, value):
+        with pytest.raises(ParameterError, match="alpha must be a real number"):
+            EnumerationRequest(algorithm="mule", alpha=value)
 
     def test_alpha_required_except_top_k(self):
         with pytest.raises(ParameterError):

@@ -119,6 +119,15 @@ class TestRunControls:
         ):
             RunControls(check_every_frames=value)
 
+    # ``True`` would be a 1 s budget, and ``"1"`` failed with a bare
+    # TypeError at the comparison; the wire codec refuses both.
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_rejects_non_real_time_budget(self, value):
+        with pytest.raises(
+            ParameterError, match="time_budget_seconds must be a real number"
+        ):
+            RunControls(time_budget_seconds=value)
+
     def test_unlimited(self):
         assert RunControls().unlimited
         assert not RunControls(max_cliques=5).unlimited

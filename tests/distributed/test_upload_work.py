@@ -1,6 +1,6 @@
 """What shipping a graph to a fleet costs, counted.
 
-A fleet run serialises its graph once, each worker hashes an upload once
+A fleet run packs its graph once, each worker hashes an upload once
 (the first job on the graph reuses that hash), the uploads to the workers
 run at the same time, and a worker that gets no shard gets no graph.
 """
@@ -41,10 +41,12 @@ def counting(monkeypatch, owner, name):
 
 def test_one_encode_per_run(graph, fleet, monkeypatch):
     serial = MiningSession(graph).enumerate(REQUEST)
-    encodes = counting(monkeypatch, codec, "graph_to_wire")
+    encodes = counting(monkeypatch, codec, "graph_columns_to_wire")
+    rows = counting(monkeypatch, codec, "graph_to_wire")
     with DistributedSession(graph, urls_of(fleet(2))) as dist:
         dist.enumerate(REQUEST).assert_matches(serial)
     assert len(encodes) == 1
+    assert rows == []
 
 
 def test_one_fingerprint_per_upload_and_first_job(graph, fleet, monkeypatch):

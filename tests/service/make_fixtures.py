@@ -89,6 +89,18 @@ def column_records() -> list[CliqueRecord]:
     ]
 
 
+def mixed_label_graph() -> UncertainGraph:
+    """Mixed labels, an isolated vertex and a non-terminating binary fraction."""
+    return UncertainGraph(
+        vertices=["isolated"],
+        edges=[
+            (1, 2, 0.9),
+            (2, "gene", 1 / 3),
+            (2.5, "gene", 0.0625),
+        ],
+    )
+
+
 def build_payloads() -> dict[str, dict]:
     graph = fixture_graph()
     session = MiningSession(graph)
@@ -190,21 +202,17 @@ def build_payloads() -> dict[str, dict]:
             ParameterError("algorithm 'top_k' requires k")
         ),
         # ---- schema v2: graphs as values and as references ---- #
-        "graph_mixed_labels": codec.graph_to_wire(
-            UncertainGraph(
-                vertices=["isolated"],
-                edges=[
-                    (1, 2, 0.9),
-                    (2, "gene", 1 / 3),  # non-terminating binary fraction
-                    (2.5, "gene", 0.0625),
-                ],
-            )
-        ),
+        "graph_mixed_labels": codec.graph_to_wire(mixed_label_graph()),
         "graph_upload": codec.upload_to_wire(
             codec.GraphUpload(dataset="ppi", scale=0.05, seed=2015, name="ppi")
         ),
         "graph_upload_literal": codec.upload_to_wire(
             codec.GraphUpload(graph=fixture_graph(), name="triangle")
+        ),
+        # The packed upload the in-repo clients send: the same graph as
+        # graph_mixed_labels, as one graph-columns envelope.
+        "graph_upload_columns": codec.upload_to_wire(
+            codec.GraphUpload(graph=mixed_label_graph(), name="mixed"), columns=True
         ),
         "graph_ref_request": codec.ref_request_to_wire(mule_request, graph="ppi"),
         "graph_ref_sweep": codec.ref_sweep_to_wire(

@@ -32,12 +32,17 @@ FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
 def roundtrip(raw: bytes) -> bytes:
     """Decode fixture bytes to an object and re-encode them canonically.
 
-    An envelope that carried its records as columns is re-encoded with
-    columns.
+    An envelope that carried its records as columns, or an upload that
+    carried its graph as columns, is re-encoded with columns.
     """
     payload = codec.decode(raw)
     kind = payload.get("kind")
     columns = "columns" in payload
+    if kind == "graph-upload":
+        graph = payload.get("graph")
+        packed = isinstance(graph, dict) and graph.get("kind") == "graph-columns"
+        upload = codec.upload_from_wire(payload)
+        return codec.encode(codec.upload_to_wire(upload, columns=packed))
     if kind == "enumeration-outcome":
         outcome = codec.outcome_from_wire(payload)
         return codec.encode(codec.outcome_to_wire(outcome, columns=columns))
@@ -234,6 +239,17 @@ class TestDecodeEquality:
         assert upload.dataset is None
         assert upload.name == "triangle"
 
+    def test_graph_upload_columns(self):
+        """The packed upload holds the graph the ``graph`` fixture holds."""
+        from tests.service.make_fixtures import mixed_label_graph
+
+        upload = codec.from_wire(self.load("graph_upload_columns"))
+        graph = codec.from_wire(self.load("graph_mixed_labels"))
+        assert upload.graph == graph == mixed_label_graph()
+        assert upload.graph.fingerprint() == graph.fingerprint()
+        assert upload.graph.probability(2, "gene") == 1 / 3
+        assert (upload.dataset, upload.name) == (None, "mixed")
+
     def test_graph_ref_request(self):
         ref, request = codec.ref_request_from_wire(self.load("graph_ref_request"))
         assert ref == "ppi"
@@ -382,7 +398,7 @@ def corpus():
 
 
 def test_the_table_describes_every_kind_once():
-    assert len(codec._KINDS) == len(kinds()) == 23
+    assert len(codec._KINDS) == len(kinds()) == 24
     assert set(codec._DECODERS) == set(kinds()) - {
         "sweep-request", "graph-ref-request", "graph-ref-sweep", "job-request"
     }

@@ -62,6 +62,18 @@ def slow_down_compiles(monkeypatch, seconds):
     monkeypatch.setattr(cache_module, "compile_graph", slowed)
 
 
+def join_all(threads, seconds=5.0):
+    """Join ``threads`` within ``seconds`` in all, failing on one still alive.
+
+    The threads are daemons, so a caller a broken drain left waiting fails
+    the test instead of keeping the interpreter alive.
+    """
+    deadline = time.monotonic() + seconds
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not thread.is_alive(), f"{thread.name} is still waiting"
+
+
 @pytest.fixture
 def slow_compile(monkeypatch):
     """Make every real compilation take a visible amount of wall clock.
@@ -361,7 +373,7 @@ class TestShutdownSubmitRace:
             except BaseException as exc:
                 results.append(exc)
 
-        threads = [threading.Thread(target=call) for _ in range(3)]
+        threads = [threading.Thread(target=call, daemon=True) for _ in range(3)]
         for thread in threads:
             thread.start()
         deadline = time.monotonic() + 10.0
@@ -369,8 +381,7 @@ class TestShutdownSubmitRace:
             assert time.monotonic() < deadline, "the jobs never got going"
             time.sleep(0.001)
         scheduler.shutdown(wait=True, drain=True)
-        for thread in threads:
-            thread.join(timeout=10)
+        join_all(threads)
         errors = [r for r in results if isinstance(r, BaseException)]
         assert len(results) == 3 and len(errors) == 2, results
         for error in errors:
@@ -398,7 +409,7 @@ class TestShutdownSubmitRace:
                 results[name] = exc
 
         running = threading.Thread(
-            target=call, args=("run", lambda: scheduler.run(REQUEST))
+            target=call, args=("run", lambda: scheduler.run(REQUEST)), daemon=True
         )
         running.start()
         deadline = time.monotonic() + 10.0
@@ -406,15 +417,14 @@ class TestShutdownSubmitRace:
             assert time.monotonic() < deadline, "the first job never started"
             time.sleep(0.001)
         batch = threading.Thread(
-            target=call, args=("batch", lambda: scheduler.sweep([0.3, 0.5]))
+            target=call, args=("batch", lambda: scheduler.sweep([0.3, 0.5])), daemon=True
         )
         batch.start()
         while len(queued) < 2:
             assert time.monotonic() < deadline, "the batch never queued its base"
             time.sleep(0.001)
         scheduler.shutdown(wait=True, drain=True)
-        for thread in (running, batch):
-            thread.join(timeout=10)
+        join_all([running, batch])
         assert results["run"].num_cliques > 0
         assert isinstance(results["batch"], ServiceError), results
         assert str(results["batch"]) == "server shutdown"
