@@ -13,13 +13,19 @@ counts, which show the same effect independent of machine noise.
 
 ``bench_fig1_kernel_backends`` reruns the same grid once more, MULE only,
 timing the python kernel against the native vector kernel
-(:mod:`repro.core.engine.backends`) on identical compiled graphs.  It
-asserts bit-identical outputs per cell and writes a machine-readable
+(:mod:`repro.core.engine.backends`) on identical compiled graphs.  It also
+times a warm ``MiningSession.enumerate`` on the vector kernel per cell,
+and the part of it spent outside the C walk: the loaded ``mule_step`` is
+wrapped with a timer, and wall time minus the time inside it is the time
+the session spends in Python around the walk, with the GIL held.  It asserts
+bit-identical outputs per cell (the kernels' pairs, and the session's
+columns against the python kernel's pairs) and writes a machine-readable
 summary to ``BENCH_kernel.json`` at the repository root: per-cell wall
 times and speedups, the time-weighted overall speedup, the per-cell
-geometric-mean speedup, dataset scale/seed, and the host core count.  On
-hosts with at least 4 cores, setting ``REPRO_BENCH_ASSERT_KERNEL_SPEEDUP``
-turns the geometric-mean speedup into a hard assertion (bar: 2.0, or
+geometric-mean speedup, the session and GIL-held times with the GIL-held
+share of the grid, dataset scale/seed, and the host core count.  On hosts
+with at least 4 cores, setting ``REPRO_BENCH_ASSERT_KERNEL_SPEEDUP`` turns
+the geometric-mean speedup into a hard assertion (bar: 2.0, or
 ``REPRO_BENCH_KERNEL_SPEEDUP_MIN``) — what the CI kernel-parity job runs.
 """
 
@@ -33,9 +39,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import EnumerationRequest, MiningSession
 from repro.core.dfs_noip import dfs_noip
 from repro.core.engine import compile_graph
-from repro.core.engine.backends import run_vector_search
+from repro.core.engine.backends import native, run_vector_search
 from repro.core.engine.kernel import run_search
 from repro.core.engine.strategies import MuleStrategy
 from repro.core.mule import mule
@@ -136,6 +143,41 @@ def _best_of(kernel_run, reps: int) -> tuple[float, list, SearchStatistics]:
     return best, pairs, statistics
 
 
+def _session_best_of(session, request, reps: int):
+    """Minimum wall time of a warm ``session.enumerate`` over ``reps`` runs.
+
+    Returns that run's wall time, the part of it spent inside the loaded
+    ``mule_step`` (each call timed by a wrapper) and its outcome.
+    """
+    kernel, reason = native._LIBRARY.get()
+    assert kernel is not None, reason
+    step = kernel.step
+    inside = 0.0
+
+    def timed_step(run):
+        nonlocal inside
+        start = time.perf_counter()
+        try:
+            return step(run)
+        finally:
+            inside += time.perf_counter() - start
+
+    session.enumerate(request)  # warm: compile, derive, native form
+    best = (math.inf, 0.0, None)
+    kernel.step = timed_step
+    try:
+        for _ in range(reps):
+            inside = 0.0
+            start = time.perf_counter()
+            outcome = session.enumerate(request)
+            elapsed = time.perf_counter() - start
+            if elapsed < best[0]:
+                best = (elapsed, inside, outcome)
+    finally:
+        kernel.step = step
+    return best
+
+
 def bench_fig1_kernel_backends(
     dataset, run_once, record_rows, bench_scale, bench_seed
 ):
@@ -146,7 +188,8 @@ def bench_fig1_kernel_backends(
     (``REPRO_BENCH_KERNEL_REPS``, default 3) — enumeration is deterministic,
     so the minimum is the least-noisy estimator.  Outputs must be
     bit-identical per cell: emission order, probabilities and all search
-    counters.
+    counters, and the session's columns must hold the python kernel's
+    pairs, labelled.
     """
     reps = int(os.environ.get("REPRO_BENCH_KERNEL_REPS", "3"))
     cells = []
@@ -154,6 +197,7 @@ def bench_fig1_kernel_backends(
     def run_grid():
         for graph_name in FIGURE1_GRAPHS:
             graph = dataset(graph_name)
+            session = MiningSession(graph)
             for alpha in FIGURE1_ALPHAS:
                 compiled = compile_graph(graph, alpha=alpha)
                 py_s, py_pairs, py_stats = _best_of(
@@ -170,6 +214,17 @@ def bench_fig1_kernel_backends(
                 )
                 assert vec_pairs == py_pairs, (graph_name, alpha)
                 assert vec_stats == py_stats, (graph_name, alpha)
+                session_s, step_s, outcome = _session_best_of(
+                    session, EnumerationRequest(alpha=alpha, kernel="vector"), reps
+                )
+                columns = outcome.clique_columns
+                labels = compiled.labels
+                assert columns.vertices == [
+                    labels[index] for indices, _ in py_pairs for index in indices
+                ], (graph_name, alpha)
+                assert columns.sizes == [len(indices) for indices, _ in py_pairs]
+                assert list(columns.probabilities) == [p for _, p in py_pairs]
+                assert outcome.statistics == py_stats, (graph_name, alpha)
                 cells.append(
                     {
                         "graph": graph_name,
@@ -178,6 +233,8 @@ def bench_fig1_kernel_backends(
                         "python_seconds": py_s,
                         "vector_seconds": vec_s,
                         "speedup": py_s / max(vec_s, 1e-12),
+                        "session_seconds": session_s,
+                        "session_gil_seconds": session_s - step_s,
                     }
                 )
 
@@ -185,6 +242,8 @@ def bench_fig1_kernel_backends(
 
     python_total = sum(c["python_seconds"] for c in cells)
     vector_total = sum(c["vector_seconds"] for c in cells)
+    session_total = sum(c["session_seconds"] for c in cells)
+    session_gil_total = sum(c["session_gil_seconds"] for c in cells)
     overall = python_total / max(vector_total, 1e-12)
     geomean = math.exp(
         sum(math.log(c["speedup"]) for c in cells) / len(cells)
@@ -200,13 +259,18 @@ def bench_fig1_kernel_backends(
         "cells": [
             {**c, "python_seconds": round(c["python_seconds"], 6),
              "vector_seconds": round(c["vector_seconds"], 6),
-             "speedup": round(c["speedup"], 3)}
+             "speedup": round(c["speedup"], 3),
+             "session_seconds": round(c["session_seconds"], 6),
+             "session_gil_seconds": round(c["session_gil_seconds"], 6)}
             for c in cells
         ],
         "python_total_seconds": round(python_total, 6),
         "vector_total_seconds": round(vector_total, 6),
         "overall_speedup": round(overall, 3),
         "geomean_speedup": round(geomean, 3),
+        "session_total_seconds": round(session_total, 6),
+        "session_gil_total_seconds": round(session_gil_total, 6),
+        "session_gil_share": round(session_gil_total / max(session_total, 1e-12), 3),
         "parity": True,
     }
     output = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
@@ -214,7 +278,8 @@ def bench_fig1_kernel_backends(
 
     record_rows(
         "Kernel backends",
-        "python vs vector kernel wall time (seconds) per Figure 1 cell",
+        "python vs vector kernel wall time, and the warm vector-kernel session"
+        " with its GIL-held part (seconds), per Figure 1 cell",
         [
             {
                 "graph": c["graph"],
@@ -222,10 +287,12 @@ def bench_fig1_kernel_backends(
                 "python_s": round(c["python_seconds"], 4),
                 "vector_s": round(c["vector_seconds"], 4),
                 "speedup": round(c["speedup"], 2),
+                "session_s": round(c["session_seconds"], 4),
+                "gil_s": round(c["session_gil_seconds"], 4),
             }
             for c in cells
         ],
-        columns=["graph", "alpha", "python_s", "vector_s", "speedup"],
+        columns=["graph", "alpha", "python_s", "vector_s", "speedup", "session_s", "gil_s"],
     )
 
     # The speedup bar only binds where it is meaningful: an explicitly

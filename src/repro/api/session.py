@@ -43,8 +43,9 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import replace
 from time import monotonic
+from typing import Any
 
-from ..core.engine.backends import resolve_kernel, run_kernel_search
+from ..core.engine.backends import resolve_kernel, run_kernel_blocks, run_kernel_search
 from ..core.engine.compiled import CompiledGraph
 from ..core.engine.controls import CancellationToken, RunControls, RunReport
 from ..core.engine.strategies import (
@@ -265,7 +266,17 @@ class MiningSession:
         stats = statistics if statistics is not None else SearchStatistics()
         if self._graph.num_vertices == 0:
             return
-        compiled, found, _ = self._start(request, stats, report, cancel, pruning_report)
+        compiled, strategy = self._start(request, pruning_report)
+        found = run_kernel_search(
+            compiled,
+            request.alpha,
+            strategy,
+            kernel=request.kernel,
+            statistics=stats,
+            controls=request.controls,
+            report=report,
+            cancel=cancel,
+        )
         decode = compiled.decode
         for indices, probability in found:
             yield decode(indices), probability
@@ -286,69 +297,18 @@ class MiningSession:
 
         Each block holds ``page_size`` cliques, the last one fewer (and no
         block is empty); ``page_size=None`` yields one block with every
-        clique, or none.  No :class:`CliqueRecord` or frozenset is built
-        per clique: the kernel's index tuples go into three columns, and
-        their labels are looked up once per block.  ``cancel`` is read
-        before each clique is kept, so a cancelled run stops at the next
-        clique, keeping those before it.
+        clique, or none.  This is the one consumer of
+        :func:`~repro.core.engine.backends.run_kernel_blocks`: each kernel
+        block's labels are looked up in one pass and its columns added in
+        bulk, and pages are sliced from the pending columns, so no Python
+        runs per clique on the native kernel.  ``cancel`` is read before
+        each clique is kept (in C on the native kernel), so a cancelled run
+        stops at the next clique, keeping those before it.
         """
         if self._graph.num_vertices == 0:
             return
-        compiled, found, in_order = self._start(request, statistics, report, cancel)
-        label_of = compiled.labels.__getitem__
-        indices: list[int] = []
-        sizes: list[int] = []
-        probabilities = array("d")
-        add_size = sizes.append
-        add_probability = probabilities.append
-        try:
-            for clique, probability in found:
-                if cancel is not None and cancel.cancelled:
-                    break
-                indices += clique
-                add_size(len(clique))
-                add_probability(probability)
-                if len(sizes) == page_size:
-                    yield CliqueColumns(
-                        list(map(label_of, indices)), sizes, probabilities, in_order
-                    )
-                    indices, sizes, probabilities = [], [], array("d")
-                    add_size = sizes.append
-                    add_probability = probabilities.append
-            else:
-                _observe_engine_run(statistics, report)
-        finally:
-            found.close()
-        if sizes:
-            yield CliqueColumns(list(map(label_of, indices)), sizes, probabilities, in_order)
-
-    def _start(
-        self,
-        request: EnumerationRequest,
-        statistics: SearchStatistics,
-        report: RunReport | None,
-        cancel: CancellationToken | None,
-        pruning_report: PruningReport | None = None,
-    ) -> tuple[CompiledGraph, Iterator[tuple[tuple[int, ...], float]], bool]:
-        """Compile (or fetch) the artifact and start the kernel on it.
-
-        Returns the artifact, the kernel's ``(indices, probability)``
-        stream, and whether each clique's labels come out in
-        ``CliqueRecord.as_tuple()`` order: they do when the vector kernel
-        runs (it adds vertices in ascending index order) on labels that
-        sorted naturally.
-        """
-        compiled = self.compiled(
-            alpha=request.compile_alpha(),
-            size_threshold=request.compile_size_threshold(),
-            pruning_report=pruning_report,
-        )
-        if request.root_shard is not None:
-            compiled = compiled.restrict_roots(
-                _root_shard_mask(compiled, request.root_shard)
-            )
-        strategy = _strategy_for(request)
-        found = run_kernel_search(
+        compiled, strategy = self._start(request)
+        blocks = run_kernel_blocks(
             compiled,
             request.alpha,
             strategy,
@@ -358,10 +318,55 @@ class MiningSession:
             report=report,
             cancel=cancel,
         )
+        # Each clique's labels stand in ``CliqueRecord.as_tuple()`` order
+        # when the vector kernel runs (it adds vertices in ascending index
+        # order) on labels that sorted naturally.
         in_order = compiled.labels_sorted and (
             resolve_kernel(request.kernel, strategy) == "vector"
         )
-        return compiled, found, in_order
+        label_of = compiled.labels.__getitem__
+        vertices: list[Any] = []
+        sizes: list[int] = []
+        probabilities = array("d")
+        try:
+            for block_indices, block_sizes, block_probabilities in blocks:
+                vertices += map(label_of, block_indices)
+                sizes += block_sizes
+                probabilities += block_probabilities
+                if page_size is None or len(sizes) < page_size:
+                    continue
+                start = first = 0
+                while len(sizes) - first >= page_size:
+                    stop = first + page_size
+                    end = start + sum(sizes[first:stop])
+                    yield CliqueColumns(
+                        vertices[start:end],
+                        sizes[first:stop],
+                        probabilities[first:stop],
+                        in_order,
+                    )
+                    start, first = end, stop
+                del vertices[:start], sizes[:first], probabilities[:first]
+            _observe_engine_run(statistics, report)
+        finally:
+            blocks.close()
+        if sizes:
+            yield CliqueColumns(vertices, sizes, probabilities, in_order)
+
+    def _start(
+        self, request: EnumerationRequest, pruning_report: PruningReport | None = None
+    ) -> tuple[CompiledGraph, EnumerationStrategy]:
+        """Compile (or fetch) the artifact a request runs on, and its strategy."""
+        compiled = self.compiled(
+            alpha=request.compile_alpha(),
+            size_threshold=request.compile_size_threshold(),
+            pruning_report=pruning_report,
+        )
+        if request.root_shard is not None:
+            compiled = compiled.restrict_roots(
+                _root_shard_mask(compiled, request.root_shard)
+            )
+        return compiled, _strategy_for(request)
 
     # ------------------------------------------------------------------ #
     # The single entry point

@@ -16,17 +16,27 @@ hot path:
     :class:`LargeCliqueStrategy`) and is bit-identical to the python
     kernel on them: cliques, probabilities, stop reasons and statistics.
 
-Both kernels yield one ``(indices, probability)`` pair per clique:
-``indices`` is a tuple of the clique's vertex indices in the order the
-search added them, never a set of labels.  Callers map indices to labels
-where they need them: :meth:`~repro.api.MiningSession.stream` through
-:meth:`CompiledGraph.decode` per clique, the session's and the job
-pipeline's column blocks (:class:`~repro.core.result.CliqueColumns`) in
-bulk through ``compiled.labels``.  The vector kernel adds vertices in
-ascending index order, so on a graph whose labels sorted naturally
-(``CompiledGraph.labels_sorted``) its cliques come out in
-``CliqueRecord.as_tuple()`` order and a columns encoder need not sort
-them again.
+Each kernel has two front doors here, and both speak vertex indices,
+never sets of labels:
+
+:func:`run_kernel_search`
+    One ``(indices, probability)`` pair per clique, ``indices`` a tuple of
+    the clique's vertex indices in the order the search added them, with
+    the counters at each yield.  :meth:`~repro.api.MiningSession.stream`
+    decodes each one through :meth:`CompiledGraph.decode`.
+:func:`run_kernel_blocks`
+    Column blocks ``(indices, sizes, probabilities)``: many cliques' flat
+    vertex indices, one size and one probability per clique.  The vector
+    kernel hands over each C step's output as one block, with no Python
+    per clique; the python kernel's pairs are grouped into blocks of the
+    same bound.  The session's and the job pipeline's pages
+    (:class:`~repro.core.result.CliqueColumns`) are cut from them, their
+    labels mapped in bulk through ``compiled.labels``.
+
+The vector kernel adds vertices in ascending index order, so on a graph
+whose labels sorted naturally (``CompiledGraph.labels_sorted``) its
+cliques come out in ``CliqueRecord.as_tuple()`` order and a columns
+encoder need not sort them again.
 
 The kernel axis is deliberately independent of the parallel *execution*
 backend (``process``/``inline`` in :mod:`repro.parallel`): one picks how
@@ -45,12 +55,14 @@ kernel); an explicit ``vector`` request that cannot be served is a
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from array import array
+from collections.abc import Generator, Iterator, Sequence
+from typing import TypeAlias
 
 from ....errors import ParameterError
 from ...result import SearchStatistics
 from ..compiled import CompiledGraph
-from ..controls import CancellationToken, RunControls, RunReport
+from ..controls import CancellationToken, RunControls, RunReport, StopReason
 from ..kernel import run_search
 from ..strategies import (
     EnumerationStrategy,
@@ -59,14 +71,21 @@ from ..strategies import (
     TopKStrategy,
 )
 from . import native
-from .native import run_vector_search
+from .native import run_vector_blocks, run_vector_search
 
 __all__ = [
     "KERNELS",
+    "Block",
     "resolve_kernel",
+    "run_kernel_blocks",
     "run_kernel_search",
     "run_vector_search",
 ]
+
+#: One column block of cliques: their flat vertex indices, one size per
+#: clique and one probability per clique.  Each block is new, the
+#: consumer's to keep.
+Block: TypeAlias = "tuple[Sequence[int], Sequence[int], array[float]]"
 
 #: Valid values of every ``kernel`` parameter in the stack (requests,
 #: CLI flags, wire schema v2, scheduler defaults).
@@ -148,3 +167,76 @@ def run_kernel_search(
         report=report,
         cancel=cancel,
     )
+
+
+def run_kernel_blocks(
+    compiled: CompiledGraph,
+    alpha: float,
+    strategy: EnumerationStrategy,
+    *,
+    kernel: str = "auto",
+    statistics: SearchStatistics | None = None,
+    controls: RunControls | None = None,
+    report: RunReport | None = None,
+    cancel: CancellationToken | None = None,
+) -> Generator[Block, None, None]:
+    """Run one enumeration on the resolved kernel; yield its cliques as blocks.
+
+    The column-block front door beside :func:`run_kernel_search`: the same
+    run, the same cliques in the same order, and at the end the same
+    counters and stop reason on either kernel, handed over as
+    :data:`Block` tuples (no block is empty).  The vector kernel yields one
+    block per C step (:func:`~repro.core.engine.backends.native.run_vector_blocks`);
+    the python kernel's pairs are grouped into blocks of at most the C
+    step's clique count.  ``cancel`` is read before each clique is kept,
+    in C on the vector kernel: a cancelled run ends at the next clique with
+    :attr:`StopReason.CANCELLED`, its blocks holding exactly the cliques
+    produced before the cancel and its counters where the kernel stood at
+    that clique.  Mid-run, the counters are set at least once per block.
+    """
+    if resolve_kernel(kernel, strategy) == "vector":
+        return run_vector_blocks(
+            compiled,
+            alpha,
+            strategy,
+            statistics=statistics,
+            controls=controls,
+            report=report,
+            cancel=cancel,
+        )
+    report = report if report is not None else RunReport()
+    found = run_search(
+        compiled,
+        alpha,
+        strategy,
+        statistics=statistics,
+        controls=controls,
+        report=report,
+        cancel=cancel,
+    )
+    return _grouped(found, report, cancel)
+
+
+def _grouped(
+    found: Iterator[tuple[tuple[int, ...], float]],
+    report: RunReport,
+    cancel: CancellationToken | None,
+) -> Generator[Block, None, None]:
+    """The python kernel's pairs as blocks, reading ``cancel.flag`` per clique."""
+    size = native._BATCH_CLIQUES
+    flag = cancel.flag if cancel is not None else None
+    indices: list[int] = []
+    sizes: list[int] = []
+    probabilities = array("d")
+    for clique, probability in found:
+        if flag is not None and flag[0]:
+            report.stop_reason = StopReason.CANCELLED
+            break
+        indices += clique
+        sizes.append(len(clique))
+        probabilities.append(probability)
+        if len(sizes) == size:
+            yield indices, sizes, probabilities
+            indices, sizes, probabilities = [], [], array("d")
+    if sizes:
+        yield indices, sizes, probabilities

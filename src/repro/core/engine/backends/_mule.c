@@ -18,7 +18,10 @@
  *
  * The walk keeps all of its state in one Run, so a step can return at a
  * check point (the caller polls its deadline and cancellation token there)
- * or when the output buffers are full, and the next step resumes it.
+ * or when the output buffers are full, and the next step resumes it.  A
+ * caller may also hand over the address of a one-byte cancel flag, which
+ * another thread may set while a step runs: the walk reads it before it
+ * writes each clique, and ends the walk there once it is set.
  */
 
 #include <stdint.h>
@@ -30,6 +33,7 @@
 #define STEP_CHECK 1 /* a check point: poll the deadline and cancellation */
 #define STEP_BATCH 2 /* the output buffers are full */
 #define STEP_LIMIT 3 /* max_cliques cliques have been emitted */
+#define STEP_CANCEL 4 /* the cancel flag was set before the next clique */
 #define STEP_NOMEM (-1)
 
 /* Where the next step resumes the walk. */
@@ -61,6 +65,7 @@ typedef struct {
     double alpha;
     int large, min_size;
     int64_t check_every, max_cliques; /* max_cliques 0 for no limit */
+    const volatile unsigned char *cancel; /* the caller's flag; NULL for none */
     /* The caller's output buffers, reused by every step. */
     int batch, ind_cap;
     int *out_ind, *out_sizes;
@@ -213,6 +218,13 @@ static void retire(Frame *f, int u)
     f->index++;
 }
 
+/* Whether the caller's cancel flag is set: read before each clique, so a
+ * cancelled walk writes no clique after the cancel. */
+static int cancelled(const Run *r)
+{
+    return r->cancel != NULL && *r->cancel != 0;
+}
+
 /* Write one clique (the first size - 1 members of the path, then last)
  * and the counters it carries into row nout of the output buffers. */
 static void emit(Run *r, int nout, int nlab, int size, int last, double q)
@@ -249,8 +261,9 @@ void mule_free(Run *r)
 Run *mule_new(int n, int maxdeg, const int *offsets, const int *nbrs, const double *probs,
               const unsigned char *bits, int64_t rowbytes, const unsigned char *roots,
               double alpha, int large, int min_size, int64_t check_every, int64_t max_cliques,
-              const int64_t *base, int batch, int ind_cap, int *out_ind, int *out_sizes,
-              double *out_probs, int64_t *out_counters, int64_t *totals, int *info)
+              const int64_t *base, const volatile unsigned char *cancel, int batch, int ind_cap,
+              int *out_ind, int *out_sizes, double *out_probs, int64_t *out_counters,
+              int64_t *totals, int *info)
 {
     Run *r = calloc(1, sizeof(Run));
     if (r == NULL)
@@ -268,6 +281,7 @@ Run *mule_new(int n, int maxdeg, const int *offsets, const int *nbrs, const doub
     r->min_size = min_size;
     r->check_every = check_every;
     r->max_cliques = max_cliques;
+    r->cancel = cancel;
     r->batch = batch;
     r->ind_cap = ind_cap;
     r->out_ind = out_ind;
@@ -383,6 +397,11 @@ int mule_step(Run *r)
                 if (f->nx == 0) {
                     count[MX]++;
                     if (min_size <= 1) {
+                        if (cancelled(r)) {
+                            r->resume = AT_END;
+                            status = STEP_CANCEL;
+                            goto out;
+                        }
                         emit(r, nout, nlab, 1, root, 1.0);
                         nout++;
                         nlab++;
@@ -462,6 +481,11 @@ int mule_step(Run *r)
             if (!exclusion_alive(r, f, u, q)) {
                 count[MX]++;
                 if (d + 2 >= min_size) {
+                    if (cancelled(r)) {
+                        r->resume = AT_END;
+                        status = STEP_CANCEL;
+                        goto out;
+                    }
                     emit(r, nout, nlab, d + 2, u, q);
                     nout++;
                     nlab += d + 2;

@@ -3,9 +3,10 @@
 :func:`run_vector_search` is a drop-in replacement for
 :func:`repro.core.engine.kernel.run_search` for the MULE strategy family
 (:class:`MuleStrategy`, :class:`TopKStrategy`,
-:class:`LargeCliqueStrategy`).  The walk itself is ``_mule.c``, next to this
-module: one depth-first loop that inlines the strategy hooks, with the TopK
-size floor and the LARGE-MULE size bound as modes.
+:class:`LargeCliqueStrategy`), and :func:`run_vector_blocks` hands the
+same run over as column blocks.  The walk itself is ``_mule.c``, next to
+this module: one depth-first loop that inlines the strategy hooks, with the
+TopK size floor and the LARGE-MULE size bound as modes.
 
 Build
     The first kernel resolution (never ``import repro``) compiles
@@ -20,20 +21,37 @@ Build
     decided once per process; :func:`unavailable_reason` says why not.
 Drive
     Each run is one heap-allocated walk in C, advanced one step at a time
-    with the GIL released.  A step returns at every check point (each
-    ``check_every_frames`` steps of the walk, limits or not, so ``close()``,
-    Ctrl-C and cancellation stay responsive) and when its output buffers
-    are full.  With each clique, C writes the cumulative counters at its
-    emission, and the generator sets :class:`SearchStatistics` and
-    :class:`RunReport` from them before the yield, so streaming observers
-    see exactly what the python kernel shows at the same point.  The
-    deadline and the cancellation token are polled here, at the check
-    points, in the python kernel's order; C reads no clock.
+    with the GIL released by one stepping loop.  A step returns at every
+    check point (each ``check_every_frames`` steps of the walk, limits or
+    not, so ``close()``, Ctrl-C and cancellation stay responsive) and when
+    its output buffers are full.  The deadline and the cancellation token
+    are polled here, at the check points, in the python kernel's order; C
+    reads no clock.
+Steps and blocks
+    The unit of transfer is a step's output: :func:`run_vector_blocks`
+    copies each step's flat vertex indices, sizes and probabilities out of
+    the buffers in bulk, as one block of three arrays, and sets
+    :class:`SearchStatistics` and :class:`RunReport` once per step from
+    the walk's totals.  :func:`run_vector_search` is a per-clique view over
+    the same steps: with each clique C also writes the cumulative counters
+    at its emission, and the view sets the counters from that row before
+    the yield, so streaming observers see exactly what the python kernel
+    shows at the same point.
+The cancel flag
+    The block path hands the walk the address of the token's one-byte
+    ``flag``.  The walk reads it before it writes each clique and, once it
+    is set, ends with its own status, the counters standing where the
+    python kernel's stand when it yields that clique; the run stops
+    ``cancelled`` with exactly the cliques written before.  The per-clique
+    view passes no flag, so its cancellation stays at the check points,
+    as the python kernel's does.
 
 Parity is the contract: emitted cliques (their index tuples included, in
 ascending order), probabilities, stop reasons and every statistics counter
-are bit-identical to the python kernel at every yield point
-(``tests/property/test_property_kernel_parity.py`` enforces it).
+are bit-identical to the python kernel at every yield point of the
+per-clique view (``tests/property/test_property_kernel_parity.py``
+enforces it) and at the end of a block run
+(``tests/property/test_property_page_path.py``).
 
 :class:`NoIncrementalStrategy` is intentionally not implemented: DFS-NOIP
 is the paper's *baseline*, defined by its from-scratch recomputation, and
@@ -51,9 +69,10 @@ import subprocess
 import tempfile
 import threading
 from array import array
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from pathlib import Path
 from time import perf_counter
+from typing import TypeAlias
 
 from ....errors import ParameterError
 from ...result import SearchStatistics
@@ -66,7 +85,14 @@ from ..strategies import (
     TopKStrategy,
 )
 
-__all__ = ["FLAGS", "SOURCE", "available", "run_vector_search", "unavailable_reason"]
+__all__ = [
+    "FLAGS",
+    "SOURCE",
+    "available",
+    "run_vector_blocks",
+    "run_vector_search",
+    "unavailable_reason",
+]
 
 #: The kernel's C source, shipped as package data.
 SOURCE = Path(__file__).with_name("_mule.c")
@@ -79,7 +105,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_SECONDS = 300.0
 
 # mule_step's return codes (see _mule.c).
-_DONE, _CHECK, _BATCH, _LIMIT = 0, 1, 2, 3
+_DONE, _CHECK, _BATCH, _LIMIT, _CANCEL = 0, 1, 2, 3, 4
 
 #: Cliques, and labels beyond one clique, per step's output.
 _BATCH_CLIQUES = 256
@@ -92,6 +118,11 @@ _INT64_CAP = 2**62
 _P = ctypes.c_void_p
 _I = ctypes.c_int
 _I64 = ctypes.c_int64
+
+# A block (flat indices, sizes, probabilities), and a step: a block and
+# the walk's counter columns.
+_Block: TypeAlias = "tuple[array[int], array[int], array[float]]"
+_Step: TypeAlias = "tuple[array[int], array[int], array[float], array[int]]"
 
 
 class _Unavailable(Exception):
@@ -178,7 +209,7 @@ class _Kernel:
         self.new.restype = _P
         self.new.argtypes = [
             _I, _I, _P, _P, _P, _P, _I64, _P,  # graph
-            ctypes.c_double, _I, _I, _I64, _I64, _P,  # run
+            ctypes.c_double, _I, _I, _I64, _I64, _P, _P,  # run
             _I, _I, _P, _P, _P, _P, _P, _P,  # output
         ]
         self.step = library.mule_step
@@ -308,10 +339,61 @@ def run_vector_search(
     *exact* strategy type: a user subclass may override hooks the walk
     never calls, so this function refuses it and :func:`resolve_kernel`'s
     ``auto`` mode routes it to the python kernel instead.
+
+    The pairs are a view over the steps :func:`run_vector_blocks` hands
+    over as blocks: before each yield the counters are set from the row C
+    wrote with that clique, so a streaming observer sees what the python
+    kernel shows at the same point.  ``cancel`` is polled at the check
+    points only, as the python kernel polls it.
     """
     statistics = statistics if statistics is not None else SearchStatistics()
     report = report if report is not None else RunReport()
-    controls = controls if controls is not None else _UNLIMITED
+    steps = _start(compiled, alpha, strategy, statistics, controls, report, cancel, None)
+    return _cliques(steps, statistics, report)
+
+
+def run_vector_blocks(
+    compiled: CompiledGraph,
+    alpha: float,
+    strategy: EnumerationStrategy,
+    *,
+    statistics: SearchStatistics | None = None,
+    controls: RunControls | None = None,
+    report: RunReport | None = None,
+    cancel: CancellationToken | None = None,
+) -> Generator[_Block, None, None]:
+    """Run one enumeration on the vector kernel; yield one block per C step.
+
+    A block is ``(indices, sizes, probabilities)``: the step's cliques as
+    their flat vertex indices, one size and one probability per clique,
+    each a new array the caller may keep.  No block is empty.  The counters
+    are set once per step, from the walk's totals, before its block is
+    yielded, and stand bit-identical to the python kernel's when the run
+    ends.  The walk reads ``cancel.flag`` before it writes each clique:
+    once the flag is set the run ends there, with
+    :attr:`StopReason.CANCELLED` and the counters the python kernel shows
+    at that clique, so the blocks hold exactly the cliques produced before
+    the cancel.  Unsupported strategies raise as :func:`run_vector_search`
+    does.
+    """
+    statistics = statistics if statistics is not None else SearchStatistics()
+    report = report if report is not None else RunReport()
+    flag = cancel.flag if cancel is not None else None
+    steps = _start(compiled, alpha, strategy, statistics, controls, report, cancel, flag)
+    return _blocks(steps)
+
+
+def _start(
+    compiled: CompiledGraph,
+    alpha: float,
+    strategy: EnumerationStrategy,
+    statistics: SearchStatistics,
+    controls: RunControls | None,
+    report: RunReport,
+    cancel: CancellationToken | None,
+    flag: "array[int] | None",
+) -> Generator[_Step, None, None]:
+    """Check the strategy and the kernel, bind, and return the walk's steps."""
     if type(strategy) is MuleStrategy:
         large, min_size = False, 0
     elif type(strategy) is TopKStrategy:
@@ -328,12 +410,76 @@ def run_vector_search(
     if kernel is None:
         raise ParameterError(f"the vector kernel is unavailable: {reason}")
     strategy.bind(compiled, alpha, statistics)
-    return _drive(
-        kernel, compiled, alpha, large, min_size, statistics, controls, report, cancel
+    return _steps(
+        kernel, compiled, alpha, large, min_size, statistics,
+        controls if controls is not None else _UNLIMITED, report, cancel, flag,
     )
 
 
-def _drive(
+def _cliques(
+    steps: Generator[_Step, None, None],
+    statistics: SearchStatistics,
+    report: RunReport,
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """The walk's cliques one at a time, each with the counters of its row."""
+    emitted = 0
+    try:
+        for indices, sizes, probabilities, counters in steps:
+            labels = tuple(indices)
+            count = len(sizes)
+            batch = len(counters) // 6
+            start = 0
+            for size, probability, rc, ce, pm, mx, pb, frames in zip(
+                sizes,
+                probabilities,
+                counters[:count],
+                counters[batch : batch + count],
+                counters[2 * batch : 2 * batch + count],
+                counters[3 * batch : 3 * batch + count],
+                counters[4 * batch : 4 * batch + count],
+                counters[5 * batch : 5 * batch + count],
+            ):
+                statistics.recursive_calls = rc
+                statistics.candidates_examined = ce
+                statistics.probability_multiplications = pm
+                statistics.maximality_checks = mx
+                statistics.pruned_branches = pb
+                report.frames_expanded = frames
+                report.cliques_emitted = emitted
+                end = start + size
+                yield labels[start:end], probability
+                emitted += 1
+                start = end
+    finally:
+        steps.close()
+
+
+def _blocks(
+    steps: Generator[_Step, None, None],
+) -> Generator[_Block, None, None]:
+    """The walk's cliques one step at a time."""
+    try:
+        for indices, sizes, probabilities, _ in steps:
+            yield indices, sizes, probabilities
+    finally:
+        steps.close()
+
+
+def _set_counters(
+    statistics: SearchStatistics, report: RunReport, totals: array[int]
+) -> None:
+    (
+        statistics.recursive_calls,
+        statistics.candidates_examined,
+        statistics.probability_multiplications,
+        statistics.maximality_checks,
+        statistics.pruned_branches,
+        report.frames_expanded,
+        report.cliques_emitted,
+    ) = totals
+
+
+def _steps(
     kernel: _Kernel,
     compiled: CompiledGraph,
     alpha: float,
@@ -343,8 +489,19 @@ def _drive(
     controls: RunControls,
     report: RunReport,
     cancel: CancellationToken | None,
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Step one C walk and yield its cliques; ``min_size`` is the size floor."""
+    flag: "array[int] | None",
+) -> Generator[_Step, None, None]:
+    """Step one C walk: the native kernel's one driver.
+
+    Yields ``(indices, sizes, probabilities, counters)`` for each step that
+    wrote cliques: the first three are copies, the caller's to keep;
+    ``counters`` is the live buffer of six columns (``rc``, ``ce``, ``pm``,
+    ``mx``, ``pb``, ``frames``) of ``len(counters) // 6`` rows, one row per
+    clique, read before the next step.  The counters are set from the
+    walk's totals after each step and when the walk ends.  ``min_size`` is
+    the size floor; ``flag``, when given, is read by the walk before each
+    clique.
+    """
     report.stop_reason = StopReason.COMPLETED
     report.cliques_emitted = 0
     report.frames_expanded = 0
@@ -363,19 +520,22 @@ def _drive(
     if compiled.root_mask != compiled.all_mask:
         roots = array("B", compiled.root_mask.to_bytes(graph.rowbytes, "little"))
     batch = _BATCH_CLIQUES
-    out_ind = (_I * (_BATCH_LABELS + graph.maxdeg + 1))()
-    out_sizes = (_I * batch)()
-    out_probs = (ctypes.c_double * batch)()
+    out_ind = array("i", [0]) * (_BATCH_LABELS + graph.maxdeg + 1)
+    out_sizes = array("i", [0]) * batch
+    out_probs = array("d", [0.0]) * batch
     # Six counter columns (rc, ce, pm, mx, pb, frames), one row per clique.
-    out_counters = (_I64 * (6 * batch))()
-    totals = (_I64 * 7)()
-    info = (_I * 2)()
-    base = (_I64 * 5)(
-        statistics.recursive_calls,
-        statistics.candidates_examined,
-        statistics.probability_multiplications,
-        statistics.maximality_checks,
-        statistics.pruned_branches,
+    out_counters = array("q", [0]) * (6 * batch)
+    totals = array("q", [0]) * 7
+    info = array("i", [0, 0])
+    base = array(
+        "q",
+        [
+            statistics.recursive_calls,
+            statistics.candidates_examined,
+            statistics.probability_multiplications,
+            statistics.maximality_checks,
+            statistics.pruned_branches,
+        ],
     )
     run = kernel.new(
         n, graph.maxdeg, _address(graph.offsets), _address(graph.nbrs),
@@ -385,45 +545,24 @@ def _drive(
         # members, and no run reaches 2**62 steps or cliques.
         alpha, large, min(min_size, n + 1),
         min(controls.check_every_frames, _INT64_CAP),
-        min(controls.max_cliques or 0, _INT64_CAP), ctypes.addressof(base),
-        batch, len(out_ind), ctypes.addressof(out_ind), ctypes.addressof(out_sizes),
-        ctypes.addressof(out_probs), ctypes.addressof(out_counters),
-        ctypes.addressof(totals), ctypes.addressof(info),
+        min(controls.max_cliques or 0, _INT64_CAP), _address(base),
+        None if flag is None else _address(flag),
+        batch, len(out_ind), _address(out_ind), _address(out_sizes),
+        _address(out_probs), _address(out_counters), _address(totals),
+        _address(info),
     )
     if not run:
         raise MemoryError("the vector kernel could not allocate its walk")
     step = kernel.step
-    emitted = 0
     try:
         while True:
             status = step(run)
             if status < 0:
                 raise MemoryError("the vector kernel could not allocate its walk")
+            _set_counters(statistics, report, totals)
             count = info[0]
             if count:
-                labels = tuple(out_ind[: info[1]])
-                start = 0
-                for size, probability, rc, ce, pm, mx, pb, frames in zip(
-                    out_sizes[:count],
-                    out_probs[:count],
-                    out_counters[:count],
-                    out_counters[batch : batch + count],
-                    out_counters[2 * batch : 2 * batch + count],
-                    out_counters[3 * batch : 3 * batch + count],
-                    out_counters[4 * batch : 4 * batch + count],
-                    out_counters[5 * batch : 5 * batch + count],
-                ):
-                    statistics.recursive_calls = rc
-                    statistics.candidates_examined = ce
-                    statistics.probability_multiplications = pm
-                    statistics.maximality_checks = mx
-                    statistics.pruned_branches = pb
-                    report.frames_expanded = frames
-                    report.cliques_emitted = emitted
-                    end = start + size
-                    yield labels[start:end], probability
-                    emitted += 1
-                    start = end
+                yield out_ind[: info[1]], out_sizes[:count], out_probs[:count], out_counters
             if status == _CHECK:
                 if not check_limits:
                     continue
@@ -438,16 +577,11 @@ def _drive(
             elif status == _LIMIT:
                 report.stop_reason = StopReason.MAX_CLIQUES
                 break
+            elif status == _CANCEL:
+                report.stop_reason = StopReason.CANCELLED
+                break
             elif status == _DONE:
                 break
-        (
-            statistics.recursive_calls,
-            statistics.candidates_examined,
-            statistics.probability_multiplications,
-            statistics.maximality_checks,
-            statistics.pruned_branches,
-            report.frames_expanded,
-            report.cliques_emitted,
-        ) = totals
+        _set_counters(statistics, report, totals)
     finally:
         kernel.free(run)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import threading
+from array import array
 from dataclasses import dataclass
 
 from ...errors import ParameterError
@@ -46,16 +47,22 @@ class CancellationToken:
     the emitted records remain a depth-first prefix of the full
     enumeration, exactly like a ``max_cliques`` truncation.
 
-    ``cancel()`` may be called from any thread and is idempotent.
+    ``cancel()`` may be called from any thread and is idempotent.  It sets
+    a one-byte flag, ``flag`` (an ``array('B')`` of length one), before its
+    event, so a reader that polls the flag instead — the column-block path
+    reads it before each clique, in C on the native kernel — sees a cancel
+    no later than :attr:`cancelled` does.
     """
 
-    __slots__ = ("_event",)
+    __slots__ = ("_event", "flag")
 
     def __init__(self) -> None:
         self._event = threading.Event()
+        self.flag = array("B", [0])
 
     def cancel(self) -> None:
         """Request cancellation (thread-safe, idempotent)."""
+        self.flag[0] = 1
         self._event.set()
 
     @property

@@ -9,13 +9,14 @@ runs as a :class:`Job`:
   guarantees the job ends ``cancelled``, returning ``False`` guarantees the
   already-reached terminal state is untouched, so a cancel racing
   completion always settles deterministically);
-* a **bounded page buffer with backpressure** — the producer thread fills
+* a **bounded page buffer with backpressure** — the producer thread cuts
   fixed-size pages, each one :class:`~repro.core.result.CliqueColumns`
-  block, outside the job's lock, hands each over under the lock, and
-  blocks once ``max_pending_pages`` pages are waiting, so a slow streaming
-  consumer pauses the kernel instead of letting the server buffer an
-  unbounded outcome.  Synchronous jobs use an unbounded buffer (their
-  consumer is ``wait()``, which needs every page).  No
+  block, from the kernel's column blocks outside the job's lock, hands
+  each over under the lock, and blocks once ``max_pending_pages`` pages
+  are waiting, so a slow streaming consumer pauses the kernel instead of
+  letting the server buffer an unbounded outcome.  Synchronous jobs use
+  an unbounded buffer (their consumer is ``wait()``, which needs every
+  page).  No
   :class:`~repro.core.result.CliqueRecord` is built on the server unless
   a reader asks for rows, so the finished jobs a registry retains keep
   columns, not one object per clique;
@@ -25,10 +26,11 @@ runs as a :class:`Job`:
   non-decreasing without any extra synchronisation in the hot loop;
 * **cooperative cancellation** — the job owns a
   :class:`~repro.core.engine.controls.CancellationToken` checked by the
-  kernel on the run-controls cadence, by the producer before each clique
-  it keeps and by a producer blocked on a full buffer, so cancelling takes
-  effect at the next clique, a backpressure-blocked producer wakes
-  immediately, and the truncation is at a deterministic record count
+  kernel on the run-controls cadence, before each clique is kept (by the
+  C walk itself on the native kernel, through the token's one-byte flag)
+  and by a producer blocked on a full buffer, so cancelling takes effect
+  at the next clique, a backpressure-blocked producer wakes immediately,
+  and the truncation is at a deterministic record count
   (``acked + max_pending_pages`` pages, for page_size-1 buffers).
 
 :class:`JobRegistry` owns the id space, the retention policy and every
@@ -287,8 +289,8 @@ class Job:
     def _hand_over(self, page: CliqueColumns) -> None:
         """Buffer one filled page, honouring backpressure.
 
-        The producer fills each page outside the lock (reading the token
-        before each clique it keeps) and hands it over here, under the
+        The producer fills each page outside the lock (the token is read
+        before each clique is kept) and hands it over here, under the
         lock once per page.  Raises :class:`JobCancelled` when the token
         is cancelled while the buffer is full — at once, or while blocked
         on it — and :class:`~repro.errors.ServiceError` when the server
@@ -321,9 +323,10 @@ class Job:
         with self._cond:
             if self._started_at is not None:
                 self._elapsed = perf_counter() - self._started_at
-            # Reconcile the counter lag of an abandoned generator: kernels
-            # increment ``cliques_emitted`` when resumed *after* a yield,
-            # so abandoning at a yield leaves the report one short.
+            # Reconcile the count of an abandoned run with what was kept:
+            # the native kernel counts a whole step's cliques before they
+            # are paged, and the python kernel counts each clique only when
+            # resumed *after* its yield.
             self.report.cliques_emitted = self._records_total
             if self._token.cancelled:
                 self.report.stop_reason = StopReason.CANCELLED

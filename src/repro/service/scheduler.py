@@ -312,10 +312,11 @@ class EnumerationScheduler:
     def _execute(self, session: MiningSession, job: Job) -> None:
         """Drive one running job to a terminal state.
 
-        Streamable requests (serial, unranked) fill the job's pages as
-        column blocks straight from the kernel, with the job's token
-        checked in the kernel (run-controls cadence), before each clique
-        is kept and while a producer is blocked on a full buffer.
+        Streamable requests (serial, unranked) fill the job's pages from
+        the kernel's column blocks (:meth:`MiningSession._pages`), with
+        the job's token checked in the kernel (run-controls cadence),
+        before each clique is kept (in C on the native kernel) and while
+        a producer is blocked on a full buffer.
         Ranked/parallel requests materialise through
         :meth:`MiningSession.enumerate` and adopt the outcome whole.
         """

@@ -236,35 +236,37 @@ class TestCancellation:
     def test_cancel_mid_page_stops_the_producer_at_the_next_clique(
         self, monkeypatch, kernel
     ):
-        # The producer fills a page outside the job's lock, but it still
-        # reads the token before each clique it keeps: a cancel that lands
-        # mid-page keeps the cliques before it, refuses the next one and
-        # asks the kernel for no other.
+        # The producer fills a page outside the job's lock, but the token
+        # is still read before each clique is kept (in C on the native
+        # kernel): a cancel that lands mid-page keeps the cliques before it
+        # and the kernel produces no other.
         import repro.api.session as session_module
+        from repro.core.engine.backends import native
 
         graph = UncertainGraph(edges=[(2 * i, 2 * i + 1, 0.9) for i in range(15)])
         request = EnumerationRequest(algorithm="mule", alpha=0.5, kernel=kernel)
         kept = 5
         expected = MiningSession(graph).enumerate(request).records[:kept]
         drawn = []
-        search = session_module.run_kernel_search
+        blocks = session_module.run_kernel_blocks
+        # One clique per kernel block, so the cancel lands between cliques.
+        monkeypatch.setattr(native, "_BATCH_CLIQUES", 1)
 
         def cancel_after_kept(*args, **kwargs):
-            for index, item in enumerate(search(*args, **kwargs)):
-                if index == kept:
-                    # Cancel only after the kernel has produced the next
-                    # clique, so its own cadence check cannot stop it first.
+            for block in blocks(*args, **kwargs):
+                drawn.extend(block[1])
+                if len(drawn) == kept:
                     kwargs["cancel"].cancel()
-                drawn.append(item)
-                yield item
+                yield block
 
-        monkeypatch.setattr(session_module, "run_kernel_search", cancel_after_kept)
+        monkeypatch.setattr(session_module, "run_kernel_blocks", cancel_after_kept)
         with EnumerationScheduler(graph) as scheduler:
             job = scheduler.submit_job(request, page_size=1000)
             outcome = job.wait(timeout=DEADLINE)
         assert job.state == JobState.CANCELLED
         assert outcome.stop_reason == StopReason.CANCELLED
-        assert len(drawn) == kept + 1
+        # The kernel stops before the next clique: it hands over no other.
+        assert len(drawn) == kept
         assert job.records_total == outcome.num_cliques == kept
         assert outcome.report.cliques_emitted == kept
         assert [(r.vertices, r.probability) for r in outcome.records] == [
