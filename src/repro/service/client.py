@@ -1,10 +1,10 @@
 """The remote clients — drop-in mirrors of the local session API.
 
 :class:`RemoteStore` mirrors :class:`~repro.api.store.GraphStore` over the
-wire (nothing beyond ``urllib``): register graphs or server-built dataset
-analogs, list/get/remove them, and open a :class:`RemoteSession` on any of
-them by name or fingerprint.  Local and remote code become
-interchangeable::
+wire (nothing beyond the stdlib's ``http.client``): register graphs or
+server-built dataset analogs, list/get/remove them, and open a
+:class:`RemoteSession` on any of them by name or fingerprint.  Local and
+remote code become interchangeable::
 
     store = GraphStore();  store.add_dataset("ppi", scale=0.05)   # local
     store = connect("http://host:8765")                           # remote
@@ -35,6 +35,17 @@ records as the server produces them with :meth:`RemoteJob.iter_results`
 reconnection), or block with :meth:`RemoteJob.wait` — whose reassembled
 outcome is bit-identical to a local run of the same request.
 
+Connections: every client in the process draws on one pool of kept-alive
+HTTP/1.1 connections, keyed by the server's scheme, host and port, so
+sessions, stores, jobs and the fleet coordinator reuse sockets with no
+code of their own.  A connection carries one request at a time.  It goes
+back to the pool only once its response was read to the end, so an error
+response or a result stream abandoned mid-way closes it; one the server
+has closed is dropped before reuse; and no request is ever sent twice.  A
+forked child closes the idle sockets it inherited and opens its own.  The
+clients connect directly: unlike ``urllib``, they read no
+``http_proxy``-style environment variable.
+
 Error behaviour: application-level failures re-raise the server-side
 exception type (``except ParameterError`` works unchanged, as does
 ``except GraphNotFoundError`` for dangling references); transport and
@@ -44,10 +55,12 @@ protocol failures raise :class:`~repro.errors.ServiceError`.
 from __future__ import annotations
 
 import http.client
+import os
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Iterator, Sequence
+from urllib.parse import urlsplit
 
 from ..api.cache import CacheInfo
 from ..api.outcome import EnumerationOutcome
@@ -87,19 +100,165 @@ _RECONNECT_BACKOFF_SECONDS = 0.05
 #: Upper bound on the reconnect delay.
 _RECONNECT_BACKOFF_CAP_SECONDS = 2.0
 
+#: The connection class of each base URL scheme the clients speak.
+_CONNECTION_CLASSES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+
+#: A server's origin: the scheme, host and port of its base URL.
+_Origin = tuple[str, str, int]
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+class _ConnectionPool:
+    """Idle kept-alive connections, shared by every client in the process.
+
+    Client objects are cheap and short-lived (the fleet coordinator makes
+    one per upload and one per submit), so the pool lives outside them,
+    keyed by origin (scheme, host and port).  A connection carries one
+    request at a time and comes back only after its response was read to
+    the end.  An idle connection has nothing to read, so one whose socket
+    polls readable was closed by the server (its idle timeout, or a server
+    shut down) and is dropped before use.  Each new connection first sweeps
+    such connections from every origin, so a process that outlives many
+    servers keeps no socket of theirs.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[_Origin, list[http.client.HTTPConnection]] = {}
+
+    def connection(
+        self, origin: _Origin, timeout: float
+    ) -> http.client.HTTPConnection:
+        """An idle open connection to ``origin``, else a new unconnected one.
+
+        Its socket operations time out after ``timeout`` seconds either way.
+        """
+        with self._lock:
+            idle = self._idle.get(origin, [])
+            while idle:
+                connection = idle.pop()
+                if _is_open(connection):
+                    connection.sock.settimeout(timeout)
+                    return connection
+                connection.close()
+            self._sweep_locked()
+        scheme, host, port = origin
+        return _CONNECTION_CLASSES[scheme](host, port, timeout=timeout)
+
+    def release(
+        self, origin: _Origin, connection: http.client.HTTPConnection
+    ) -> None:
+        """Keep ``connection``, whose last response was read to its end.
+
+        One the server ended (``Connection: close``) has no socket left.
+        """
+        if connection.sock is None:
+            return
+        with self._lock:
+            self._idle.setdefault(origin, []).append(connection)
+
+    def _sweep_locked(self) -> None:
+        """Close and forget every idle connection the server has ended."""
+        for origin, idle in list(self._idle.items()):
+            kept = []
+            for connection in idle:
+                if _is_open(connection):
+                    kept.append(connection)
+                else:
+                    connection.close()
+            if kept:
+                self._idle[origin] = kept
+            else:
+                del self._idle[origin]
+
+    def _after_fork(self) -> None:
+        """In a forked child, close the inherited idle sockets.
+
+        ``close()`` drops only the child's copy of each descriptor, where a
+        ``shutdown()`` would end the parent's connection too; the child
+        then opens its own.  The lock is new: another thread of the parent
+        may have held the old one at the fork.
+        """
+        self._lock = threading.Lock()
+        with self._lock:
+            for idle in self._idle.values():
+                for connection in idle:
+                    connection.close()
+            self._idle = {}
+
+
+def _is_open(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection's socket polls neither readable nor hung up."""
+    poller = select.poll()
+    poller.register(connection.sock, select.POLLIN)
+    return not poller.poll(0)
+
+
+#: The one connection pool of this process.
+_POOL = _ConnectionPool()
+os.register_at_fork(after_in_child=_POOL._after_fork)
+
+
+class _LineStream:
+    """A streamed response: iterate it for its lines, ``close()`` it after.
+
+    Its connection goes back to the pool once the response was read to its
+    end; a stream closed before that closes the connection.
+    """
+
+    def __init__(
+        self,
+        origin: _Origin,
+        connection: http.client.HTTPConnection,
+        response: http.client.HTTPResponse,
+    ) -> None:
+        self._origin = origin
+        self._connection: http.client.HTTPConnection | None = connection
+        self._response = response
+
+    def __iter__(self) -> Iterator[bytes]:
+        yield from self._response
+        connection, self._connection = self._connection, None
+        _POOL.release(self._origin, connection)
+
+    def close(self) -> None:
+        if self._connection is not None:
+            self._response.close()
+            self._connection.close()
+            self._connection = None
+
 
 class _HttpClient:
-    """Shared urllib transport, and the control-plane calls every client has.
+    """Shared HTTP/1.1 transport, and the control-plane calls every client has.
 
-    Every request goes through :meth:`_urlopen`, the one place that maps
-    urllib failures.  Every verb accepts a per-call ``timeout`` override;
-    ``None`` (the default) falls back to the client-wide timeout the
-    constructor set.
+    Every request goes through :meth:`_send`, the one place that maps
+    transport failures.  Every verb accepts a per-call ``timeout``
+    override; ``None`` (the default) falls back to the client-wide timeout
+    the constructor set.
     """
 
     def __init__(self, base_url: str, timeout: float) -> None:
         self._base_url = base_url.rstrip("/")
         self._timeout = timeout
+        split = urlsplit(self._base_url)
+        try:
+            port = split.port
+        except ValueError as exc:  # a port that is no number in range
+            raise ServiceError(f"invalid base URL {base_url!r}: {exc}") from exc
+        connection_class = _CONNECTION_CLASSES.get(split.scheme)
+        if connection_class is None or not split.hostname:
+            raise ServiceError(
+                f"invalid base URL {base_url!r}: expected http://host[:port] "
+                f"or https://host[:port]"
+            )
+        self._origin: _Origin = (
+            split.scheme, split.hostname, port or connection_class.default_port
+        )
+        self._path = split.path
 
     @property
     def base_url(self) -> str:
@@ -130,26 +289,26 @@ class _HttpClient:
         body: bytes | None = None,
         timeout: float | None = None,
     ) -> dict:
-        raw = self._urlopen(method, path, body=body, timeout=timeout)
+        raw = self._send(method, path, body=body, timeout=timeout)
         try:
             return codec.decode(raw)
         except FormatError as exc:
             raise ServiceError(f"malformed server response: {exc}") from exc
 
     def _open_stream(self, path: str, *, timeout: float | None = None):
-        """Open a streaming GET and return the live response object.
+        """Open a streaming GET and return its lines as a closable iterable.
 
-        The caller owns the response (and must close it); urllib decodes
-        the chunked transfer encoding transparently, so iterating the
-        response yields NDJSON lines as the server flushes them.
+        The caller owns the stream and must close it.  http.client decodes
+        the chunked transfer encoding, so iterating the stream yields NDJSON
+        lines as the server flushes them.
         """
-        return self._urlopen("GET", path, timeout=timeout, stream=True)
+        return self._send("GET", path, timeout=timeout, stream=True)
 
     def _get_text(self, path: str, *, timeout: float | None = None) -> str:
         """GET a plain-text resource (the Prometheus exposition format)."""
-        return self._urlopen("GET", path, timeout=timeout).decode("utf-8")
+        return self._send("GET", path, timeout=timeout).decode("utf-8")
 
-    def _urlopen(
+    def _send(
         self,
         method: str,
         path: str,
@@ -158,32 +317,45 @@ class _HttpClient:
         timeout: float | None = None,
         stream: bool = False,
     ):
-        """Send one request; return its body, or the open response if ``stream``.
+        """Send one request; return its body, or a :class:`_LineStream`.
 
-        An HTTP error re-raises the exception the server sent; a transport
-        failure, while connecting or while reading the body, raises
-        :class:`~repro.errors.ServiceError`.
+        The request runs on a pooled connection to the server when an open
+        one is idle, else on a new one, and is never sent twice: a failure
+        after it may have reached the server raises, even for a request
+        that would be safe to repeat.  An HTTP error re-raises the
+        exception the server sent; a transport failure, while connecting
+        or while reading the body, raises
+        :class:`~repro.errors.ServiceError`.  The connection goes back to
+        the pool once a successful response was read to its end; an error
+        closes it.
         """
-        headers = {} if body is None else {"Content-Type": "application/json"}
-        request = urllib.request.Request(
-            self._base_url + path, data=body, headers=headers, method=method
-        )
         if timeout is None:
             timeout = self._timeout
+        connection = _POOL.connection(self._origin, timeout)
         try:
-            response = urllib.request.urlopen(request, timeout=timeout)
+            if connection.sock is None:
+                try:
+                    connection.connect()
+                except OSError as exc:
+                    raise ServiceError(
+                        f"cannot reach {self._base_url}: {exc}"
+                    ) from exc
+            headers = _JSON_HEADERS if body is not None else {}
+            connection.request(method, self._path + path, body=body, headers=headers)
+            response = connection.getresponse()
+            if response.status >= 400:
+                raise self._error_from_response(response)
             if stream:
-                return response
-            with response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            raise self._error_from_response(exc) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self._base_url}: {exc.reason}"
-            ) from exc
-        except OSError as exc:
+                return _LineStream(self._origin, connection, response)
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
             raise ServiceError(f"transport failure: {exc}") from exc
+        except BaseException:
+            connection.close()
+            raise
+        _POOL.release(self._origin, connection)
+        return data
 
     # ------------------------------------------------------------------ #
     # Control plane (shared by sessions and stores)
@@ -233,13 +405,15 @@ class _HttpClient:
         return self._get_text("/v1/metrics?format=prometheus", timeout=timeout)
 
     @staticmethod
-    def _error_from_response(exc: urllib.error.HTTPError) -> Exception:
+    def _error_from_response(response: http.client.HTTPResponse) -> Exception:
         """Map an HTTP error to the exception the server meant to raise."""
         try:
-            payload = codec.decode(exc.read())
+            payload = codec.decode(response.read())
             return codec.error_from_wire(payload)
         except FormatError:
-            return ServiceError(f"server returned HTTP {exc.code}: {exc.reason}")
+            return ServiceError(
+                f"server returned HTTP {response.status}: {response.reason}"
+            )
 
 
 class RemoteJob:
@@ -349,7 +523,8 @@ class RemoteJob:
 
     def _consume(self, stream) -> Iterator[CliqueRecord]:
         """Process one connection's NDJSON lines until final chunk or drop."""
-        for line in stream:
+        lines = iter(stream)
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -365,6 +540,10 @@ class RemoteJob:
             if chunk.final:
                 self._summary = chunk.summary
                 self._error = chunk.error
+                # The response's terminating HTTP chunk follows at once;
+                # reading it lets the connection carry the next request.
+                for _ in lines:
+                    pass
                 return
             self._records.extend(chunk.records)
             self._cursor = chunk.seq + 1

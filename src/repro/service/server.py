@@ -35,16 +35,21 @@ bounded pool, so enumeration concurrency — and therefore memory — is
 bounded by ``max_workers`` no matter how many clients connect.  Responses
 go out with ``TCP_NODELAY``, so a client reusing its connection does not
 wait on a delayed ACK, and a connection idle or stalled for
-:data:`CONNECTION_TIMEOUT_SECONDS` is closed.
+:data:`CONNECTION_TIMEOUT_SECONDS` is closed.  Every response but an
+error keeps its connection, a result stream included once its terminating
+chunk is out; a stream cut short closes it.  Closing the server ends
+every connection it accepted: an idle one at once, one with a response
+under way after that response.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.cache import CacheInfo
@@ -86,10 +91,63 @@ CONNECTION_TIMEOUT_SECONDS = 60.0
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying a backreference to the MiningServer."""
+    """ThreadingHTTPServer carrying a backreference to the MiningServer.
+
+    It tracks every connection it accepted, so that :meth:`server_close`
+    can end them: stopping the listener alone would leave the handler
+    threads of kept-alive connections serving after the server closed.
+    """
 
     daemon_threads = True
     service: "MiningServer"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._connections_lock = threading.Lock()
+        #: Each open accepted connection, and whether a response is under way.
+        self._connections: dict[socket.socket, bool] = {}
+        self._closed = False
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections[request] = False
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        # Under the lock, so server_close never shuts down a descriptor
+        # that was closed here and reused.
+        with self._connections_lock:
+            self._connections.pop(request, None)
+            super().shutdown_request(request)
+
+    def begin_response(self, connection: socket.socket) -> bool:
+        """Mark a response under way on ``connection``; False once closed."""
+        with self._connections_lock:
+            if self._closed:
+                return False
+            self._connections[connection] = True
+            return True
+
+    def end_response(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections[connection] = False
+
+    def server_close(self) -> None:
+        """Stop listening and end every accepted connection.
+
+        An idle connection ends at once (both directions shut down, so its
+        client sees the close and nothing more can be answered on it); one
+        with a response under way stops reading, so it ends after that
+        response.  A request that arrives later is never answered.
+        """
+        super().server_close()
+        with self._connections_lock:
+            self._closed = True
+            for connection, busy in self._connections.items():
+                try:
+                    connection.shutdown(socket.SHUT_RD if busy else socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -118,8 +176,12 @@ class _Handler(BaseHTTPRequestHandler):
         the uniform error→status mapping.  Every request is counted once
         it is answered, by endpoint (its route template, or ``(unknown)``),
         method and status, and timed; when the server was given a trace
-        directory it also leaves a Chrome trace file behind.
+        directory it also leaves a Chrome trace file behind.  A request
+        that arrives after the server closed is not answered.
         """
+        if not self.server.begin_response(self.connection):
+            self.close_connection = True
+            return
         service = self.server.service
         try:
             split = urlsplit(self.path)
@@ -170,6 +232,7 @@ class _Handler(BaseHTTPRequestHandler):
                     else:
                         self._respond_error(500, exc)
         finally:
+            self.server.end_response(self.connection)
             elapsed = perf_counter() - started
             status = self._response_status or 500
             service._observe_request(endpoint, self.command, status, elapsed, root)
@@ -370,17 +433,18 @@ class _Handler(BaseHTTPRequestHandler):
 
         One wire envelope per HTTP chunk, flushed immediately, so the
         client observes records as the producer emits them; ``columns``
-        picks the records' form.  A consumer that disconnects mid-write
-        (any socket error, a timed-out write included) never acknowledged
-        the chunk it was reading — the generator is closed without
-        releasing that page, so a reconnect at the same cursor resumes
-        exactly there.
+        picks the records' form.  A stream that ends with its terminating
+        chunk keeps the connection for the client's next request.  A
+        consumer that disconnects mid-write (any socket error, a timed-out
+        write included) never acknowledged the chunk it was reading — the
+        connection closes and the generator is closed without releasing
+        that page, so a reconnect at the same cursor resumes exactly there.
         """
-        self.close_connection = True
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Connection", "close")
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         try:
             for chunk in chunks:
@@ -388,7 +452,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._write_http_chunk(codec.encode(wire))
             self._write_http_chunk(b"")
         except OSError:
-            pass
+            self.close_connection = True
         finally:
             chunks.close()
 

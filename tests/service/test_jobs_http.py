@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import time
-import urllib.request
 
 import pytest
 
@@ -409,15 +408,25 @@ class TestClientReconnect:
 class TestTimeouts:
     """Control-plane calls must not inherit the 300 s data-plane default."""
 
-    def test_per_call_timeout_routing(self, server, remote, monkeypatch):
+    @staticmethod
+    def spy_timeouts(monkeypatch) -> list:
+        """Record the timeout of every request, as the transport applies it.
+
+        Each request takes one connection from the pool, with the timeout
+        its socket then runs under.
+        """
         captured = []
-        real = urllib.request.urlopen
+        real = client_module._POOL.connection
 
-        def spy(request, timeout=None):
+        def spy(origin, timeout):
             captured.append(timeout)
-            return real(request, timeout=timeout)
+            return real(origin, timeout)
 
-        monkeypatch.setattr(urllib.request, "urlopen", spy)
+        monkeypatch.setattr(client_module._POOL, "connection", spy)
+        return captured
+
+    def test_per_call_timeout_routing(self, server, remote, monkeypatch):
+        captured = self.spy_timeouts(monkeypatch)
 
         remote.health()
         remote.stats()
@@ -436,14 +445,7 @@ class TestTimeouts:
         assert captured[-1] == data
 
     def test_explicit_timeout_wins(self, server, remote, monkeypatch):
-        captured = []
-        real = urllib.request.urlopen
-
-        def spy(request, timeout=None):
-            captured.append(timeout)
-            return real(request, timeout=timeout)
-
-        monkeypatch.setattr(urllib.request, "urlopen", spy)
+        captured = self.spy_timeouts(monkeypatch)
         remote.health(timeout=1.5)
         remote.stats(timeout=2.5)
         assert captured == [1.5, 2.5]
