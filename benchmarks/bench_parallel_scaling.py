@@ -12,12 +12,18 @@ The ≥ 1.5× speedup expectation at 4 workers only holds — and is only
 asserted — when the host exposes at least 4 usable cores and the serial
 baseline is slow enough (≥ 2 s) for the pool start-up to amortise; on
 smaller machines (or bounded CI smoke runs via ``REPRO_BENCH_TIME_BUDGET``)
-the benchmark still verifies parity and records the measured ratios.
+the benchmark still verifies parity and records the measured ratios.  The
+table is written to ``BENCH_parallel.json`` at the repository root, with
+the scale and the host it ran on.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
 import random
+from pathlib import Path
 
 from repro.analysis.comparison import parallel_scaling
 from repro.generators.erdos_renyi import random_uncertain_graph
@@ -57,31 +63,42 @@ def bench_parallel_scaling(bench_scale, run_once, record_rows, bench_controls):
         WORKER_COUNTS,
         controls=bench_controls,
     )
+    table = [
+        {
+            "graph": row["graph"],
+            "alpha": row["alpha"],
+            "workers": row["workers"],
+            "num_cliques": row["num_cliques"],
+            "seconds": round(float(row["elapsed_seconds"]), 4),
+            "speedup": round(float(row["speedup"]), 2),
+            "stop_reason": row["stop_reason"],
+        }
+        for row in rows
+    ]
     record_rows(
         "Parallel scaling",
         "parallel_mule speedup vs serial mule (workers=0 is the serial baseline)",
-        [
-            {
-                "graph": row["graph"],
-                "alpha": row["alpha"],
-                "workers": row["workers"],
-                "num_cliques": row["num_cliques"],
-                "seconds": round(float(row["elapsed_seconds"]), 4),
-                "speedup": round(float(row["speedup"]), 2),
-                "stop_reason": row["stop_reason"],
-            }
-            for row in rows
-        ],
-        columns=[
-            "graph",
-            "alpha",
-            "workers",
-            "num_cliques",
-            "seconds",
-            "speedup",
-            "stop_reason",
-        ],
+        table,
+        columns=list(table[0]),
     )
+    summary = {
+        "benchmark": "parallel-scaling",
+        "workload": (
+            f"G({graph.num_vertices}, {EDGE_DENSITY}) uncertain graph, seed 2015, "
+            f"alpha={ALPHA}; workers=0 is serial mule"
+        ),
+        "scale": bench_scale,
+        "controls": None if bench_controls is None else repr(bench_controls),
+        "host": {
+            "cpus": os.cpu_count(),
+            "usable_cpus": default_workers(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        },
+        "rows": table,
+    }
+    output = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
+    output.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     by_workers = {row["workers"]: row for row in rows}
     serial = by_workers[0]
     assert serial["num_cliques"] > 0 or serial["stop_reason"] != "completed"

@@ -43,8 +43,9 @@ class EnumerationOutcome:
         records are a DFS prefix); parallel runs in shard-merge order;
         top-k runs list the ranked top-``k`` (most probable first).  The
         constructor takes a list or a
-        :class:`~repro.core.result.CliqueColumns` block; from a block the
-        list is built on first read and kept.  ``records`` stays
+        :class:`~repro.core.result.CliqueColumns` block (serial and
+        parallel runs pass one); from a block the list is built on first
+        read and kept.  ``records`` stays
         assignable, and every later reader and encoder sees the assigned
         list.
     statistics:

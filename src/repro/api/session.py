@@ -297,7 +297,7 @@ class MiningSession:
 
         Each block holds ``page_size`` cliques, the last one fewer (and no
         block is empty); ``page_size=None`` yields one block with every
-        clique, or none.  This is the one consumer of
+        clique, or none.  With the parallel runner's shards, this consumes
         :func:`~repro.core.engine.backends.run_kernel_blocks`: each kernel
         block's labels are looked up in one pass and its columns added in
         bulk, and pages are sliced from the pending columns, so no Python
@@ -556,11 +556,11 @@ class MiningSession:
         workers = request.workers if request.workers is not None else default_workers()
         statistics = SearchStatistics()
         report = RunReport()
-        records: list[CliqueRecord] = []
+        cliques: list[CliqueRecord] | CliqueColumns = []
         with Stopwatch() as timer:
             if self._graph.num_vertices > 0:
                 compiled = self.compiled(alpha=request.compile_alpha())
-                records, statistics, stop_reason = parallel_enumerate(
+                cliques, statistics, stop_reason = parallel_enumerate(
                     compiled,
                     request.alpha,
                     workers=workers,
@@ -570,12 +570,12 @@ class MiningSession:
                     kernel=request.kernel,
                 )
                 report.stop_reason = stop_reason
-                report.cliques_emitted = len(records)
+                report.cliques_emitted = len(cliques)
                 _observe_engine_run(statistics, report)
         return EnumerationOutcome(
             algorithm=request.label,
             alpha=request.alpha,
-            records=records,
+            records=cliques,
             statistics=statistics,
             report=report,
             elapsed_seconds=timer.elapsed,

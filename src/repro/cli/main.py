@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "enumerate with this many parallel worker processes "
-            "(mule/fast-mule only; default: 1 = serial)"
+            "(mule/fast-mule only; default: 1 = serial; a --remote server "
+            "runs the shards in-process)"
         ),
     )
     enumerate_parser.add_argument(
@@ -462,7 +463,7 @@ def _command_enumerate(args: argparse.Namespace) -> int:
     # One session per invocation: the request dataclass names the algorithm
     # (aliases like "dfs-noip" are normalised) and the worker count selects
     # serial vs sharded-parallel execution — local and remote alike (a
-    # remote request with workers>1 fans out on the server).
+    # server runs a workers>1 request's shards in-process; it never forks).
     request = EnumerationRequest(
         algorithm=args.algorithm,
         alpha=args.alpha,

@@ -37,7 +37,6 @@ from collections.abc import Hashable, Iterator
 
 from ..api.request import EnumerationRequest
 from ..api.session import MiningSession
-from ..errors import ParameterError
 from ..uncertain.graph import UncertainGraph
 from .engine.controls import RunControls, RunReport
 from .result import EnumerationResult, SearchStatistics
@@ -56,16 +55,10 @@ class MuleConfig:
         Apply the Observation 3 preprocessing (drop edges with
         ``p(e) < α``) before the search.  On by default; turning it off is
         only useful for the ablation benchmark.
-    min_recursion_headroom:
-        Retained for backwards compatibility.  The iterative kernel never
-        recurses, so this value is validated but otherwise unused.
     """
 
-    def __init__(self, *, prune_edges: bool = True, min_recursion_headroom: int = 512) -> None:
-        if min_recursion_headroom < 0:
-            raise ParameterError("min_recursion_headroom must be non-negative")
+    def __init__(self, *, prune_edges: bool = True) -> None:
         self.prune_edges = prune_edges
-        self.min_recursion_headroom = min_recursion_headroom
 
 
 def iter_alpha_maximal_cliques(

@@ -187,14 +187,12 @@ class DistributedSession:
         records: list[CliqueRecord] = []
         with Stopwatch() as timer:
             if self._graph.num_vertices > 0:
-                outcomes = self._run(request)
+                outcomes = [o for _, o in sorted(self._run(request).items())]
                 with self._lock:
                     cancelled = self._cancelled
                 records, statistics, report.stop_reason = merge_shard_outcomes(
-                    [
-                        (outcome.records, outcome.statistics, outcome.stop_reason)
-                        for _, outcome in sorted(outcomes.items())
-                    ],
+                    [(outcome.statistics, outcome.stop_reason) for outcome in outcomes],
+                    [record for outcome in outcomes for record in outcome.records],
                     max_cliques=request.controls.max_cliques if request.controls else None,
                     cancelled=cancelled,
                 )

@@ -7,11 +7,12 @@ set*:
 * :mod:`repro.parallel.planner` — :class:`ShardPlanner` splits the roots
   into balanced shards (degree-weighted LPT, so hub vertices spread across
   shards instead of piling into one);
-* :mod:`repro.parallel.runner` — :func:`parallel_mule` executes the shards
-  over a ``ProcessPoolExecutor`` (in-process sequential fallback for
-  ``workers=1`` and fork-less platforms), merges statistics and reports,
-  and returns an :class:`~repro.core.result.EnumerationResult` whose clique
-  set is bit-identical to serial :func:`repro.core.mule.mule`.
+* :mod:`repro.parallel.runner` — :func:`parallel_mule` runs each shard on
+  the kernel's column-block path, over a fork ``ProcessPoolExecutor`` or
+  in-process, and merges the shards' index columns into one
+  :class:`~repro.core.result.CliqueColumns` block and their statistics and
+  reports into one result, bit-identical to serial
+  :func:`repro.core.mule.mule`.
 
 The sharding primitive itself lives in the engine
 (:meth:`~repro.core.engine.compiled.CompiledGraph.restrict_roots`); this

@@ -4,9 +4,15 @@
 set into balanced shards (:class:`~repro.parallel.planner.ShardPlanner`),
 runs one MULE search per shard — across a ``ProcessPoolExecutor`` when real
 parallelism is available, sequentially in-process otherwise — and merges the
-per-shard emissions, :class:`~repro.core.result.SearchStatistics` and
+per-shard cliques, :class:`~repro.core.result.SearchStatistics` and
 :class:`~repro.core.engine.controls.RunReport` objects into one
 :class:`~repro.core.result.EnumerationResult`.
+
+Each shard drains the kernel's column blocks and hands back flat arrays of
+vertex indices, sizes and probabilities, cheap to pickle back from a
+worker; :func:`parallel_enumerate` maps their labels in bulk into one
+:class:`~repro.core.result.CliqueColumns` block, so no record is built
+until a reader asks for records or the ``max_cliques`` trim sorts them.
 
 Correctness rests on the shard semantics of
 :meth:`CompiledGraph.restrict_roots`: shards own disjoint root subtrees,
@@ -33,19 +39,25 @@ Run-control semantics under sharding:
 from __future__ import annotations
 
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_all_start_methods, get_context
 from time import monotonic
 from typing import NamedTuple, Sequence
 
-from ..core.engine.backends import resolve_kernel, run_kernel_search
+from ..core.engine.backends import resolve_kernel, run_kernel_blocks
 from ..core.engine.compiled import CompiledGraph
 from ..core.engine.controls import RunControls, RunReport, StopReason
 from ..core.engine.strategies import MuleStrategy
 from ..core.mule import MuleConfig
-from ..core.result import CliqueRecord, EnumerationResult, SearchStatistics
+from ..core.result import (
+    CliqueColumns,
+    CliqueRecord,
+    EnumerationResult,
+    SearchStatistics,
+)
 from ..errors import ParameterError
-from ..uncertain.graph import UncertainGraph, validate_probability
+from ..uncertain.graph import UncertainGraph
 from .planner import Shard, ShardPlanner
 
 __all__ = [
@@ -63,12 +75,23 @@ _SHARDS_PER_WORKER = 4
 
 
 class ShardOutcome(NamedTuple):
-    """What one shard produced: its emissions, counters and stop report."""
+    """What one shard produced: its cliques as columns, counters and stop report.
+
+    ``indices`` holds every clique's vertex indices, clique after clique,
+    in the order the search added them; ``sizes`` one count and
+    ``probabilities`` one probability per clique.
+    """
 
     shard: Shard
-    pairs: list[tuple[frozenset, float]]
+    indices: "array[int]"
+    sizes: "array[int]"
+    probabilities: "array[float]"
     statistics: SearchStatistics
     report: RunReport
+
+
+#: Cliques as the merge takes them: the pool's column block, the fleet's records.
+Cliques = list[CliqueRecord] | CliqueColumns
 
 
 def default_workers() -> int:
@@ -86,13 +109,13 @@ def default_workers() -> int:
 
 
 def _enumerate_shard(
+    shard: Shard,
     compiled: CompiledGraph,
     alpha: float,
-    shard: Shard,
     max_cliques: int | None,
     deadline: float | None,
     check_every: int,
-    kernel: str = "auto",
+    kernel: str,
 ) -> ShardOutcome:
     """Run one shard to completion (or until its run controls stop it)."""
     time_budget = None
@@ -107,47 +130,38 @@ def _enumerate_shard(
     )
     statistics = SearchStatistics()
     report = RunReport()
-    restricted = compiled.restrict_roots(shard.root_mask)
-    decode = restricted.decode
-    pairs = [
-        (decode(indices), probability)
-        for indices, probability in run_kernel_search(
-            restricted,
-            alpha,
-            MuleStrategy(),
-            kernel=kernel,
-            statistics=statistics,
-            controls=controls,
-            report=report,
-        )
-    ]
-    return ShardOutcome(shard, pairs, statistics, report)
+    indices, sizes, probabilities = array("i"), array("i"), array("d")
+    for block_indices, block_sizes, block_probabilities in run_kernel_blocks(
+        compiled.restrict_roots(shard.root_mask),
+        alpha,
+        MuleStrategy(),
+        kernel=kernel,
+        statistics=statistics,
+        controls=controls,
+        report=report,
+    ):
+        indices.extend(block_indices)
+        sizes.extend(block_sizes)
+        probabilities.extend(block_probabilities)
+    return ShardOutcome(shard, indices, sizes, probabilities, statistics, report)
 
 
 # ----------------------------------------------------------------------- #
-# Process-pool plumbing.  The compiled graph is shipped once per worker via
-# the pool initializer (not once per shard task), so the per-task payload is
-# just the shard and the scalar controls.
+# Process-pool plumbing.  Everything but the shard (the compiled graph and
+# the run's controls) reaches each worker once, through the pool
+# initializer, so the per-task payload is just the shard.
 # ----------------------------------------------------------------------- #
-_WORKER_STATE: tuple[CompiledGraph, float, int, str] | None = None
+_WORKER_STATE: tuple | None = None
 
 
-def _worker_initializer(
-    compiled: CompiledGraph, alpha: float, check_every: int, kernel: str
-) -> None:
+def _worker_initializer(*state: object) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (compiled, alpha, check_every, kernel)
+    _WORKER_STATE = state
 
 
-def _worker_run_shard(
-    task: tuple[Shard, int | None, float | None],
-) -> ShardOutcome:
-    shard, max_cliques, deadline = task
+def _worker_run_shard(shard: Shard) -> ShardOutcome:
     assert _WORKER_STATE is not None, "worker used before initialization"
-    compiled, alpha, check_every, kernel = _WORKER_STATE
-    return _enumerate_shard(
-        compiled, alpha, shard, max_cliques, deadline, check_every, kernel
-    )
+    return _enumerate_shard(shard, *_WORKER_STATE)
 
 
 def _process_backend_available() -> bool:
@@ -172,33 +186,14 @@ def run_shards(
     backend: str = "auto",
     kernel: str = "auto",
 ) -> list[ShardOutcome]:
-    """Execute ``shards`` and return their outcomes in shard order.
+    """Run a :class:`ShardPlanner` plan; return its outcomes in shard order.
 
-    Parameters
-    ----------
-    compiled:
-        The compiled graph (shared by every shard; never copied per shard —
-        the process backend ships it once per worker).
-    alpha:
-        The probability threshold, already validated.
-    shards:
-        The plan from :class:`~repro.parallel.planner.ShardPlanner`.
-    workers:
-        Process-pool size.  ``1`` always runs in-process.
-    controls:
-        Optional global run controls (see the module docstring for their
-        sharded semantics).
-    backend:
-        ``"auto"`` (processes when ``workers > 1`` and fork is available),
-        ``"process"`` (force the pool; raises
-        :class:`~repro.errors.ParameterError` on fork-less platforms), or
-        ``"inline"`` (sequential, in-process — deterministic and cheap,
-        used by the property tests).
-    kernel:
-        Engine kernel each shard's inner loop runs on (``"auto"`` /
-        ``"python"`` / ``"vector"``); orthogonal to ``backend``, which
-        picks where the shards run.  Forwarded to
-        :func:`repro.core.engine.backends.run_kernel_search`.
+    ``backend`` picks where the shards run: ``"auto"`` (a fork process pool
+    of ``workers`` when ``workers > 1`` and fork is available), ``"process"``
+    (force the pool; a :class:`~repro.errors.ParameterError` on fork-less
+    platforms) or ``"inline"`` (sequential, in-process).  The compiled graph
+    and the controls, global as the module describes, reach each worker
+    once.  ``kernel`` picks how each shard's search runs, on either backend.
     """
     if backend not in ("auto", "process", "inline"):
         raise ParameterError(f"unknown backend {backend!r}")
@@ -215,35 +210,27 @@ def run_shards(
         if controls.time_budget_seconds is not None
         else None
     )
-    max_cliques = controls.max_cliques
-    check_every = controls.check_every_frames
-
+    # The kernel is resolved before any fork, so the children inherit the
+    # decided (and loaded) native kernel rather than a build lock another
+    # thread may hold at the fork.
+    state = (
+        compiled, alpha, controls.max_cliques, deadline, controls.check_every_frames,
+        resolve_kernel(kernel, MuleStrategy()),
+    )
     use_processes = backend == "process" or (
         backend == "auto" and workers > 1 and _process_backend_available()
     )
     if not use_processes or len(shards) <= 1:
-        return [
-            _enumerate_shard(
-                compiled, alpha, shard, max_cliques, deadline, check_every, kernel
-            )
-            for shard in shards
-        ]
-
-    # Resolve the kernel before forking, so the children inherit the
-    # decided (and loaded) native kernel rather than a build lock another
-    # thread may hold at the fork.
-    kernel = resolve_kernel(kernel, MuleStrategy())
-    context = get_context("fork")
-    tasks = [(shard, max_cliques, deadline) for shard in shards]
+        return [_enumerate_shard(shard, *state) for shard in shards]
     with ProcessPoolExecutor(
         max_workers=min(workers, len(shards)),
-        mp_context=context,
+        mp_context=get_context("fork"),
         initializer=_worker_initializer,
-        initargs=(compiled, alpha, check_every, kernel),
+        initargs=state,
     ) as pool:
         # Executor.map preserves task order, so the merge is deterministic
         # regardless of which shard finishes first.
-        return list(pool.map(_worker_run_shard, tasks))
+        return list(pool.map(_worker_run_shard, shards))
 
 
 def parallel_enumerate(
@@ -255,13 +242,15 @@ def parallel_enumerate(
     num_shards: int | None = None,
     backend: str = "auto",
     kernel: str = "auto",
-) -> tuple[list[CliqueRecord], SearchStatistics, str]:
+) -> tuple[Cliques, SearchStatistics, str]:
     """Run the shard/merge pipeline over an already-compiled graph.
 
     This is the compile-free core of :func:`parallel_mule`, used by the
     session API (:class:`repro.api.MiningSession`) so the sharded path runs
-    over the session's cached artifact.  Returns the records, statistics
+    over the session's cached artifact.  Returns the cliques, statistics
     and stop reason :func:`merge_shard_outcomes` makes of the shards; the
+    cliques are one :class:`~repro.core.result.CliqueColumns` block in
+    shard order, or the sorted records the ``max_cliques`` trim kept.  The
     global deadline is documented on the module.
     """
     if num_shards is None:
@@ -276,43 +265,59 @@ def parallel_enumerate(
         backend=backend,
         kernel=kernel,
     )
-    results = [
-        ([CliqueRecord(v, p) for v, p in o.pairs], o.statistics, o.report.stop_reason)
-        for o in outcomes
-    ]
-    max_cliques = controls.max_cliques if controls is not None else None
-    return merge_shard_outcomes(results, max_cliques=max_cliques)
+    # Each clique's labels stand in ``CliqueRecord.as_tuple()`` order when
+    # the vector kernel runs on labels that sorted naturally, as on
+    # ``MiningSession._pages``.
+    in_order = compiled.labels_sorted and (
+        resolve_kernel(kernel, MuleStrategy()) == "vector"
+    )
+    label_of = compiled.labels.__getitem__
+    vertices: list = []
+    sizes: list[int] = []
+    probabilities = array("d")
+    for outcome in outcomes:
+        vertices += map(label_of, outcome.indices)
+        sizes += outcome.sizes
+        probabilities += outcome.probabilities
+    return merge_shard_outcomes(
+        [(outcome.statistics, outcome.report.stop_reason) for outcome in outcomes],
+        CliqueColumns(vertices, sizes, probabilities, in_order),
+        max_cliques=controls.max_cliques if controls is not None else None,
+    )
 
 
 def merge_shard_outcomes(
-    shards: Sequence[tuple[list[CliqueRecord], SearchStatistics, str]],
+    shards: Sequence[tuple[SearchStatistics, str]],
+    cliques: Cliques,
     *,
     max_cliques: int | None = None,
     cancelled: bool = False,
-) -> tuple[list[CliqueRecord], SearchStatistics, str]:
-    """Merge ``(records, statistics, stop_reason)`` per shard, in shard order.
+) -> tuple[Cliques, SearchStatistics, str]:
+    """Merge ``(statistics, stop_reason)`` per shard; cap the shards' ``cliques``.
 
-    The one merge of the process pool and the worker fleet.  Counters are
-    summed less the root frame each shard kernel after the first counts
-    again (a kernel that ran made at least one recursive call; a shard
-    cancelled before it started adds zeros), so they equal serial MULE's.
-    Stop reasons merge by precedence, ``cancelled`` included when the
-    caller cancelled; a cap trim makes ``max-cliques`` binding, but
-    cancellation or a blown deadline anywhere still outranks it.
+    The one merge of the process pool and the worker fleet; ``cliques``
+    holds every shard's cliques in shard order.  Counters are summed less
+    the root frame each shard kernel after the first counts again (a
+    kernel that ran made at least one recursive call; a shard cancelled
+    before it started adds zeros), so they equal serial MULE's.  Stop
+    reasons merge by precedence, ``cancelled`` included when the caller
+    cancelled.  Past ``max_cliques`` the cliques become the sorted prefix of
+    their records, the one step that sorts them; the trim makes
+    ``max-cliques`` binding, but cancellation or a blown deadline anywhere
+    still outranks it.
     """
-    records = [record for shard, _, _ in shards for record in shard]
     statistics = SearchStatistics()
-    for _, counters, _ in shards:
+    for counters, _ in shards:
         statistics = statistics.merge(counters)
-    started = sum(1 for _, counters, _ in shards if counters.recursive_calls > 0)
+    started = sum(1 for counters, _ in shards if counters.recursive_calls > 0)
     statistics.recursive_calls -= max(0, started - 1)
-    stop_reason = _merge_stop_reasons([reason for _, _, reason in shards])
+    stop_reason = _merge_stop_reasons([reason for _, reason in shards])
     if cancelled:
         stop_reason = _strongest(stop_reason, StopReason.CANCELLED)
-    if max_cliques is not None and len(records) > max_cliques:
-        records = sorted(records)[:max_cliques]
+    if max_cliques is not None and len(cliques) > max_cliques:
+        cliques = sorted(cliques)[:max_cliques]
         stop_reason = _strongest(stop_reason, StopReason.MAX_CLIQUES)
-    return records, statistics, stop_reason
+    return cliques, statistics, stop_reason
 
 
 def parallel_mule(
@@ -332,12 +337,9 @@ def parallel_mule(
     The clique set (and every probability, bit for bit) is identical to
     serial :func:`repro.core.mule.mule` whenever no run control truncates
     the enumeration; only the recorded ``algorithm`` label and the division
-    of the search across OS processes differ.
-
-    Since the session-API refactor this is a thin delegate over
-    :class:`repro.api.MiningSession`: the session owns compilation and
-    caching, and the shard/merge pipeline (:func:`parallel_enumerate`) runs
-    over its artifact.
+    of the search across OS processes differ.  A thin delegate over
+    :class:`repro.api.MiningSession`, whose artifact
+    :func:`parallel_enumerate` shards.
 
     Parameters
     ----------
@@ -380,16 +382,7 @@ def parallel_mule(
     from ..api.request import EnumerationRequest
     from ..api.session import MiningSession
 
-    alpha = validate_probability(alpha, what="alpha")
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ParameterError(f"workers must be positive, got {workers}")
     config = config or MuleConfig()
-
-    session = MiningSession(graph)
-    if compiled is not None:
-        session.adopt(compiled, alpha=alpha if config.prune_edges else None)
     request = EnumerationRequest(
         algorithm="mule",
         alpha=alpha,
@@ -403,6 +396,9 @@ def parallel_mule(
         # label and merge semantics it has always had.
         execution="parallel",
     )
+    session = MiningSession(graph)
+    if compiled is not None:
+        session.adopt(compiled, alpha=request.compile_alpha())
     return session.enumerate(request).to_result()
 
 
@@ -436,7 +432,4 @@ def _strongest(*reasons: str) -> str:
 
 def _merge_stop_reasons(reasons) -> str:
     """Combine per-shard stop reasons: any truncation marks the whole run."""
-    merged = StopReason.COMPLETED
-    for reason in reasons:
-        merged = _strongest(merged, reason)
-    return merged
+    return _strongest(StopReason.COMPLETED, *reasons)

@@ -16,6 +16,11 @@ use), or nothing at all, which resolves to the store's *default* graph
 (how the frozen ``/v1`` wire surface keeps serving its one implicit
 graph).
 
+The scheduler never forks: a parallel request runs its shards in-process
+on its pool thread, because forking a process whose other threads may hold
+locks hands the children those locks held.  An explicit
+``backend="process"`` is refused with :class:`~repro.errors.ParameterError`.
+
 Execution is job-shaped all the way down (see :mod:`repro.service.jobs`):
 :meth:`submit_job` registers a :class:`~repro.service.jobs.Job` — state
 machine, paged result buffer, cancellation token — and the synchronous
@@ -29,6 +34,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable, Sequence
 from concurrent.futures import CancelledError, ThreadPoolExecutor
+from dataclasses import replace
 from typing import NamedTuple
 
 from ..api.cache import CacheInfo
@@ -222,6 +228,11 @@ class EnumerationScheduler:
         consumers keep the default bound so a slow reader pauses the
         producer instead of growing the server heap.
         """
+        if request.parallel and request.backend == "process":
+            raise ParameterError(
+                "backend='process' is not served: a server never forks; "
+                "use backend='auto' or 'inline'"
+            )
         session = self.session_for(graph, ref)
         # Closed-check, registration and executor hand-off are one atomic
         # step under the scheduler lock: shutdown() takes the same lock to
@@ -318,7 +329,8 @@ class EnumerationScheduler:
         before each clique is kept (in C on the native kernel) and while
         a producer is blocked on a full buffer.
         Ranked/parallel requests materialise through
-        :meth:`MiningSession.enumerate` and adopt the outcome whole.
+        :meth:`MiningSession.enumerate`, parallel shards in-process, and
+        adopt the outcome whole.
         """
         request = job.request
         if self._streamable(request):
@@ -336,7 +348,7 @@ class EnumerationScheduler:
         elif job.token.cancelled:
             job._finish()  # cancelled before the buffered run started
         else:
-            job._adopt(session.enumerate(request))
+            job._adopt(session.enumerate(replace(request, backend="inline")))
 
     @staticmethod
     def _streamable(request: EnumerationRequest) -> bool:

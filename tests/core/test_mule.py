@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.brute_force import brute_force_alpha_maximal_cliques
 from repro.core.mule import MuleConfig, iter_alpha_maximal_cliques, mule
-from repro.errors import ParameterError, ProbabilityError
+from repro.errors import ProbabilityError
 from repro.uncertain.graph import UncertainGraph
 
 
@@ -91,10 +91,6 @@ class TestParameters:
         g = UncertainGraph(edges=[(1, 2, 1.0), (2, 3, 0.9)])
         result = mule(g, 1.0)
         assert result.vertex_sets() == {frozenset({1, 2}), frozenset({3})}
-
-    def test_negative_headroom_rejected(self):
-        with pytest.raises(ParameterError):
-            MuleConfig(min_recursion_headroom=-1)
 
     def test_prune_edges_flag_does_not_change_output(self, two_cliques):
         pruned = mule(two_cliques, 0.5, config=MuleConfig(prune_edges=True))

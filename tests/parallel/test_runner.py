@@ -9,6 +9,8 @@ import pytest
 from repro.api import EnumerationRequest, MiningSession
 from repro.core.engine import RunControls, StopReason, compile_graph
 from repro.core.mule import mule
+from repro.core.engine.backends import native
+from repro.core.result import CliqueColumns, CliqueRecord
 from repro.errors import ParameterError
 from repro.generators import erdos_renyi_uncertain
 from repro.parallel import ShardPlanner, parallel_mule, run_shards
@@ -28,6 +30,17 @@ STOP_REASONS = tuple(
 
 def records_by_vertices(result):
     return {record.vertices: record.probability for record in result}
+
+
+def shard_cliques(compiled, outcome):
+    """One shard's column block decoded to ``(labels, probability)`` pairs."""
+    assert len(outcome.sizes) == len(outcome.probabilities)
+    assert sum(outcome.sizes) == len(outcome.indices)
+    indices = iter(outcome.indices)
+    return [
+        (compiled.decode(itertools.islice(indices, size)), probability)
+        for size, probability in zip(outcome.sizes, outcome.probabilities)
+    ]
 
 
 class TestParallelMuleInline:
@@ -144,10 +157,18 @@ class TestParallelMuleProcesses:
         parallel = parallel_mule(graph, 0.15, workers=2)
         assert records_by_vertices(parallel) == records_by_vertices(serial)
 
-    def test_string_labels_cross_process(self):
-        graph = UncertainGraph(
-            edges=[("a", "b", 0.9), ("b", "c", 0.9), ("a", "c", 0.9), ("c", "d", 0.4)]
-        )
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "b", 0.9), ("b", "c", 0.9), ("a", "c", 0.9), ("c", "d", 0.4)],
+            # Mixed labels do not sort naturally, so the merged block is not
+            # canonical: each clique's labels stand in search order.
+            [(1, "b", 0.9), ("b", 3, 0.9), (1, 3, 0.9), (3, "d", 0.4), ("d", 5, 0.8)],
+        ],
+        ids=["str", "mixed-int-str"],
+    )
+    def test_string_labels_cross_process(self, edges):
+        graph = UncertainGraph(edges=edges)
         serial = mule(graph, 0.5)
         parallel = parallel_mule(graph, 0.5, workers=2, backend="process")
         assert records_by_vertices(parallel) == records_by_vertices(serial)
@@ -176,6 +197,94 @@ class TestShardedRunsMatchSerial:
         sharded.assert_matches(serial)
 
 
+class TestBlockShards:
+    """Shards hand back column blocks: records are built on first read."""
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_no_record_is_built_until_records_is_read(self, backend, monkeypatch):
+        if backend == "process" and not _process_backend_available():
+            pytest.skip("fork start method unavailable")
+        built = []
+        init = CliqueRecord.__init__
+
+        def counting_init(record, *args, **kwargs):
+            built.append(record)
+            init(record, *args, **kwargs)
+
+        session = MiningSession(erdos_renyi_uncertain(40, 0.3, rng=7))
+        serial = session.enumerate(EnumerationRequest(algorithm="mule", alpha=0.01))
+        monkeypatch.setattr(CliqueRecord, "__init__", counting_init)
+        outcome = session.enumerate(
+            EnumerationRequest(algorithm="mule", alpha=0.01, workers=2, backend=backend)
+        )
+        assert built == []
+        assert outcome.num_cliques == serial.num_cliques > 0
+        records = outcome.records
+        assert len(built) == len(records) == outcome.num_cliques
+        outcome.assert_matches(serial)
+        assert outcome.algorithm == "parallel-mule"
+
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    @pytest.mark.parametrize("mixed_labels", [False, True])
+    def test_block_encodes_as_its_records(self, kernel, mixed_labels):
+        # The block's ``canonical`` flag lets a columns encoder skip sorting
+        # each clique's labels: it may be set only where they already stand
+        # in ``CliqueRecord.as_tuple()`` order.
+        if kernel == "vector" and not native.available():
+            pytest.skip(native.unavailable_reason())
+        graph = erdos_renyi_uncertain(30, 0.3, rng=5)
+        if mixed_labels:
+            label = {v: str(v) if v % 2 else v for v in graph.vertices()}
+            graph = UncertainGraph(
+                edges=[(label[u], label[v], p) for u, v, p in graph.edges()]
+            )
+        block = (
+            MiningSession(graph)
+            .enumerate(
+                EnumerationRequest(
+                    algorithm="mule",
+                    alpha=0.01,
+                    workers=2,
+                    backend="inline",
+                    kernel=kernel,
+                )
+            )
+            .clique_columns
+        )
+        assert block.canonical == (kernel == "vector" and not mixed_labels)
+        assert (
+            block.sorted_vertices()
+            == CliqueColumns.from_records(block.records()).vertices
+        )
+
+    def test_cap_trim_keeps_the_sorted_prefix_of_the_capped_shards(self):
+        session = MiningSession(erdos_renyi_uncertain(40, 0.3, rng=7))
+        controls = RunControls(max_cliques=7)
+        capped = session.enumerate(
+            EnumerationRequest(
+                algorithm="mule",
+                alpha=0.01,
+                workers=2,
+                backend="inline",
+                controls=controls,
+            )
+        )
+        compiled = session.compiled(alpha=0.01)
+        shards = ShardPlanner(8).plan(compiled)  # workers x 4
+        kept = [
+            CliqueRecord(members, probability)
+            for outcome in run_shards(
+                compiled, 0.01, shards, workers=1, controls=controls
+            )
+            for members, probability in shard_cliques(compiled, outcome)
+        ]
+        assert len(kept) > 7
+        assert capped.stop_reason == StopReason.MAX_CLIQUES
+        assert [(r.vertices, r.probability) for r in capped.records] == [
+            (r.vertices, r.probability) for r in sorted(kept)[:7]
+        ]
+
+
 class TestRunShards:
     def test_outcomes_arrive_in_shard_order(self, random_graph_factory):
         graph = random_graph_factory(14, density=0.5, seed=2)
@@ -191,12 +300,12 @@ class TestRunShards:
         compiled = compile_graph(graph, alpha=0.15)
         shards = ShardPlanner(4).plan(compiled)
         outcomes = run_shards(compiled, 0.15, shards, workers=1)
-        seen = set()
+        seen = {}
         for outcome in outcomes:
-            for members, _ in outcome.pairs:
+            for members, probability in shard_cliques(compiled, outcome):
                 assert members not in seen
-                seen.add(members)
-        assert seen == mule(graph, 0.15).vertex_sets()
+                seen[members] = probability
+        assert seen == records_by_vertices(mule(graph, 0.15))
 
     def test_each_shard_reports_its_own_stop_reason(self, random_graph_factory):
         graph = random_graph_factory(14, density=0.6, seed=5)

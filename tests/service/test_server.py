@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import random
 import re
 import socket
@@ -131,6 +132,38 @@ class TestRequestKernel:
             (r.vertices, r.probability) for r in b.records
         ]
         assert a.statistics == b.statistics
+
+
+class TestNoFork:
+    """A server runs a parallel request's shards in-process: it never forks."""
+
+    def test_parallel_request_forks_nothing(self, server, remote, graph):
+        serial = MiningSession(graph).enumerate(
+            EnumerationRequest(algorithm="mule", alpha=0.2)
+        )
+        # Warm the server first: its graph compiled, its kernel resolved.
+        remote.enumerate(EnumerationRequest(algorithm="mule", alpha=0.2))
+        forks = []
+        os.register_at_fork(before=lambda: forks.append(os.getpid()))
+        outcome = remote.enumerate(
+            EnumerationRequest(algorithm="mule", alpha=0.2, workers=2)
+        )
+        assert forks == []
+        outcome.assert_matches(serial)
+        assert outcome.algorithm == "parallel-mule"
+        assert outcome.request.backend == "auto"
+
+    def test_process_backend_is_refused(self, server, remote):
+        request = EnumerationRequest(
+            algorithm="mule", alpha=0.2, workers=2, backend="process"
+        )
+        status, payload = post_raw(
+            server, "/v1/enumerate", codec.encode(codec.to_wire(request))
+        )
+        assert (status, payload.get("type")) == (400, "ParameterError")
+        assert "backend='process'" in payload["message"]
+        with pytest.raises(ParameterError, match="backend='process'"):
+            remote.submit(request)
 
 
 class TestErrorMapping:
