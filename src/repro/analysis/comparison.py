@@ -133,10 +133,9 @@ def size_threshold_sweep(
 ) -> list[MeasurementRow]:
     """Reproduce the Figure 5/6 sweeps: LARGE-MULE vs the size threshold ``t``.
 
-    With shared-neighborhood filtering on, every (α, t) combination needs
-    its own filtered compilation (the Modani–Dey filter depends on both);
-    with it off, the session serves every ``t`` at the same α from one
-    artifact.
+    The batch compiles once: each α derives from one base, and with
+    shared-neighborhood filtering on, each (α, t) combination derives its
+    own filtered artifact from it (the Modani–Dey filter depends on both).
     """
     rows: list[MeasurementRow] = []
     for graph_name, graph in graphs.items():

@@ -8,15 +8,17 @@ makes the compiled artifact reusable:
 * entries are keyed by ``(fingerprint, α-pruning level, SNF threshold)`` —
   :meth:`UncertainGraph.fingerprint` is a stable content hash, so one cache
   instance can safely serve many sessions (and many graphs);
-* a miss at pruning level α is satisfied **without recompiling** whenever a
-  plain entry pruned at α′ ≤ α (or unpruned) exists: the artifact is
-  *derived* via :meth:`CompiledGraph.restrict_probability`, which only
-  filters the already-compiled arrays.  Derived artifacts are bit-identical
-  to fresh compilations, so searches over them produce identical cliques
-  *and* identical counters;
-* shared-neighborhood-filtered entries (LARGE-MULE) are never derived — the
-  Modani–Dey filter is an iterative graph computation, not an edge filter —
-  so those keys always full-compile on a miss;
+* every miss follows one rule: when a plain (non-SNF) entry of the graph
+  pruned at α′ ≤ α (or unpruned) exists, the artifact is *derived* from
+  the best such base, without recompiling —
+  :meth:`CompiledGraph.restrict_probability` when α′ ≠ α, then
+  :meth:`CompiledGraph.restrict_shared_neighborhood` when the key has an
+  SNF threshold (LARGE-MULE).  Both work on the already-compiled arrays,
+  and derived artifacts are bit-identical to fresh compilations, so
+  searches over them produce identical cliques *and* identical counters;
+* a shared-neighborhood-filtered entry is never a base (its edges and
+  vertices are filtered for one threshold), and a cold SNF miss stores
+  only its own key;
 * hit/derivation/compilation accounting is exposed via :meth:`info`
   (surfaced as ``MiningSession.cache_info()``), which is how the batch
   tests assert "a five-α sweep performs exactly one compilation".
@@ -30,7 +32,6 @@ from time import perf_counter
 from typing import NamedTuple
 
 from ..core.engine.compiled import CompiledGraph, compile_graph
-from ..core.pruning import PruningReport
 from ..errors import ParameterError
 from ..obs import registry as _obs_registry
 from ..uncertain.graph import UncertainGraph
@@ -51,7 +52,8 @@ class CacheInfo(NamedTuple):
     """A snapshot of cache effectiveness counters.
 
     ``hits`` counts exact-key reuse; every miss is resolved either by
-    ``derivations`` (cheap α-restriction of a cached base) or by
+    ``derivations`` (α-restriction and/or the shared-neighborhood filter
+    on a cached plain base, without the graph) or by
     ``compilations`` (full :func:`compile_graph` runs — the expensive
     event batching exists to minimise); ``entries`` is the current store
     size.  ``misses == derivations + compilations`` always holds.
@@ -126,23 +128,20 @@ class CompiledGraphCache:
         *,
         alpha: float | None = None,
         size_threshold: int | None = None,
-        pruning_report: PruningReport | None = None,
     ) -> CompiledGraph:
         """Return the compiled artifact for these options, building it on miss.
 
-        One thread builds a missing key; concurrent lookups of that key
-        wait for it (one :meth:`single_flight_waits` each, no lookup
-        counted) and then look again — a hit, or a build of their own when
-        that build failed or its artifact was already evicted.
-        ``pruning_report`` forces a full compile even on a hit — the report
-        is filled by the filter actually running, which a cached artifact
-        cannot replay — and the fresh artifact replaces the cached entry
-        (such calls are not deduplicated).
+        A miss derives from the best plain base :meth:`_best_base_key_locked`
+        finds, and compiles when there is none.  One thread builds a
+        missing key; concurrent lookups of that key wait for it (one
+        :meth:`single_flight_waits` each, no lookup counted) and then look
+        again — a hit, or a build of their own when that build failed or
+        its artifact was already evicted.
         """
         key: _Key = (fingerprint, alpha, size_threshold)
         base: CompiledGraph | None = None
-        building: threading.Event | None = None
-        while pruning_report is None:
+        base_alpha: float | None = None
+        while True:
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None:
@@ -153,14 +152,14 @@ class CompiledGraphCache:
                 inflight = self._building.get(key)
                 if inflight is None:
                     building = self._building[key] = threading.Event()
-                    if size_threshold is None and alpha is not None:
-                        base_key = self._best_base_key_locked(fingerprint, alpha)
-                        if base_key is not None:
-                            base = self._entries[base_key]
-                            # Keep derivation bases hot: a wide sweep must
-                            # evict its derived one-shot artifacts under LRU
-                            # pressure, never the one base serving them all.
-                            self._entries.move_to_end(base_key)
+                    base_key = self._best_base_key_locked(fingerprint, alpha)
+                    if base_key is not None:
+                        base = self._entries[base_key]
+                        base_alpha = base_key[1]
+                        # Keep derivation bases hot: a wide sweep must
+                        # evict its derived one-shot artifacts under LRU
+                        # pressure, never the one base serving them all.
+                        self._entries.move_to_end(base_key)
                     break
                 self._waits += 1
             inflight.wait()
@@ -169,7 +168,11 @@ class CompiledGraphCache:
         # immutable, so a base may be read even if concurrently evicted).
         try:
             if base is not None:
-                derived = base.restrict_probability(alpha)
+                derived = base
+                if alpha is not None and alpha != base_alpha:
+                    derived = derived.restrict_probability(alpha)
+                if size_threshold is not None:
+                    derived = derived.restrict_shared_neighborhood(size_threshold)
                 with self._lock:
                     self._misses += 1
                     self._derivations += 1
@@ -179,12 +182,7 @@ class CompiledGraphCache:
                 return derived
 
             started = perf_counter()
-            compiled = compile_graph(
-                graph,
-                alpha=alpha,
-                size_threshold=size_threshold,
-                pruning_report=pruning_report,
-            )
+            compiled = compile_graph(graph, alpha=alpha, size_threshold=size_threshold)
             _CACHE_COMPILE_SECONDS.observe(perf_counter() - started)
             with self._lock:
                 self._misses += 1
@@ -194,10 +192,9 @@ class CompiledGraphCache:
                 self._store_locked(key, compiled)
             return compiled
         finally:
-            if building is not None:
-                with self._lock:
-                    del self._building[key]
-                building.set()
+            with self._lock:
+                del self._building[key]
+            building.set()
 
     def adopt(
         self,
@@ -218,13 +215,17 @@ class CompiledGraphCache:
         with self._lock:
             self._store_locked((fingerprint, alpha, size_threshold), compiled)
 
-    def _best_base_key_locked(self, fingerprint: str, alpha: float) -> _Key | None:
+    def _best_base_key_locked(
+        self, fingerprint: str, alpha: float | None
+    ) -> _Key | None:
         """Find the cheapest legal derivation base for pruning level ``alpha``.
 
         Legal: a plain (non-SNF) entry of the same graph pruned at α′ ≤ α
-        (an unpruned entry counts as α′ = 0).  Cheapest: the largest such
-        α′ — fewer surviving edges to filter.  Caller holds the lock.
+        (an unpruned entry counts as α′ = 0, and so does an unpruned
+        ``alpha``).  Cheapest: the largest such α′ — fewer surviving edges
+        to filter.  Caller holds the lock.
         """
+        target = 0.0 if alpha is None else alpha
         best_key: _Key | None = None
         best_level = -1.0
         for key in self._entries:
@@ -232,7 +233,7 @@ class CompiledGraphCache:
             if fp != fingerprint or st is not None:
                 continue
             level = 0.0 if base_alpha is None else base_alpha
-            if level <= alpha and level > best_level:
+            if level <= target and level > best_level:
                 best_key = key
                 best_level = level
         return best_key

@@ -13,10 +13,12 @@ Caching model
 The session owns a :class:`~repro.api.cache.CompiledGraphCache` (optionally
 shared between sessions) keyed by the graph's stable content hash
 (:meth:`UncertainGraph.fingerprint`) plus the compile options.  A request at
-pruning level α reuses any cached artifact pruned at α′ ≤ α by *deriving*
-(filtering the compiled arrays — no re-sort, no graph traversal), which is
-what makes :meth:`sweep` compile once for a whole α sweep while returning
-cliques **and counters** bit-identical to per-α calls of :func:`mule`.
+pruning level α reuses any cached plain artifact pruned at α′ ≤ α by
+*deriving* (filtering the compiled arrays, then applying LARGE-MULE's
+shared-neighborhood filter if the request asks for it — no graph
+traversal), which is what makes :meth:`sweep` compile once for a whole α
+sweep while returning cliques **and counters** bit-identical to per-α
+calls of :func:`mule`.
 
 With a *private* cache (the default) the key skips the content hash — the
 cache serves exactly one graph, so hashing would only add cost to one-shot
@@ -180,11 +182,7 @@ class MiningSession:
     # Compilation and cache plumbing
     # ------------------------------------------------------------------ #
     def compiled(
-        self,
-        *,
-        alpha: float | None = None,
-        size_threshold: int | None = None,
-        pruning_report: PruningReport | None = None,
+        self, *, alpha: float | None = None, size_threshold: int | None = None
     ) -> CompiledGraph:
         """Return the compiled artifact for these options, cached.
 
@@ -192,14 +190,12 @@ class MiningSession:
         edge) and ``size_threshold`` the Modani–Dey filter threshold — the
         same options :func:`~repro.core.engine.compiled.compile_graph`
         takes.  Misses are satisfied by derivation from a compatible cached
-        base when possible, by a full compilation otherwise.
+        base when possible, by a full compilation otherwise.  A filtered
+        artifact carries the filter's
+        :attr:`~repro.core.engine.compiled.CompiledGraph.pruning_report`.
         """
         return self._cache.get(
-            self._graph,
-            self._cache_key,
-            alpha=alpha,
-            size_threshold=size_threshold,
-            pruning_report=pruning_report,
+            self._graph, self._cache_key, alpha=alpha, size_threshold=size_threshold
         )
 
     def adopt(
@@ -247,7 +243,9 @@ class MiningSession:
         Parallel requests cannot stream (shards finish out of order) and a
         ``top_k`` request streams its *qualifying* cliques unranked; both
         restrictions are enforced eagerly, at the call, not at the first
-        ``next()``.
+        ``next()``.  ``pruning_report`` gets the counts of the
+        shared-neighborhood filter the request's artifact went through
+        added to it, at the first ``next()``.
         """
         if request.parallel:
             raise ParameterError("parallel requests cannot stream; use enumerate()")
@@ -266,7 +264,12 @@ class MiningSession:
         stats = statistics if statistics is not None else SearchStatistics()
         if self._graph.num_vertices == 0:
             return
-        compiled, strategy = self._start(request, pruning_report)
+        compiled, strategy = self._start(request)
+        filtered = compiled.pruning_report
+        if pruning_report is not None and filtered is not None:
+            pruning_report.rounds += filtered.rounds
+            pruning_report.edges_removed += filtered.edges_removed
+            pruning_report.vertices_removed += filtered.vertices_removed
         found = run_kernel_search(
             compiled,
             request.alpha,
@@ -354,13 +357,12 @@ class MiningSession:
             yield CliqueColumns(vertices, sizes, probabilities, in_order)
 
     def _start(
-        self, request: EnumerationRequest, pruning_report: PruningReport | None = None
+        self, request: EnumerationRequest
     ) -> tuple[CompiledGraph, EnumerationStrategy]:
         """Compile (or fetch) the artifact a request runs on, and its strategy."""
         compiled = self.compiled(
             alpha=request.compile_alpha(),
             size_threshold=request.compile_size_threshold(),
-            pruning_report=pruning_report,
         )
         if request.root_shard is not None:
             compiled = compiled.restrict_roots(
@@ -401,13 +403,13 @@ class MiningSession:
     def batch(self, requests: Iterable[EnumerationRequest]) -> list[EnumerationOutcome]:
         """Run many requests, sharing one compilation wherever legal.
 
-        Before dispatching, the batch is scanned for plain (non-SNF)
-        compile targets and a single base artifact is ensured — unpruned if
-        any request needs it, pruned at the batch's minimum α otherwise —
-        so every other plain request is served by cheap derivation instead
-        of recompiling.  Outcomes are returned in request order and are
-        bit-identical (cliques and counters) to running each request on a
-        cold session.
+        Before dispatching, the batch is scanned for compile targets and a
+        single base artifact is ensured — unpruned if any request needs it,
+        pruned at the batch's minimum α otherwise — so every request,
+        LARGE-MULE's filtered ones included, is served by derivation from
+        it instead of recompiling.  Outcomes are returned in request order
+        and are bit-identical (cliques and counters) to running each
+        request on a cold session.
         """
         requests = list(requests)
         self.prepare(requests)
@@ -436,11 +438,12 @@ class MiningSession:
         return self.batch(requests)
 
     def prepare(self, requests: Sequence[EnumerationRequest]) -> None:
-        """Ensure one derivation base covers every plain compile in ``requests``.
+        """Ensure one derivation base covers every compile in ``requests``.
 
-        Only plain (non-SNF) requests with a threshold count.  If any of
-        them needs an unpruned artifact, that is the base (it derives every
-        other level); otherwise the base is pruned at their minimum α.
+        Every request with a threshold counts, LARGE-MULE's included (a
+        filtered artifact derives from a plain base).  If any of them needs
+        an unpruned artifact, that is the base (it derives every other
+        level); otherwise the base is pruned at their minimum α.
 
         :meth:`batch` calls this automatically; callers that dispatch the
         requests themselves (interleaved with other work, in their own
@@ -450,9 +453,7 @@ class MiningSession:
         cached base can legally derive.
         """
         levels = [
-            request.compile_alpha()
-            for request in requests
-            if request.compile_size_threshold() is None and request.alpha is not None
+            request.compile_alpha() for request in requests if request.alpha is not None
         ]
         if not levels or self._graph.num_vertices == 0:
             return

@@ -45,7 +45,7 @@ from .engine import (
 from .fast_mule import fast_mule, iter_alpha_maximal_cliques_fast
 from .large_mule import LargeMuleConfig, iter_large_alpha_maximal_cliques, large_mule
 from .mule import MuleConfig, iter_alpha_maximal_cliques, mule
-from .pruning import PruningReport, shared_neighborhood_filter
+from .pruning import PruningReport
 from .result import CliqueRecord, EnumerationResult, SearchStatistics, Stopwatch
 from .top_k import top_k_by_threshold_search, top_k_maximal_cliques
 
@@ -75,7 +75,6 @@ __all__ = [
     "NoIncrementalStrategy",
     "LargeCliqueStrategy",
     "TopKStrategy",
-    "shared_neighborhood_filter",
     "PruningReport",
     "CliqueRecord",
     "EnumerationResult",

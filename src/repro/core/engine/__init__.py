@@ -8,8 +8,9 @@ and pruning.  This subsystem factors the shared machinery into three layers:
 * :mod:`repro.core.engine.compiled` — :class:`CompiledGraph`, an immutable
   search-ready representation of an :class:`~repro.uncertain.graph.UncertainGraph`
   (0..n-1 relabeling, integer-bitmask adjacency, flat probability arrays)
-  plus :func:`compile_graph`, the shared validate → prune-edges →
-  shared-neighborhood-filter → relabel preprocessing pipeline.
+  plus :func:`compile_graph`, the shared preprocessing pipeline: one
+  relabel-and-prune-edges pass, then LARGE-MULE's shared-neighborhood
+  filter on the bitmasks.
 * :mod:`repro.core.engine.kernel` — :func:`run_search`, an explicit-stack
   **iterative** depth-first kernel.  It replaces the recursive ``enum()``
   closures of the seed implementation, eliminating the

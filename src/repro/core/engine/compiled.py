@@ -5,7 +5,7 @@ validate α, drop edges with ``p(e) < α`` (Observation 3), optionally apply
 Shared Neighborhood Filtering (LARGE-MULE), relabel vertices to integers —
 and :mod:`repro.core.fast_mule` privately built bitmask adjacency on top.
 :class:`CompiledGraph` makes that representation a first-class, shared
-artifact:
+artifact, compiled once and then pruned on the integer form:
 
 * vertices are relabelled to ``0..n-1`` in sorted label order (``repr``
   order for non-orderable labels), so the lexicographic exploration order of
@@ -17,11 +17,15 @@ artifact:
   integer index, preserving the O(1) lookup the paper's Lemma 10 assumes.
 
 A compiled graph is immutable by convention: strategies read it, never
-write it, so one compilation can back many searches (and, later, many
-parallel shards).  The only state it gains after construction is the
-vector kernel's native form of it (sorted neighbour rows and adjacency
-bitsets, :mod:`repro.core.engine.backends.native`), a pure function of the
-artifact built on its first run.
+write it, so one compilation can back many searches and parallel shards,
+and three derivations make new artifacts from it without the graph:
+:meth:`CompiledGraph.restrict_probability` (Observation 3 at a higher α),
+:meth:`CompiledGraph.restrict_shared_neighborhood` (LARGE-MULE's
+pre-filter) and :meth:`CompiledGraph.restrict_roots` (a parallel shard).
+The only state it gains after construction is the vector kernel's native
+form of it (sorted neighbour rows and adjacency bitsets,
+:mod:`repro.core.engine.backends.native`), a pure function of the artifact
+built on its first run.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from typing import Any
 
+from ...errors import ParameterError
 from ...uncertain.graph import UncertainGraph
-from ...uncertain.operations import prune_edges_below_alpha
-from ..pruning import PruningReport, shared_neighborhood_filter
+from ..pruning import PruningReport
 
 __all__ = ["CompiledGraph", "compile_graph"]
 
@@ -44,6 +48,19 @@ def _mask_of(indices: Iterable[int]) -> int:
     for j in indices:
         mask |= 1 << j
     return mask
+
+
+def _sorted_labels(vertices: Iterable[Vertex]) -> tuple[list[Vertex], bool]:
+    """Order labels as vertex indices follow them, and say which rule applied.
+
+    The natural ``<`` order when the labels compare (the flag is True),
+    otherwise the ``(type name, repr)`` order (the flag is False).
+    """
+    labels = list(vertices)
+    try:
+        return sorted(labels), True
+    except TypeError:
+        return sorted(labels, key=lambda v: (type(v).__name__, repr(v))), False
 
 
 class _KernelCaches:
@@ -100,6 +117,9 @@ class CompiledGraph:
         are still *retired* into the exclusion set as the root frame
         advances, so maximality tests inside the shard remain global and
         every emitted clique is genuinely α-maximal.
+    pruning_report:
+        What :meth:`restrict_shared_neighborhood` removed to make this
+        artifact, or ``None`` when the filter did not make it.
     """
 
     __slots__ = (
@@ -112,6 +132,7 @@ class CompiledGraph:
         "all_mask",
         "higher_masks",
         "root_mask",
+        "pruning_report",
         "_kernel_caches",
     )
 
@@ -133,6 +154,7 @@ class CompiledGraph:
             self.all_mask ^ ((1 << (i + 1)) - 1) for i in range(self.n)
         ]
         self.root_mask = self.all_mask
+        self.pruning_report: PruningReport | None = None
         # The vector kernel's native form.  restrict_roots hands the same
         # container to its views, so shards of one artifact build it once;
         # restrict_probability artifacts start with an empty one.
@@ -155,14 +177,7 @@ class CompiledGraph:
         >>> cg.labels, cg.adjacency_mask
         ([1, 2], [2, 1])
         """
-        try:
-            ordered = sorted(graph.vertices())
-            labels_sorted = True
-        except TypeError:
-            ordered = sorted(
-                graph.vertices(), key=lambda v: (type(v).__name__, repr(v))
-            )
-            labels_sorted = False
+        ordered, labels_sorted = _sorted_labels(graph.vertices())
         index_of = {v: i for i, v in enumerate(ordered)}
         # Every stored probability lies in (0, 1], so a floor of 0 keeps all.
         floor = 0.0 if min_probability is None else min_probability
@@ -203,6 +218,101 @@ class CompiledGraph:
             masks.append(_mask_of(kept))
             probabilities.append(kept)
         return CompiledGraph(self.labels, masks, probabilities, self.labels_sorted)
+
+    def restrict_shared_neighborhood(self, size_threshold: int) -> "CompiledGraph":
+        """Apply LARGE-MULE's pre-filter for cliques of ``size_threshold`` or more.
+
+        Modani and Dey's Shared Neighborhood Filtering, run to a fixed point
+        on the bitmasks.  With ``t = size_threshold``, each round
+
+        * drops every edge ``{u, v}`` whose endpoints share fewer than
+          ``t - 2`` neighbours (one popcount of ``adjacency_mask[u] &
+          adjacency_mask[v]``), decided on the round's graph before any
+          edge goes: the other members of a clique of ``t`` or more
+          vertices are shared neighbours of each of its edges;
+        * then drops every vertex with fewer than ``t - 1`` neighbours it
+          shares at least ``t - 2`` neighbours with, decided after the edge
+          step and before any vertex goes: a member of such a clique has
+          its ``t - 1`` fellow members as those neighbours.
+
+        Rounds repeat until one changes nothing, since a removal can fail
+        an edge or a vertex that passed before.  No edge or vertex of a
+        clique of ``t`` or more vertices is ever removed, so every
+        α-maximal clique of that size survives unchanged.  The survivors
+        are re-indexed by the rule :meth:`from_graph` orders labels with,
+        so the result equals a compile of the filtered graph, and its
+        :attr:`pruning_report` counts the rounds (the last, unchanged one
+        included), the edges the edge steps dropped and the vertices
+        dropped.
+
+        Raises
+        ------
+        ParameterError
+            If ``size_threshold`` is smaller than 2.
+
+        >>> g = UncertainGraph(
+        ...     edges=[(1, 2, 0.9), (2, 3, 0.9), (1, 3, 0.9), (3, 4, 0.9)]
+        ... )
+        >>> filtered = CompiledGraph.from_graph(g).restrict_shared_neighborhood(3)
+        >>> filtered.labels, filtered.pruning_report
+        ([1, 2, 3], PruningReport(rounds=2, edges_removed=1, vertices_removed=1))
+        """
+        if size_threshold < 2:
+            raise ParameterError(
+                f"size_threshold must be at least 2, got {size_threshold}"
+            )
+        shared, strong_needed = size_threshold - 2, size_threshold - 1
+        masks = list(self.adjacency_mask)
+        rows = [dict(row) for row in self.adjacency_probability]
+        alive = list(range(self.n))
+        report = PruningReport()
+        while True:
+            report.rounds += 1
+            weak = [
+                (u, v)
+                for u in alive
+                for v in rows[u]
+                if v > u and (masks[u] & masks[v]).bit_count() < shared
+            ]
+            for u, v in weak:
+                del rows[u][v], rows[v][u]
+                masks[u] &= ~(1 << v)
+                masks[v] &= ~(1 << u)
+            doomed: list[int] = []
+            for v in alive:
+                row = masks[v]
+                strong = 0
+                for u in rows[v]:
+                    if (row & masks[u]).bit_count() >= shared:
+                        strong += 1
+                        if strong == strong_needed:
+                            break
+                if strong < strong_needed:
+                    doomed.append(v)
+            for v in doomed:
+                for u in rows[v]:
+                    del rows[u][v]
+                    masks[u] &= ~(1 << v)
+                rows[v].clear()
+            report.edges_removed += len(weak)
+            report.vertices_removed += len(doomed)
+            if not weak and not doomed:
+                break
+            gone = set(doomed)
+            alive = [v for v in alive if v not in gone]
+
+        labels, labels_sorted = _sorted_labels(self.labels[i] for i in alive)
+        kept = [self.index_of[label] for label in labels]
+        index = {old: new for new, old in enumerate(kept)}
+        probabilities = [{index[j]: p for j, p in rows[i].items()} for i in kept]
+        filtered = CompiledGraph(
+            labels,
+            [_mask_of(row) for row in probabilities],
+            probabilities,
+            labels_sorted,
+        )
+        filtered.pruning_report = report
+        return filtered
 
     def restrict_roots(self, root_mask: int) -> "CompiledGraph":
         """Return a shallow shard view confined to ``root_mask`` first branches.
@@ -246,24 +356,6 @@ class CompiledGraph:
         """Return ``p({i, j})`` for vertex indices, or ``0.0`` when absent."""
         return self.adjacency_probability[i].get(j, 0.0)
 
-    def subset_probability(self, indices: list[int]) -> float:
-        """Recompute the clique probability of an index set from scratch.
-
-        Returns ``0.0`` when any required edge is missing.  This is the
-        non-incremental primitive used by :class:`NoIncrementalStrategy`;
-        the incremental strategies never call it.
-        """
-        probability = 1.0
-        adjacency_probability = self.adjacency_probability
-        for pos, u in enumerate(indices):
-            row = adjacency_probability[u]
-            for v in indices[pos + 1 :]:
-                p = row.get(v)
-                if p is None:
-                    return 0.0
-                probability *= p
-        return probability
-
     def __repr__(self) -> str:
         edges = sum(mask.bit_count() for mask in self.adjacency_mask) // 2
         return f"CompiledGraph(n={self.n}, m={edges})"
@@ -274,35 +366,25 @@ def compile_graph(
     *,
     alpha: float | None = None,
     size_threshold: int | None = None,
-    pruning_report: PruningReport | None = None,
 ) -> CompiledGraph:
-    """Run the shared preprocessing pipeline and compile the result.
+    """Compile ``graph`` in one pass, then apply LARGE-MULE's filter if asked.
 
     Parameters
     ----------
     graph:
         The input uncertain graph (never modified).
     alpha:
-        When given, apply the Observation 3 preprocessing first: edges with
-        ``p(e) < α`` cannot appear in any α-clique of size ≥ 2 and are
-        dropped.  Pass ``None`` to skip (the ablation configuration).
+        When given, the pass applies the Observation 3 preprocessing: edges
+        with ``p(e) < α`` cannot appear in any α-clique of size ≥ 2 and are
+        dropped.  Pass ``None`` to keep every edge (the ablation
+        configuration).
     size_threshold:
-        When given, additionally apply the Modani–Dey Shared Neighborhood
-        Filtering for cliques of at least this many vertices (LARGE-MULE's
-        pre-filter).
-    pruning_report:
-        Optional :class:`~repro.core.pruning.PruningReport` updated in place
-        when ``size_threshold`` is given.
+        When given, the compiled graph then goes through
+        :meth:`CompiledGraph.restrict_shared_neighborhood` for cliques of at
+        least this many vertices (LARGE-MULE's pre-filter), and the result
+        carries the filter's :attr:`~CompiledGraph.pruning_report`.
     """
-    if size_threshold is not None:
-        # The Modani–Dey filter works on an actual UncertainGraph, so the
-        # edge pruning materialises an intermediate copy on this path.
-        working = graph
-        if alpha is not None:
-            working = prune_edges_below_alpha(working, alpha)
-        working = shared_neighborhood_filter(
-            working, size_threshold, report=pruning_report
-        )
-        return CompiledGraph.from_graph(working)
-    # Plain path: fuse the Observation 3 edge filter into the compile pass.
-    return CompiledGraph.from_graph(graph, min_probability=alpha)
+    compiled = CompiledGraph.from_graph(graph, min_probability=alpha)
+    if size_threshold is None:
+        return compiled
+    return compiled.restrict_shared_neighborhood(size_threshold)

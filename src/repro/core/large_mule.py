@@ -7,8 +7,9 @@ the speed-up reported in Figures 5–6 of the paper:
 
 1. **Shared Neighborhood Filtering** (Modani & Dey) prunes edges and
    vertices that cannot belong to any clique of size ≥ t before the search
-   starts (see :mod:`repro.core.pruning`); since the engine refactor this
-   runs inside the shared
+   starts.  It runs on the compiled graph
+   (:meth:`~repro.core.engine.compiled.CompiledGraph.restrict_shared_neighborhood`),
+   as the last stage of the shared
    :func:`~repro.core.engine.compiled.compile_graph` pipeline.
 2. **Search-space pruning**: before descending into an extended clique
    ``C'``, the strategy checks ``|C'| + |I'| ≥ t``; when the bound fails, no

@@ -1,128 +1,30 @@
-"""Pre-pruning for large maximal clique enumeration.
+"""The counts of LARGE-MULE's pre-filter.
 
-LARGE-MULE (Section 4.3 of the paper) first shrinks the input graph with the
-"Shared Neighborhood Filtering" technique of Modani and Dey before running
-the size-thresholded search:
-
-* drop every edge ``{u, v}`` whose endpoints share fewer than ``t - 2``
-  common neighbors — such an edge cannot belong to any clique with ``t`` or
-  more vertices;
-* drop every vertex ``v`` that does not have at least ``t - 1`` neighbors
-  ``u`` with ``|Γ(u) ∩ Γ(v)| ≥ t - 2`` — such a vertex cannot belong to any
-  clique with ``t`` or more vertices;
-* repeat until a fixed point, because removing edges/vertices can invalidate
-  previously-passing ones.
-
-The filter is *safe* for cliques of size ≥ t: it never removes an edge or a
-vertex of any such clique, so running MULE on the filtered graph and keeping
-only cliques of size ≥ t yields exactly the same result as filtering the
-full MULE output (this equivalence is exercised by the integration tests).
+LARGE-MULE (Section 4.3 of the paper) first shrinks the input graph with
+the "Shared Neighborhood Filtering" technique of Modani and Dey, which
+removes edges and vertices that cannot belong to any clique of ``t`` or
+more vertices.  The filter runs on the compiled graph
+(:meth:`repro.core.engine.compiled.CompiledGraph.restrict_shared_neighborhood`);
+this module holds the :class:`PruningReport` it leaves on the artifact.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from dataclasses import dataclass
 
-from ..errors import ParameterError
-from ..uncertain.graph import UncertainGraph
-
-__all__ = ["shared_neighborhood_filter", "PruningReport"]
-
-Vertex = Hashable
+__all__ = ["PruningReport"]
 
 
+@dataclass
 class PruningReport:
-    """What the shared-neighborhood filter removed, for logging/benchmarks."""
+    """What the shared-neighborhood filter removed, for logging/benchmarks.
 
-    def __init__(self) -> None:
-        self.rounds = 0
-        self.edges_removed = 0
-        self.vertices_removed = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"PruningReport(rounds={self.rounds}, edges_removed={self.edges_removed}, "
-            f"vertices_removed={self.vertices_removed})"
-        )
-
-
-def shared_neighborhood_filter(
-    graph: UncertainGraph,
-    size_threshold: int,
-    *,
-    report: PruningReport | None = None,
-) -> UncertainGraph:
-    """Apply Shared Neighborhood Filtering for cliques of at least ``size_threshold`` vertices.
-
-    Parameters
-    ----------
-    graph:
-        The input uncertain graph (not modified).
-    size_threshold:
-        The minimum clique size ``t ≥ 2`` that must be preserved.
-    report:
-        Optional :class:`PruningReport` updated in place with removal counts.
-
-    Returns
-    -------
-    UncertainGraph
-        A pruned copy.  Vertices that survive but lose all their edges are
-        removed as well (they cannot be in a clique of size ≥ 2 ≤ t).
-
-    Raises
-    ------
-    ParameterError
-        If ``size_threshold`` is smaller than 2.
-
-    Examples
-    --------
-    >>> g = UncertainGraph(edges=[(1, 2, 0.9), (2, 3, 0.9), (1, 3, 0.9), (3, 4, 0.9)])
-    >>> pruned = shared_neighborhood_filter(g, 3)
-    >>> sorted(pruned.vertices())
-    [1, 2, 3]
+    ``rounds`` counts the filter's rounds, the last (unchanged) one
+    included; ``edges_removed`` counts the edges its edge steps dropped
+    (not those that went with a removed vertex); ``vertices_removed``
+    counts the vertices it dropped.
     """
-    if size_threshold < 2:
-        raise ParameterError(
-            f"size_threshold must be at least 2, got {size_threshold}"
-        )
-    t = size_threshold
-    working = graph.copy()
-    report = report if report is not None else PruningReport()
 
-    changed = True
-    while changed:
-        changed = False
-        report.rounds += 1
-
-        # Edge filter: an edge inside a clique of size >= t has at least
-        # t - 2 common neighbors (the remaining clique members).
-        to_remove_edges = [
-            (u, v)
-            for u, v, _ in working.edges()
-            if len(working.common_neighbors(u, v)) < t - 2
-        ]
-        for u, v in to_remove_edges:
-            working.remove_edge(u, v)
-        if to_remove_edges:
-            changed = True
-            report.edges_removed += len(to_remove_edges)
-
-        # Vertex filter: a vertex of a clique of size >= t has at least
-        # t - 1 neighbors u that themselves share >= t - 2 neighbors with it.
-        to_remove_vertices = []
-        for v in working.vertices():
-            strong_neighbors = 0
-            for u in working.adjacency(v):
-                if len(working.common_neighbors(u, v)) >= t - 2:
-                    strong_neighbors += 1
-                    if strong_neighbors >= t - 1:
-                        break
-            if strong_neighbors < t - 1:
-                to_remove_vertices.append(v)
-        for v in to_remove_vertices:
-            working.remove_vertex(v)
-        if to_remove_vertices:
-            changed = True
-            report.vertices_removed += len(to_remove_vertices)
-
-    return working
+    rounds: int = 0
+    edges_removed: int = 0
+    vertices_removed: int = 0

@@ -3,9 +3,13 @@
 The most important operation for the paper's algorithms is the
 α-threshold edge pruning of Observation 3: any edge with probability below
 ``α`` can never participate in an α-clique of size ≥ 2, so it can be dropped
-before enumeration without changing the output.  The other helpers here
-(induced neighborhoods, vertex filtering, component decomposition) support
-the LARGE-MULE pre-pruning and the dataset statistics.
+before enumeration without changing the output.  The compile stage
+applies it on its own, row by row
+(:meth:`repro.core.engine.compiled.CompiledGraph.from_graph`), so
+:func:`prune_edges_below_alpha` is the graph-level form for callers that
+want a pruned copy.  The other helpers here (induced neighborhoods, vertex
+filtering, component decomposition) are general utilities of the public
+:mod:`repro.uncertain` API; no enumerator calls them.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import repro.api.cache as cache_module
 from repro.api import EnumerationRequest, GraphStore, MiningSession
 from repro.api.cache import CacheInfo, CompiledGraphCache
 from repro.core.engine import compile_graph
-from repro.core.pruning import PruningReport
+from repro.datasets.registry import load_dataset
 from repro.errors import ParameterError
 from repro.uncertain.graph import UncertainGraph
 
@@ -71,19 +71,42 @@ class TestLookup:
         assert cache.info().compilations == 2
         assert cache.info().derivations == 0
 
-    def test_snf_entries_never_derive(self, graph):
+    def test_snf_key_derives_from_a_plain_base(self, graph):
         cache = CompiledGraphCache()
         fp = graph.fingerprint()
         cache.get(graph, fp)  # plain base present
         filtered = cache.get(graph, fp, alpha=0.4, size_threshold=3)
-        assert compiled_equal(
-            filtered, compile_graph(graph, alpha=0.4, size_threshold=3)
-        )
-        assert cache.info().derivations == 0
-        assert cache.info().compilations == 2
+        cold = compile_graph(graph, alpha=0.4, size_threshold=3)
+        assert compiled_equal(filtered, cold)
+        assert filtered.pruning_report == cold.pruning_report
+        assert (cache.info().compilations, cache.info().derivations) == (1, 1)
         # ...and an SNF entry is never used as a derivation base.
         plain = cache.get(graph, fp, alpha=0.45)
         assert compiled_equal(plain, compile_graph(graph, alpha=0.45))
+
+    def test_cold_snf_miss_stores_only_its_key(self, graph):
+        cache = CompiledGraphCache()
+        cache.get(graph, graph.fingerprint(), alpha=0.4, size_threshold=3)
+        assert cache.info() == CacheInfo(
+            hits=0, misses=1, compilations=1, derivations=0, entries=1
+        )
+
+    def test_figure5_panel_batch_compiles_once(self):
+        # ca-grqc's Figure 5 panel: every LARGE-MULE request derives from
+        # the one plain base the batch prepares, bit-identically to a cold
+        # one-shot run.
+        graph = load_dataset("ca-grqc", scale=0.05)
+        requests = [
+            EnumerationRequest(algorithm="large", alpha=alpha, size_threshold=t)
+            for alpha in (0.2, 0.01, 0.0001)
+            for t in range(2, 8)
+        ]
+        session = MiningSession(graph)
+        outcomes = session.batch(requests)
+        info = session.cache_info()
+        assert (info.compilations, info.derivations) == (1, 18), info
+        for request, outcome in zip(requests, outcomes):
+            outcome.assert_matches(MiningSession(graph).enumerate(request))
 
     def test_distinct_graphs_do_not_collide(self, graph):
         other = UncertainGraph(edges=[(1, 2, 0.9)])
@@ -91,19 +114,6 @@ class TestLookup:
         a = cache.get(graph, graph.fingerprint(), alpha=0.5)
         b = cache.get(other, other.fingerprint(), alpha=0.5)
         assert a.n != b.n
-        assert cache.info().compilations == 2
-
-    def test_pruning_report_forces_compile(self, graph):
-        cache = CompiledGraphCache()
-        fp = graph.fingerprint()
-        cache.get(graph, fp, alpha=0.4, size_threshold=3)
-        report = PruningReport()
-        cache.get(graph, fp, alpha=0.4, size_threshold=3, pruning_report=report)
-        # The filter genuinely ran again and filled the fresh report: the
-        # 0.3 edge is pruned at alpha=0.4, leaving vertex 4 isolated, so the
-        # t=3 filter removes it.
-        assert report.rounds >= 1
-        assert report.vertices_removed >= 1
         assert cache.info().compilations == 2
 
 
@@ -275,15 +285,6 @@ class TestSingleFlight:
         run_together(3, lambda: cache.get(graph, fp, alpha=0.4))
         assert cache.single_flight_waits() >= 1
         cache.clear()
-        assert cache.single_flight_waits() == 0
-
-    def test_pruning_report_calls_are_not_deduplicated(self, graph, compiles):
-        cache = CompiledGraphCache()
-        fp = graph.fingerprint()
-        run_together(
-            3, lambda: cache.get(graph, fp, alpha=0.4, pruning_report=PruningReport())
-        )
-        assert len(compiles) == 3
         assert cache.single_flight_waits() == 0
 
     def test_mixed_alphas_under_eviction_match_serial(self, monkeypatch):

@@ -61,19 +61,6 @@ class TestCompiledGraph:
         cg = CompiledGraph.from_graph(g)
         assert cg.decode([0, 1]) == frozenset({"a", "b"})
 
-    def test_subset_probability_matches_graph(self):
-        g = UncertainGraph(edges=[(1, 2, 0.5), (2, 3, 0.4), (1, 3, 0.25)])
-        cg = CompiledGraph.from_graph(g)
-        indices = [cg.index_of[v] for v in (1, 2, 3)]
-        assert cg.subset_probability(indices) == pytest.approx(
-            g.clique_probability([1, 2, 3])
-        )
-
-    def test_subset_probability_zero_on_missing_edge(self):
-        g = UncertainGraph(edges=[(1, 2, 0.5)], vertices=[3])
-        cg = CompiledGraph.from_graph(g)
-        assert cg.subset_probability([0, 2]) == 0.0
-
     def test_higher_masks(self):
         g = UncertainGraph(vertices=[1, 2, 3, 4])
         cg = CompiledGraph.from_graph(g)
@@ -87,6 +74,11 @@ class TestCompiledGraph:
         )
         cg = compile_graph(g, alpha=0.5, size_threshold=3)
         assert cg.labels == [1, 2, 3]
+        # Only the filter leaves a report; shard views share it.
+        assert cg.restrict_roots(0b1).pruning_report is cg.pruning_report
+        assert compile_graph(g, alpha=0.5).pruning_report is None
+        base = CompiledGraph.from_graph(g)
+        assert base.restrict_probability(0.95).pruning_report is None
 
 
 class TestRunControls:

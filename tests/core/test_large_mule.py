@@ -112,6 +112,7 @@ class TestGeneratorInterface:
         }
 
     def test_pruning_report_collected(self, two_cliques):
+        from repro.api import EnumerationRequest, MiningSession
         from repro.core.pruning import PruningReport
 
         report = PruningReport()
@@ -121,3 +122,29 @@ class TestGeneratorInterface:
             )
         )
         assert report.rounds >= 1
+
+        def counts(report):
+            return report.rounds, report.edges_removed, report.vertices_removed
+
+        # Unpruned, the weak 3-4 edge goes in the filter's edge step.
+        cold = PruningReport()
+        list(
+            iter_large_alpha_maximal_cliques(
+                two_cliques,
+                0.5,
+                3,
+                config=LargeMuleConfig(prune_edges=False),
+                pruning_report=cold,
+            )
+        )
+        assert cold.edges_removed == 1
+        # Every stream adds its artifact's counts, a warm one included.
+        session = MiningSession(two_cliques)
+        request = EnumerationRequest(
+            algorithm="large", alpha=0.5, size_threshold=3, prune_edges=False
+        )
+        session.enumerate(request)
+        twice = PruningReport()
+        for _ in range(2):
+            list(session.stream(request, pruning_report=twice))
+        assert counts(twice) == tuple(2 * count for count in counts(cold))

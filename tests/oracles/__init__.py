@@ -16,4 +16,9 @@ checks:
 * :mod:`.cores` — deterministic core numbers by min-degree peeling.  It
   ignores probabilities, so it is independent of
   ``repro.extensions.uncertain_core``, which must agree with it at η = 1.
+
+Two more are reference implementations of compile stages that now work on
+the integer form, kept so the new stage is pinned against the old one:
+:mod:`.compile_edges` (the compile pass, walking ``UncertainGraph.edges()``)
+and :mod:`.shared_neighborhood` (LARGE-MULE's pre-filter on graph copies).
 """
